@@ -169,8 +169,7 @@ def read_comrades(
     dht: SimulatedDht, campaign: CampaignStart, now: int
 ) -> list[bytes]:
     """Distinct registered public keys for one campaign, stable order."""
-    values = dht.get(comrades_table_key(campaign.start, campaign.url.render()), now)
-    return sorted(set(values))
+    return sorted(dht.get(comrades_table_key(campaign.start, campaign.url.render()), now))
 
 
 def handle_url(

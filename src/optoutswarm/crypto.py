@@ -14,7 +14,7 @@ only be opened by the matching private key (X25519 + ChaCha20-Poly1305).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
 from cryptography.exceptions import InvalidTag
@@ -62,6 +62,14 @@ class ClientIdentity:
 
     public_key: bytes
     private_key: bytes  # raw scalar, never written into any DHT record
+    # parsed once: building it derives the public key again, which costs
+    # about half of an open
+    _x25519: X25519PrivateKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_x25519", X25519PrivateKey.from_private_bytes(self.private_key)
+        )
 
     def __repr__(self) -> str:  # keep private key out of logs
         return f"ClientIdentity(public_key={self.public_key.hex()[:12]}…)"
@@ -197,9 +205,8 @@ def open_sealed(identity: ClientIdentity, msg: SealedMessage) -> bytes:
         raise NotAddressee("message addressed to a different key")
     ephemeral_pk = msg.ciphertext[:PUBLIC_KEY_LEN]
     ct = msg.ciphertext[PUBLIC_KEY_LEN:]
-    private = X25519PrivateKey.from_private_bytes(identity.private_key)
     try:
-        shared = private.exchange(X25519PublicKey.from_public_bytes(ephemeral_pk))
+        shared = identity._x25519.exchange(X25519PublicKey.from_public_bytes(ephemeral_pk))
         box = ChaCha20Poly1305(_box_key(shared))
         return box.decrypt(_ZERO_NONCE, ct, identity.public_key)
     except (InvalidTag, ValueError) as exc:

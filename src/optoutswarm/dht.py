@@ -6,10 +6,16 @@ keys under the hash of "start|url", and sealed messages under the hash of
 the recipient's public key. Only 20-byte hashed keys ever hit the store;
 preimages stay with the clients.
 
+Each key maps to an insertion-ordered dict from value to the minute it was
+stored, so `contains` answers roster membership in O(1) and `remove` is a
+single pop. `get` returns the live values in insertion order.
+
 Values expire after a TTL so abandoned campaigns clean themselves up, and
 duplicate byte-identical values collapse to one (re-registering for a
-campaign is idempotent). An optional visibility latency models propagation
-delay: a value written at minute t becomes readable at t + latency.
+campaign is idempotent). Re-putting a live value refreshes its minute and
+keeps its place; re-putting an expired one moves it to the end. An optional
+visibility latency models propagation delay: a value written at minute t
+becomes readable at t + latency.
 """
 
 from __future__ import annotations
@@ -60,45 +66,32 @@ def inbox_key(public_key: bytes) -> DhtKey:
 
 
 @dataclass
-class DhtRecord:
-    value: bytes
-    stored_at: int
-    ttl_minutes: int
-
-
-@dataclass
 class SimulatedDht:
     """Single authoritative store; real-DHT churn and routing are out of scope."""
 
     ttl_minutes: int = DEFAULT_TTL_MINUTES
     visibility_latency: int = 0
-    _table: dict[bytes, list[DhtRecord]] = field(default_factory=dict)
+    _table: dict[bytes, dict[bytes, int]] = field(default_factory=dict)
 
     def put(self, key: DhtKey, value: bytes, now: int) -> None:
         if not value:
             raise ValueError("value must be non-empty")
-        records = self._table.setdefault(key.key, [])
-        for record in records:
-            if record.value == value and not self._expired(record, now):
-                record.stored_at = now  # refresh instead of duplicating
-                return
-        records.append(DhtRecord(value=value, stored_at=now, ttl_minutes=self.ttl_minutes))
+        values = self._table.setdefault(key.key, {})
+        stored_at = values.get(value)
+        if stored_at is not None and now > stored_at + self.ttl_minutes:
+            del values[value]  # expired: store afresh at the end
+        values[value] = now  # a live duplicate is refreshed in place
 
     def get(self, key: DhtKey, now: int) -> list[bytes]:
-        records = self._table.get(key.key, [])
-        return [
-            r.value
-            for r in records
-            if not self._expired(r, now) and now >= r.stored_at + self.visibility_latency
-        ]
+        oldest, newest = now - self.ttl_minutes, now - self.visibility_latency
+        return [v for v, at in self._table.get(key.key, {}).items() if oldest <= at <= newest]
+
+    def contains(self, key: DhtKey, value: bytes, now: int) -> bool:
+        """Whether `value` is in `get(key, now)`, without reading the others."""
+        at = self._table.get(key.key, {}).get(value)
+        return at is not None and now - self.ttl_minutes <= at <= now - self.visibility_latency
 
     def remove(self, key: DhtKey, value: bytes) -> None:
-        records = self._table.get(key.key)
-        if not records:
-            return
-        records[:] = [r for r in records if r.value != value]
-        if not records:
+        values = self._table.get(key.key)
+        if values is not None and values.pop(value, None) is not None and not values:
             del self._table[key.key]
-
-    def _expired(self, record: DhtRecord, now: int) -> bool:
-        return now > record.stored_at + record.ttl_minutes

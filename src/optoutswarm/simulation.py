@@ -74,10 +74,10 @@ class SimClient:
             self.budget = AnswerBudget(cap=self.cfg.max_challenges_answered)
 
     def issuer_is_comrade(self, dht: SimulatedDht, issuer_pk: bytes, now: int) -> bool:
-        for campaign in self.campaign_db.entries:
-            if issuer_pk in coordinator.read_comrades(dht, campaign, now):
-                return True
-        return False
+        return any(
+            dht.contains(comrades_table_key(c.start, c.url.render()), issuer_pk, now)
+            for c in self.campaign_db.entries
+        )
 
 
 @dataclass
@@ -276,9 +276,8 @@ class _SybilFloodAdversary(_Adversary):
         registered = 0
         for url, start in self._announced_campaigns(sim, now):
             key = comrades_table_key(start, url.render())
-            existing = set(sim.dht.get(key, now))
             for pk in self.sybil_keys:
-                if pk not in existing:
+                if not sim.dht.contains(key, pk, now):
                     sim.dht.put(key, pk, now)
                     registered += 1
         if registered:

@@ -215,7 +215,7 @@ def initiate_verification(
     was actually sent.
     """
     key = comrades_table_key(shared_campaign.start, shared_campaign.url.render())
-    if peer_public_key not in dht.get(key, now):
+    if not dht.contains(key, peer_public_key, now):
         raise NotAComrade("peer is not registered for that campaign")
     pending = db.pending.get(peer_public_key)
     if pending is not None and now < pending.issued_at + cfg.rechallenge_timeout:

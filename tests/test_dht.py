@@ -1,4 +1,4 @@
-"""Multimap store semantics: hashing, TTL, set behavior, oracle equivalence."""
+"""Multimap store semantics: hashing, TTL, order, membership, oracle equivalence."""
 
 import hashlib
 from random import Random
@@ -115,11 +115,51 @@ def test_visibility_latency_delays_reads():
     assert store.get(k("a"), 12) == [b"v"]
 
 
+def test_live_reput_keeps_position():
+    store = fresh(ttl_minutes=60)
+    store.put(k("a"), b"v1", 0)
+    store.put(k("a"), b"v2", 0)
+    store.put(k("a"), b"v1", 30)
+    assert store.get(k("a"), 30) == [b"v1", b"v2"]
+    assert store.get(k("a"), 61) == [b"v1"]  # the re-put refreshed v1's clock
+
+
+def test_expired_reput_moves_to_end():
+    store = fresh(ttl_minutes=60)
+    store.put(k("a"), b"v1", 0)
+    store.put(k("a"), b"v2", 50)
+    store.put(k("a"), b"v1", 61)
+    assert store.get(k("a"), 61) == [b"v2", b"v1"]
+
+
+def test_contains_honours_visibility_latency():
+    store = fresh(visibility_latency=2, ttl_minutes=60)
+    store.put(k("a"), b"v", 10)
+    assert not store.contains(k("a"), b"v", 11)
+    assert store.contains(k("a"), b"v", 12)
+    assert store.contains(k("a"), b"v", 70)
+    assert not store.contains(k("a"), b"v", 71)
+    assert not store.contains(k("a"), b"other", 12)
+    assert not store.contains(k("b"), b"v", 12)
+
+
+def oracle_put(oracle: dict[bytes, dict[bytes, None]], key: dht.DhtKey, value: bytes) -> None:
+    # without expiry every re-put is live, so it keeps its position
+    oracle.setdefault(key.key, {})[value] = None
+
+
+def assert_matches(store: dht.SimulatedDht, oracle, key: dht.DhtKey, values) -> None:
+    expected = list(oracle.get(key.key, {}))
+    assert store.get(key, 0) == expected
+    for value in values:
+        assert store.contains(key, value, 0) == (value in expected)
+
+
 def run_against_oracle(seed: int, ops: int) -> None:
-    """Random op sequence must match a plain dict-of-sets."""
+    """Random op sequence must match an insertion-ordered dict per key."""
     rng = Random(seed)
     store = fresh()
-    oracle: dict[bytes, set[bytes]] = {}
+    oracle: dict[bytes, dict[bytes, None]] = {}
     keys = [k(f"key-{i}") for i in range(8)]
     values = [f"val-{i}".encode() for i in range(12)]
     for _ in range(ops):
@@ -128,17 +168,14 @@ def run_against_oracle(seed: int, ops: int) -> None:
         if action < 0.45:
             value = rng.choice(values)
             store.put(key, value, 0)
-            oracle.setdefault(key.key, set()).add(value)
+            oracle_put(oracle, key, value)
         elif action < 0.7:
             value = rng.choice(values)
             store.remove(key, value)
-            oracle.get(key.key, set()).discard(value)
-        else:
-            got = store.get(key, 0)
-            assert len(got) == len(set(got)), "duplicate values surfaced"
-            assert set(got) == oracle.get(key.key, set())
+            oracle.get(key.key, {}).pop(value, None)
+        assert_matches(store, oracle, key, values)
     for key in keys:
-        assert set(store.get(key, 0)) == oracle.get(key.key, set())
+        assert_matches(store, oracle, key, values)
 
 
 def test_oracle_equivalence_random_sequences():
@@ -159,15 +196,15 @@ def test_oracle_equivalence_random_sequences():
 @settings(max_examples=60, deadline=None)
 def test_oracle_equivalence_property(ops):
     store = fresh()
-    oracle: dict[bytes, set[bytes]] = {}
+    oracle: dict[bytes, dict[bytes, None]] = {}
+    values = [f"v{i}".encode() for i in range(7)]
     for action, key_i, val_i in ops:
         key = k(f"k{key_i}")
-        value = f"v{val_i}".encode()
+        value = values[val_i]
         if action == "put":
             store.put(key, value, 0)
-            oracle.setdefault(key.key, set()).add(value)
+            oracle_put(oracle, key, value)
         elif action == "remove":
             store.remove(key, value)
-            oracle.get(key.key, set()).discard(value)
-        else:
-            assert set(store.get(key, 0)) == oracle.get(key.key, set())
+            oracle.get(key.key, {}).pop(value, None)
+        assert_matches(store, oracle, key, values)
