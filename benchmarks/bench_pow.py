@@ -2,25 +2,19 @@
 """Benchmark the compiled challenge-solving kernel against the pure fallback.
 
 Both kernels get the identical batch of seeded challenges, so the hash count
-is the same and the wall-clock ratio is the speedup. Run from the repository
-root after installing the package:
+is the same and the wall-clock ratio is the speedup. The compiled kernel comes
+from `pow_backend.load`, which builds it on first use. From the repository
+root:
 
-    python3 benchmarks/bench_pow.py
-    python3 benchmarks/bench_pow.py --challenges 100 --max-rand 50000
+    PYTHONPATH=src python3 benchmarks/bench_pow.py
+    PYTHONPATH=src python3 benchmarks/bench_pow.py --challenges 100 --max-rand 50000
 """
 
 import argparse
 import time
 from random import Random
 
-from optoutswarm import crypto
-from optoutswarm._pow_python import solve_kernel as python_kernel
-from optoutswarm.pow_backend import BACKEND
-
-try:
-    from optoutswarm._powcore import solve_kernel as compiled_kernel
-except ImportError:
-    compiled_kernel = None
+from optoutswarm import _pow_python, crypto, pow_backend
 
 
 def make_challenges(count: int, max_rand: int) -> list[tuple[bytes, bytes]]:
@@ -49,12 +43,14 @@ def main() -> int:
     parser.add_argument("--max-rand", type=int, default=20_000)
     args = parser.parse_args()
 
+    compiled = pow_backend.load()
+    compiled_kernel = compiled.solve_kernel if compiled is not _pow_python else None
     batch = make_challenges(args.challenges, args.max_rand)
-    print(f"selected backend at import: {BACKEND}")
+    print(f"selected backend at import: {pow_backend.BACKEND}")
     print(f"{args.challenges} challenges, max_rand={args.max_rand}\n")
 
     rows = []
-    py_elapsed, py_evals = bench(python_kernel, batch, args.max_rand)
+    py_elapsed, py_evals = bench(_pow_python.solve_kernel, batch, args.max_rand)
     rows.append(("python", py_elapsed, py_evals))
     if compiled_kernel is not None:
         c_elapsed, c_evals = bench(compiled_kernel, batch, args.max_rand)
@@ -68,7 +64,7 @@ def main() -> int:
     if compiled_kernel is not None and rows[1][1] > 0:
         print(f"\nspeedup: {rows[0][1] / rows[1][1]:.1f}x")
     else:
-        print("\ncompiled kernel not built; only the fallback was measured")
+        print("\ncompiled kernel unavailable; only the fallback was measured")
     return 0
 
 

@@ -120,7 +120,7 @@ def _coordinator_config(raw: dict[str, Any], where: str) -> CoordinatorConfig:
 def _trust_config(raw: dict[str, Any], where: str) -> TrustConfig:
     try:
         return TrustConfig(**raw)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidScenario(f"{where}: {exc}") from None
 
 

@@ -59,7 +59,15 @@ class TrustConfig:
     ramp_cap: int = 10
     rechallenge_timeout: int = 120  # minutes before a silent peer is re-asked
     max_rand: int = 10_000
-    probe_count: int = 5
+    probe_count: int = 5  # per window; probes are 30 // probe_count minutes apart
+
+    def __post_init__(self) -> None:
+        if self.max_rand < 0:
+            raise ValueError("max_rand must be non-negative")
+        if not 1 <= self.probe_count <= 30:
+            raise ValueError("probe_count must lie in [1, 30]")
+        if self.alpha <= 1:
+            raise ValueError("alpha must exceed 1")
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,21 @@ class TestRun:
         path.write_text("[]")
         assert main(["run", str(path)]) == EXIT_INVALID
 
+    @pytest.mark.parametrize("bad", [
+        {"max_rand": -1},
+        {"probe_count": 0},
+        {"probe_count": 31},  # 30 // 31 == 0: probes never spread, nothing judged
+        {"alpha": 1},
+    ], ids=["max_rand=-1", "probe_count=0", "probe_count=31", "alpha=1"])
+    def test_bad_trust_field_exits_2_before_running(self, scenario_path, bad, capsys):
+        raw = json.loads(scenario_path.read_text())
+        raw["clients"][0]["trust"].update(bad)
+        scenario_path.write_text(json.dumps(raw))
+        assert main(["run", str(scenario_path)]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert "clients[0].trust" in captured.err
+        assert captured.out == ""
+
     def test_bad_sweep_spec_rejected(self, scenario_path, capsys):
         with pytest.raises(SystemExit):
             main(["run", str(scenario_path), "--sweep", "5"])

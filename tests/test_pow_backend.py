@@ -1,20 +1,31 @@
 """Kernel-level checks for the brute-force search, both backends."""
 
 import hashlib
+import os
+import shlex
+import shutil
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from optoutswarm import _pow_python
 from optoutswarm import pow_backend
 
-try:
-    from optoutswarm import _powcore
+_compiled = pow_backend.load()
+KERNELS = [_pow_python.solve_kernel]
+KERNEL_IDS = ["python"]
+if _compiled is not _pow_python:
+    KERNELS.append(_compiled.solve_kernel)
+    KERNEL_IDS.append("c")
 
-    KERNELS = [_pow_python.solve_kernel, _powcore.solve_kernel]
-    KERNEL_IDS = ["python", "c"]
-except ImportError:
-    KERNELS = [_pow_python.solve_kernel]
-    KERNEL_IDS = ["python"]
+# what building the compiled kernel needs, beside libcrypto itself
+CC = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+TOOLCHAIN = shutil.which(CC) is not None and any(
+    Path(include, "openssl", "sha.h").is_file()
+    for include in ("/usr/include", "/usr/local/include", sysconfig.get_paths()["include"])
+)
 
 
 def _target(prefix: bytes, test: int) -> bytes:
@@ -46,6 +57,18 @@ def test_solution_at_upper_bound(kernel):
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("prefix, planted, max_rand, expected", [
+    (b"p", 0, 0, 0),
+    (b"p", 1, 0, -1),
+    (b"p", 0, -1, -1),
+    (b"", 321, 1_000, 321),
+    (bytes(range(100)), 2_500, 5_000, 2_500),  # the midstate spans a full 64-byte block
+], ids=["max_rand=0", "max_rand=0-miss", "max_rand=-1", "empty-prefix", "prefix-over-one-block"])
+def test_search_edges(kernel, prefix, planted, max_rand, expected):
+    assert kernel(prefix, _target(prefix, planted), max_rand) == expected
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_different_prefix_never_matches(kernel):
     target = _target(b"prefix-one", 7)
     assert kernel(b"prefix-two", target, 1_000) == -1
@@ -71,3 +94,40 @@ def test_selected_backend_exports_kernel():
     assert pow_backend.BACKEND in ("python", "c")
     prefix = b"selected"
     assert pow_backend.solve_kernel(prefix, _target(prefix, 42), 100) == 42
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no C compiler or OpenSSL headers")
+@pytest.mark.skipif(os.environ.get("OPTOUTSWARM_PURE_PYTHON") == "1", reason="pure kernel forced")
+def test_compiled_kernel_is_selected_where_it_can_build():
+    assert pow_backend.BACKEND == "c"
+    import optoutswarm._powcore
+
+    assert optoutswarm._powcore.solve_kernel is pow_backend.solve_kernel
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no C compiler or OpenSSL headers")
+def test_build_is_named_by_source_digest_and_reused(tmp_path, monkeypatch):
+    import optoutswarm
+
+    monkeypatch.delitem(sys.modules, pow_backend.MODULE, raising=False)
+    monkeypatch.delattr(optoutswarm, "_powcore", raising=False)
+    assert pow_backend.load(cache=tmp_path).BACKEND == "c"
+    built = list(tmp_path.iterdir())
+    digest = hashlib.sha256(pow_backend.SOURCE.read_bytes()).hexdigest()[:16]
+    assert [p.name for p in built] == [f"_powcore.{digest}{sysconfig.get_config_var('EXT_SUFFIX')}"]
+    # a second load finds the build and never calls the compiler
+    assert pow_backend.load(cache=tmp_path, cc="false").BACKEND == "c"
+    assert list(tmp_path.iterdir()) == built
+
+
+def test_failing_compiler_falls_back_and_leaves_no_partial_build(tmp_path, caplog):
+    # a compiler that writes half an output file, then fails
+    cc = tmp_path / "cc"
+    cc.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\necho partial > "$2"\nexit 1\n')
+    cc.chmod(0o755)
+    cache = tmp_path / "cache"
+    with caplog.at_level("DEBUG", logger=pow_backend.__name__):
+        assert pow_backend.load(cache=cache, cc=str(cc)) is _pow_python
+    assert list(cache.iterdir()) == []
+    assert "pure-Python kernel" in caplog.text
+    assert pow_backend.load(cache=cache, cc=str(tmp_path / "no-such-cc")) is _pow_python
