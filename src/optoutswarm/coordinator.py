@@ -63,6 +63,12 @@ class CoordinatorConfig:
             raise ValueError("need 0 < min_wait < max_wait")
         if self.min_comrades < 1:
             raise ValueError("min_comrades must be at least 1")
+        if self.poll_interval < 1:
+            raise ValueError("poll_interval must be at least 1")
+        if self.max_challenges_answered < 0:
+            raise ValueError("max_challenges_answered must be non-negative")
+        if self.launch_grace < 1:
+            raise ValueError("launch_grace must be at least 1")
         windows = sorted(self.usage_windows)
         for (a1, b1), (a2, _) in zip(windows, windows[1:]):
             if a2 < b1:

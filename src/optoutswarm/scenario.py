@@ -252,6 +252,11 @@ def _validate_adversary(spec: AdversarySpec, client_count: int, where: str) -> N
             f"{where}.victim: no client {p.get('victim')}",
         )
         _require(int(p.get("count", 0)) > 0, f"{where}.count: must be positive")
+        max_rand = p.get("max_rand", 0)
+        _require(
+            type(max_rand) is int and max_rand >= 0,
+            f"{where}.max_rand: must be a non-negative integer, got {max_rand!r}",
+        )
     elif spec.strategy == "sybil_flood":
         _require(
             int(p.get("identity_count", 0)) > 0,

@@ -137,6 +137,35 @@ class TestRun:
         assert "clients[0].trust" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("bad", [
+        {"poll_interval": 0},  # was: exit 1, "integer modulo by zero"
+        {"poll_interval": -5},  # was: polled every 5 minutes
+        {"max_challenges_answered": -1},  # was: never answered, exit 0
+        {"launch_grace": -1},  # was: never launched, exit 0
+        {"launch_grace": 0},
+    ], ids=["poll_interval=0", "poll_interval=-5", "max_challenges_answered=-1",
+            "launch_grace=-1", "launch_grace=0"])
+    def test_bad_coordinator_timing_exits_2_before_running(self, scenario_path, bad, capsys):
+        raw = json.loads(scenario_path.read_text())
+        raw["clients"][0]["config"].update(bad)
+        scenario_path.write_text(json.dumps(raw))
+        assert main(["run", str(scenario_path)]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert "clients[0].config" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("max_rand", [-1, 2.5, "10"])
+    def test_bad_challenge_flood_max_rand_exits_2(self, scenario_path, max_rand, capsys):
+        raw = json.loads(scenario_path.read_text())
+        raw["adversaries"] = [{"strategy": "challenge_flood", "victim": 0, "count": 5,
+                               "max_rand": max_rand}]
+        scenario_path.write_text(json.dumps(raw))
+        for command in ("validate", "run"):  # validate used to exit 0, run 1
+            assert main([command, str(scenario_path)]) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert "adversaries[0].max_rand" in captured.err
+            assert captured.out == ""
+
     def test_bad_sweep_spec_rejected(self, scenario_path, capsys):
         with pytest.raises(SystemExit):
             main(["run", str(scenario_path), "--sweep", "5"])

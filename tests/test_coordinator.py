@@ -324,6 +324,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CoordinatorConfig(usage_windows=((0, MINUTES_PER_WEEK + 1),))
 
+    @pytest.mark.parametrize("bad", [
+        {"poll_interval": 0},
+        {"poll_interval": -5},
+        {"max_challenges_answered": -1},
+        {"launch_grace": 0},
+        {"launch_grace": -1},
+    ])
+    def test_timings_out_of_range_rejected(self, bad):
+        (field,) = bad
+        with pytest.raises(ValueError, match=field):
+            CoordinatorConfig(**bad)
+
+    def test_timing_floors_accepted(self):
+        cfg = CoordinatorConfig(poll_interval=1, max_challenges_answered=0, launch_grace=1)
+        assert (cfg.poll_interval, cfg.max_challenges_answered, cfg.launch_grace) == (1, 0, 1)
+
     def test_campaign_start_must_be_positive(self):
         with pytest.raises(ValueError):
             CampaignStart(url=URL, start=0)

@@ -137,11 +137,41 @@ def test_mean_work_tracks_interval_size():
     assert 0.4 * (max_rand + 1) <= mean <= 0.6 * (max_rand + 1)
 
 
+# sha256 over the wire bytes of 16 sealed messages, as sealed before the box
+# key handoff existed: the handoff must not move a ciphertext byte
+SEALED_WIRE_DIGEST = "16918fc817ea24f4622b776249359750b893ea28bde36358f600ffdc6a04296a"
+
+OPEN_PATHS = ("handoff", "cold")
+
+
+def open_via(path: str, recipient: crypto.ClientIdentity, msg: crypto.SealedMessage) -> bytes:
+    """Open `msg` through the named path, asserting that it is the one taken.
+
+    "handoff" opens with the live identity `seal` handed the box key to;
+    "cold" rebuilds the recipient from its private bytes, so the new identity
+    holds no key and must run the X25519 exchange.
+    """
+    ephemeral_pk = msg.ciphertext[: crypto.PUBLIC_KEY_LEN]
+    if path == "cold":
+        recipient = crypto.ClientIdentity(recipient.public_key, recipient.private_key)
+        assert ephemeral_pk not in recipient._box_keys
+    else:
+        assert ephemeral_pk in recipient._box_keys
+    try:
+        return crypto.open_sealed(recipient, msg)
+    finally:
+        assert ephemeral_pk not in recipient._box_keys
+
+
 class TestSealedMessages:
+    # The round-trip tests below take every open path in turn, so each path
+    # must return the same plaintext.
+
     def test_round_trip(self):
         bob = identity("bob")
         msg = crypto.seal(bob.public_key, b"meet at dawn")
-        assert crypto.open_sealed(bob, msg) == b"meet at dawn"
+        for path in OPEN_PATHS:
+            assert open_via(path, bob, msg) == b"meet at dawn"
 
     def test_wrong_identity_is_not_addressee(self):
         bob, eve = identity("bob"), identity("eve")
@@ -151,7 +181,9 @@ class TestSealedMessages:
 
     def test_empty_plaintext_round_trips(self):
         bob = identity("bob")
-        assert crypto.open_sealed(bob, crypto.seal(bob.public_key, b"")) == b""
+        msg = crypto.seal(bob.public_key, b"")
+        for path in OPEN_PATHS:
+            assert open_via(path, bob, msg) == b""
 
     def test_tampered_ciphertext_fails_authentication(self):
         bob = identity("bob")
@@ -159,8 +191,50 @@ class TestSealedMessages:
         flipped = bytearray(msg.ciphertext)
         flipped[-1] ^= 0x01
         broken = crypto.SealedMessage(msg.recipient_key_hash, bytes(flipped))
+        for path in OPEN_PATHS:
+            with pytest.raises(crypto.DecryptionFailure):
+                open_via(path, bob, broken)
+
+    def test_tampered_ephemeral_key_fails_while_a_handoff_entry_exists(self):
+        bob = identity("bob")
+        msg = crypto.seal(bob.public_key, b"payload")
+        ephemeral_pk = msg.ciphertext[: crypto.PUBLIC_KEY_LEN]
+        flipped = bytearray(msg.ciphertext)
+        flipped[0] ^= 0x01
+        broken = crypto.SealedMessage(msg.recipient_key_hash, bytes(flipped))
         with pytest.raises(crypto.DecryptionFailure):
             crypto.open_sealed(bob, broken)
+        # the forged key missed the lookup, so the genuine entry is still there
+        assert ephemeral_pk in bob._box_keys
+        assert crypto.open_sealed(bob, msg) == b"payload"
+
+    def test_second_open_takes_the_cold_path(self):
+        bob = identity("bob")
+        msg = crypto.seal(bob.public_key, b"twice")
+        assert open_via("handoff", bob, msg) == b"twice"
+        assert not bob._box_keys
+        assert crypto.open_sealed(bob, msg) == b"twice"
+
+    def test_mismatched_key_pair_is_rejected(self):
+        alice, bob = identity("alice"), identity("bob")
+        with pytest.raises(ValueError, match="does not derive"):
+            crypto.ClientIdentity(public_key=alice.public_key, private_key=bob.private_key)
+
+    def test_seal_to_a_key_no_live_identity_holds_leaves_no_entry(self):
+        # the identity is dropped at once, as a sybil key is
+        orphan = crypto.generate_identity(Random("orphan")).public_key
+        assert orphan not in crypto._live
+        live = list(crypto._live.values())
+        before = [dict(ident._box_keys) for ident in live]
+        crypto.seal(orphan, b"to nobody")
+        assert [ident._box_keys for ident in live] == before
+
+    def test_sealed_wire_bytes_are_pinned(self):
+        bob = identity("bob")
+        digest = hashlib.sha256()
+        for i in range(16):
+            digest.update(crypto.seal(bob.public_key, b"meet at dawn %d" % i).to_bytes())
+        assert digest.hexdigest() == SEALED_WIRE_DIGEST
 
     def test_wire_round_trip(self):
         bob = identity("bob")
@@ -181,4 +255,6 @@ class TestSealedMessages:
     @settings(max_examples=30, deadline=None)
     def test_any_plaintext_round_trips(self, plaintext):
         bob = identity("prop-bob")
-        assert crypto.open_sealed(bob, crypto.seal(bob.public_key, plaintext)) == plaintext
+        msg = crypto.seal(bob.public_key, plaintext)
+        for path in OPEN_PATHS:
+            assert open_via(path, bob, msg) == plaintext

@@ -114,6 +114,10 @@ class TestValidation:
             ({"strategy": "challenge_flood", "victim": 9, "count": 5}, "no client 9"),
             ({"strategy": "challenge_flood", "victim": 0}, "count"),
             ({"strategy": "sybil_flood"}, "identity_count"),
+            ({"strategy": "challenge_flood", "victim": 0, "count": 5, "max_rand": -1},
+             "max_rand"),
+            ({"strategy": "challenge_flood", "victim": 0, "count": 5, "max_rand": 2.5},
+             "max_rand"),
         ],
     )
     def test_adversary_params_validated(self, adversary, fragment):
