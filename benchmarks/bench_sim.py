@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Fleet ladder: `optoutswarm run` on scenarios/baseline.json at 10, 40 and 160 clients.
+
+Each run is a fresh `python -m optoutswarm run SCENARIO --out FILE` child.
+`os.wait4` reports that child's own CPU time (user + system) and peak RSS;
+its wall time runs from the spawn to the wait. The ladder takes the median
+of 3 runs at 10 and 40 clients and 1 run at 160, checks that repeats wrote
+the same NDJSON, and merges the results into `BENCH_<label>.json` at the
+repository root under the entry name, beside the host facts: nproc, the
+Python version and the kernel backend (`pow_backend.BACKEND`). From the
+repository root:
+
+    python3 benchmarks/bench_sim.py --label stream --entry change
+    python3 benchmarks/bench_sim.py --label stream --entry parent --src ../parent/src
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BASELINE = ROOT / "scenarios" / "baseline.json"
+LADDER = {10: 3, 40: 3, 160: 1}  # clients -> runs
+
+
+def _env(src: Path) -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
+def host_facts(src: Path) -> dict:
+    # importing pow_backend builds the C kernel on first use, so no timed run pays for it
+    backend = subprocess.run(
+        [sys.executable, "-c", "from optoutswarm import pow_backend; print(pow_backend.BACKEND)"],
+        env=_env(src), capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    return {"nproc": os.cpu_count(), "python": sys.version.split()[0], "pow_backend": backend}
+
+
+def one_run(src: Path, scenario: Path, out: Path) -> dict:
+    argv = [sys.executable, "-m", "optoutswarm", "run", str(scenario), "--out", str(out)]
+    started = time.perf_counter()
+    pid = os.posix_spawn(
+        sys.executable, argv, _env(src),
+        file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)],
+    )
+    _pid, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - started
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {os.waitstatus_to_exitcode(status)}")
+    data = out.read_bytes()
+    return {
+        "wall_s": wall,
+        "cpu_s": usage.ru_utime + usage.ru_stime,
+        "peak_rss_mib": usage.ru_maxrss / 1024,  # KiB on Linux
+        "ndjson_sha256": hashlib.sha256(data).hexdigest(),
+        "ndjson_bytes": len(data),
+        "events": data.count(b"\n") - 1,  # the last line is the summary
+    }
+
+
+def rung(src: Path, clients: int, runs: int, workdir: Path) -> dict:
+    raw = json.loads(BASELINE.read_text(encoding="utf-8"))
+    raw["clients"][0]["count"] = clients
+    scenario = workdir / f"baseline-{clients}.json"
+    scenario.write_text(json.dumps(raw), encoding="utf-8")
+    results = [one_run(src, scenario, workdir / "out.ndjson") for _ in range(runs)]
+    digests = {r["ndjson_sha256"] for r in results}
+    if len(digests) != 1:
+        raise RuntimeError(f"{clients} clients: repeats wrote different NDJSON {sorted(digests)}")
+    entry = {"clients": clients, "runs": runs}
+    for key in ("wall_s", "cpu_s", "peak_rss_mib"):
+        entry[key] = round(statistics.median(r[key] for r in results), 3)
+        entry[f"{key}_runs"] = [round(r[key], 3) for r in results]
+    entry.update({k: results[0][k] for k in ("ndjson_sha256", "ndjson_bytes", "events")})
+    return entry
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    parser.add_argument("--entry", required=True, help="name of this entry in the file")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="source tree the children import (default: this checkout's)")
+    args = parser.parse_args()
+
+    src = args.src.resolve()
+    entry = {"host": host_facts(src), "ladder": []}
+    with tempfile.TemporaryDirectory(prefix="bench_sim-") as tmp:
+        for clients, runs in LADDER.items():
+            entry["ladder"].append(rung(src, clients, runs, Path(tmp)))
+            print(json.dumps(entry["ladder"][-1]), flush=True)
+
+    path = ROOT / f"BENCH_{args.label}.json"
+    bench = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    bench.setdefault("entries", {})[args.entry] = entry
+    path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -82,6 +82,22 @@ def _out_path(base: str, seed: int, multiple: bool) -> Path:
     return path.with_name(f"{path.stem}-seed{seed}{path.suffix}")
 
 
+def _run_to_file(scn: scenario_mod.Scenario, path: Path) -> simulation.MetricsReport:
+    """Stream the run's NDJSON to a sibling temporary file, then rename it
+    into place, so a failed run leaves whatever was at `path` untouched."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            write, line = out.write, simulation.ndjson_line
+            report = simulation.run(scn, lambda event: write(line(event)))
+            write(line(report.summary))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return report
+
+
 def _print_summary_table(seed: int, report: simulation.MetricsReport) -> None:
     summary = report.summary
     totals = summary["totals"]
@@ -115,10 +131,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     multiple = len(seeds) > 1
     for seed in seeds:
         scn = dataclasses.replace(base, seed=seed)
-        report = simulation.run(scn)
         if args.out:
-            path = _out_path(args.out, seed, multiple)
-            path.write_text(report.to_ndjson(), encoding="utf-8")
+            report = _run_to_file(scn, _out_path(args.out, seed, multiple))
+        else:
+            report = simulation.run(scn, lambda _event: None)
         if args.summary == "json-lines":
             print(json.dumps({"seed": seed, **report.summary}, sort_keys=True))
         else:

@@ -230,38 +230,36 @@ def validate(scenario: Scenario) -> None:
         f"confirm_policy: unknown policy {scenario.confirm_policy!r}",
     )
     for i, adversary in enumerate(scenario.adversaries):
-        _validate_adversary(adversary, total, f"adversaries[{i}]")
+        _validate_adversary(adversary, scenario, f"adversaries[{i}]")
 
 
-def _validate_adversary(spec: AdversarySpec, client_count: int, where: str) -> None:
+def _require_int(value: Any, low: int, high: int | None, what: str) -> None:
+    """`value` must be an int (not a bool or float) in [low, high)."""
+    _require(
+        type(value) is int and low <= value and (high is None or value < high),
+        f"{what}: must be an integer in [{low}, {'inf' if high is None else high}),"
+        f" got {value!r}",
+    )
+
+
+def _validate_adversary(spec: AdversarySpec, scenario: Scenario, where: str) -> None:
     p = spec.params
     if spec.strategy == "time_portal":
-        _require(
-            int(p.get("offset_minutes", 0)) > 0,
-            f"{where}.offset_minutes: must be positive",
-        )
+        _require_int(p.get("offset_minutes"), 1, None, f"{where}.offset_minutes")
+        _require_int(p.get("injection_period", 30), 1, None, f"{where}.injection_period")
     elif spec.strategy == "separation":
-        _require(
-            int(p.get("injection_period", 0)) > 0,
-            f"{where}.injection_period: must be positive",
-        )
+        _require_int(p.get("injection_period"), 1, None, f"{where}.injection_period")
     elif spec.strategy == "challenge_flood":
         _require("victim" in p, f"{where}.victim: required")
         _require(
-            0 <= int(p["victim"]) < client_count,
-            f"{where}.victim: no client {p.get('victim')}",
+            type(p["victim"]) is int and 0 <= p["victim"] < scenario.client_count,
+            f"{where}.victim: no client {p['victim']!r}",
         )
-        _require(int(p.get("count", 0)) > 0, f"{where}.count: must be positive")
-        max_rand = p.get("max_rand", 0)
-        _require(
-            type(max_rand) is int and max_rand >= 0,
-            f"{where}.max_rand: must be a non-negative integer, got {max_rand!r}",
-        )
+        _require_int(p.get("count"), 1, None, f"{where}.count")
+        _require_int(p.get("at_minute", 30), 0, scenario.duration, f"{where}.at_minute")
+        _require_int(p.get("max_rand", 0), 0, None, f"{where}.max_rand")
     elif spec.strategy == "sybil_flood":
-        _require(
-            int(p.get("identity_count", 0)) > 0,
-            f"{where}.identity_count: must be positive",
-        )
+        _require_int(p.get("identity_count"), 1, None, f"{where}.identity_count")
     # mitm_forwarder has only optional params (rewrite_issuer: bool)
 
 

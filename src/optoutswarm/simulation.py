@@ -22,7 +22,7 @@ import json
 import statistics
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any
+from typing import Any, Callable
 
 from optoutswarm import coordinator, crypto, evaluator, trust, website
 from optoutswarm.coordinator import (
@@ -80,19 +80,26 @@ class SimClient:
         )
 
 
+Sink = Callable[[dict[str, Any]], object]
+
+# json.dumps with keyword arguments builds a new encoder on every call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def ndjson_line(record: dict[str, Any]) -> str:
+    """One line of the metrics stream: compact JSON, sorted keys, newline."""
+    return _ENCODER.encode(record) + "\n"
+
+
 @dataclass
 class MetricsReport:
+    """The summary of a run, plus its events when no sink took them."""
+
     events: list[dict[str, Any]]
     summary: dict[str, Any]
 
     def to_ndjson(self) -> str:
-        lines = [
-            json.dumps(e, sort_keys=True, separators=(",", ":")) for e in self.events
-        ]
-        lines.append(
-            json.dumps(self.summary, sort_keys=True, separators=(",", ":"))
-        )
-        return "\n".join(lines) + "\n"
+        return "".join(map(ndjson_line, self.events)) + ndjson_line(self.summary)
 
 
 def convergence(report: MetricsReport, url: str) -> float:
@@ -145,8 +152,8 @@ class _TimePortalAdversary(_Adversary):
 
     def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
         super().__init__(spec, index, sim)
-        self.offset = int(spec.params["offset_minutes"])
-        self.period = int(spec.params.get("injection_period", 30))
+        self.offset = spec.params["offset_minutes"]
+        self.period = spec.params.get("injection_period", 30)
 
     def step(self, sim: "Simulation", now: int) -> None:
         if now % self.period != 0:
@@ -167,7 +174,7 @@ class _SeparationAdversary(_Adversary):
 
     def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
         super().__init__(spec, index, sim)
-        self.period = int(spec.params["injection_period"])
+        self.period = spec.params["injection_period"]
         self.lead = int(spec.params.get("lead_minutes", 60))
 
     def step(self, sim: "Simulation", now: int) -> None:
@@ -189,10 +196,10 @@ class _ChallengeFloodAdversary(_Adversary):
 
     def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
         super().__init__(spec, index, sim)
-        self.victim = int(spec.params["victim"])
-        self.count = int(spec.params["count"])
-        self.at_minute = int(spec.params.get("at_minute", 30))
-        self.max_rand = int(spec.params.get("max_rand", 10_000))
+        self.victim = spec.params["victim"]
+        self.count = spec.params["count"]
+        self.at_minute = spec.params.get("at_minute", 30)
+        self.max_rand = spec.params.get("max_rand", 10_000)
 
     def step(self, sim: "Simulation", now: int) -> None:
         self._register_everywhere(sim, now, self.identity.public_key)
@@ -267,7 +274,7 @@ class _SybilFloodAdversary(_Adversary):
 
     def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
         super().__init__(spec, index, sim)
-        count = int(spec.params["identity_count"])
+        count = spec.params["identity_count"]
         self.sybil_keys = [
             crypto.generate_identity(self.rng).public_key for _ in range(count)
         ]
@@ -297,7 +304,14 @@ _ADVERSARY_CLASSES = {
 
 
 class Simulation:
-    def __init__(self, scenario: Scenario) -> None:
+    """One run of a scenario.
+
+    Every event goes to `sink` as it is emitted. The default sink appends to
+    `self.events`, so the report of `run()` holds the whole stream; with any
+    other sink, no layer keeps the events and `events` stays empty.
+    """
+
+    def __init__(self, scenario: Scenario, sink: Sink | None = None) -> None:
         self.scenario = scenario
         self.dht = SimulatedDht()
         self.sites: dict[str, tuple[TargetSite, TrafficLedger]] = {
@@ -325,6 +339,7 @@ class Simulation:
             for i, spec in enumerate(scenario.adversaries)
         ]
         self.events: list[dict[str, Any]] = []
+        self.emit = self.events.append if sink is None else sink
         self.adversarial_starts: set[tuple[str, int]] = set()
         self.honest_joins_on_adversarial = 0
         self.known_campaigns: set[tuple[str, int]] = set()
@@ -340,9 +355,6 @@ class Simulation:
             for campaign in client.campaign_db.entries:
                 seen.setdefault(campaign.url.render(), campaign.url)
         return [seen[key] for key in sorted(seen)]
-
-    def emit(self, event: dict[str, Any]) -> None:
-        self.events.append(event)
 
     # ------------------------------------------------------------------
     # phases
@@ -755,6 +767,10 @@ class Simulation:
         return best / len(reporters)
 
 
-def run(scenario: Scenario) -> MetricsReport:
-    """Run one scenario to completion. Deterministic in the scenario alone."""
-    return Simulation(scenario).run()
+def run(scenario: Scenario, sink: Sink | None = None) -> MetricsReport:
+    """Run one scenario to completion. Deterministic in the scenario alone.
+
+    Without a sink the report holds every event; with one, each event goes
+    to the sink as it is emitted and the report's `events` is empty.
+    """
+    return Simulation(scenario, sink).run()

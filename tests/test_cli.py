@@ -166,6 +166,55 @@ class TestRun:
             assert "adversaries[0].max_rand" in captured.err
             assert captured.out == ""
 
+    @pytest.mark.parametrize(("adversary", "field"), [
+        # was: validate 0, run 1 ("integer modulo by zero")
+        ({"strategy": "time_portal", "offset_minutes": 60, "injection_period": 0},
+         "injection_period"),
+        # was: ran silently, injecting every 30 minutes
+        ({"strategy": "time_portal", "offset_minutes": 60, "injection_period": -30},
+         "injection_period"),
+        ({"strategy": "separation", "injection_period": 2.5}, "injection_period"),
+        ({"strategy": "separation", "injection_period": "30"}, "injection_period"),
+        # was: both exit 0 with the flood (idle)
+        ({"strategy": "challenge_flood", "victim": 0, "count": 5, "at_minute": -5},
+         "at_minute"),
+        ({"strategy": "challenge_flood", "victim": 0, "count": 5, "at_minute": 300},
+         "at_minute"),
+        ({"strategy": "challenge_flood", "victim": 0, "count": 5, "at_minute": 1000000},
+         "at_minute"),
+        # was: truncated by int()
+        ({"strategy": "challenge_flood", "victim": 0, "count": 5, "at_minute": 2.5},
+         "at_minute"),
+        ({"strategy": "challenge_flood", "victim": 0.5, "count": 5}, "victim"),
+        ({"strategy": "challenge_flood", "victim": 0, "count": 2.5}, "count"),
+        ({"strategy": "challenge_flood", "victim": 0, "count": True}, "count"),
+        # was: validate 1 (int("soon") raised ValueError)
+        ({"strategy": "time_portal", "offset_minutes": "soon"}, "offset_minutes"),
+        ({"strategy": "sybil_flood", "identity_count": 2.5}, "identity_count"),
+    ], ids=["time_portal.period=0", "time_portal.period=-30", "separation.period=2.5",
+            "separation.period='30'", "at_minute=-5", "at_minute=duration",
+            "at_minute=1000000", "at_minute=2.5", "victim=0.5", "count=2.5", "count=true",
+            "offset_minutes='soon'", "identity_count=2.5"])
+    def test_bad_adversary_param_exits_2(self, scenario_path, adversary, field, capsys):
+        raw = json.loads(scenario_path.read_text())
+        raw["adversaries"] = [adversary]
+        scenario_path.write_text(json.dumps(raw))
+        for command in ("validate", "run"):
+            assert main([command, str(scenario_path)]) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert f"adversaries[0].{field}" in captured.err
+            assert captured.out == ""
+
+    def test_adversary_param_bounds_accepted(self, scenario_path, capsys):
+        raw = json.loads(scenario_path.read_text())
+        raw["adversaries"] = [
+            {"strategy": "time_portal", "offset_minutes": 60, "injection_period": 1},
+            {"strategy": "challenge_flood", "victim": 5, "count": 1, "at_minute": 0},
+            {"strategy": "challenge_flood", "victim": 0, "count": 1, "at_minute": 299},
+        ]
+        scenario_path.write_text(json.dumps(raw))
+        assert main(["validate", str(scenario_path)]) == EXIT_OK
+
     def test_bad_sweep_spec_rejected(self, scenario_path, capsys):
         with pytest.raises(SystemExit):
             main(["run", str(scenario_path), "--sweep", "5"])

@@ -1,0 +1,67 @@
+"""The metrics stream: events go to a sink as they are emitted, and the
+file `run --out` streams equals the in-memory serialization byte for byte."""
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from optoutswarm.cli import EXIT_INTERNAL, EXIT_OK, main
+from optoutswarm.scenario import load_file
+from optoutswarm.simulation import Simulation, run
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BASELINE = str(SCENARIOS / "baseline.json")
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_out_file_equals_in_memory_ndjson(name, tmp_path, capsys):
+    path = str(SCENARIOS / name)
+    out = tmp_path / "out.ndjson"
+    assert main(["run", path, "--out", str(out)]) == EXIT_OK
+    assert out.read_text(encoding="utf-8") == run(load_file(path)).to_ndjson()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.ndjson"]
+
+
+def test_sweep_files_equal_in_memory_runs(tmp_path, capsys):
+    out = tmp_path / "runs.ndjson"
+    assert main(["run", BASELINE, "--sweep", "1..3", "--out", str(out)]) == EXIT_OK
+    base = load_file(BASELINE)
+    for seed in (1, 2, 3):
+        expected = run(dataclasses.replace(base, seed=seed)).to_ndjson()
+        assert (tmp_path / f"runs-seed{seed}.ndjson").read_text(encoding="utf-8") == expected
+    assert len(list(tmp_path.iterdir())) == 3
+
+
+def test_sink_receives_every_event_and_the_report_keeps_none():
+    scenario = load_file(str(SCENARIOS / "mitm_forwarder.json"))
+    got = []
+    report = Simulation(scenario, sink=got.append).run()
+    assert report.events == []
+    reference = run(scenario)
+    assert got == reference.events
+    assert report.summary == reference.summary
+
+
+def test_failed_run_leaves_earlier_file_and_no_partial_file(tmp_path, monkeypatch, capsys):
+    partial = []
+    settle = Simulation._phase_settle
+
+    def failing_settle(self, now):
+        settle(self, now)
+        if now == 300:
+            partial.extend(p.stat().st_size for p in tmp_path.iterdir() if p.suffix == ".tmp")
+            raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(Simulation, "_phase_settle", failing_settle)
+    earlier = tmp_path / "earlier.ndjson"
+    earlier.write_bytes(b'{"earlier":"run"}\n')
+    fresh = tmp_path / "fresh.ndjson"
+    for out in (earlier, fresh):
+        partial.clear()
+        assert main(["run", BASELINE, "--out", str(out)]) == EXIT_INTERNAL
+        assert "injected failure" in capsys.readouterr().err
+        assert len(partial) == 1 and partial[0] > 0, "events were streamed before the failure"
+    assert earlier.read_bytes() == b'{"earlier":"run"}\n'
+    assert not fresh.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["earlier.ndjson"]
