@@ -4,11 +4,11 @@
 Each run is a fresh `python -m optoutswarm run SCENARIO --out FILE` child.
 `os.wait4` reports that child's own CPU time (user + system) and peak RSS;
 its wall time runs from the spawn to the wait. The ladder takes the median
-of 3 runs at 10 and 40 clients and 1 run at 160, checks that repeats wrote
-the same NDJSON, and merges the results into `BENCH_<label>.json` at the
-repository root under the entry name, beside the host facts: nproc, the
-Python version and the kernel backend (`pow_backend.BACKEND`). From the
-repository root:
+of 3 runs at 10 and 40 clients and 1 run at 160, checks that every run wrote
+the NDJSON pinned for its rung (exit 1 otherwise), and merges the results
+into `BENCH_<label>.json` at the repository root under the entry name,
+beside the host facts: nproc, the Python version and the kernel backend
+(`pow_backend.BACKEND`). From the repository root:
 
     python3 benchmarks/bench_sim.py --label stream --entry change
     python3 benchmarks/bench_sim.py --label stream --entry parent --src ../parent/src
@@ -27,7 +27,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "scenarios" / "baseline.json"
-LADDER = {10: 3, 40: 3, 160: 1}  # clients -> runs
+# clients -> (runs, sha256 of the NDJSON every run must write)
+LADDER = {
+    10: (3, "9df61019bedeadaede8b9f5152de489119bdbe4a0b45884ff5d6d6842ef5c9d3"),
+    40: (3, "8570a367ddc8c029f9dd48b536428a8d6b9d99a88f7ea2f8d4ddb0440c6b9f3f"),
+    160: (1, "7730112ae45838c1c7f3d7f550d3d9bcd18c7e513e15c94afce02ca595d6bd70"),
+}
 
 
 def _env(src: Path) -> dict[str, str]:
@@ -65,15 +70,15 @@ def one_run(src: Path, scenario: Path, out: Path) -> dict:
     }
 
 
-def rung(src: Path, clients: int, runs: int, workdir: Path) -> dict:
+def rung(src: Path, clients: int, runs: int, pinned: str, workdir: Path) -> dict:
     raw = json.loads(BASELINE.read_text(encoding="utf-8"))
     raw["clients"][0]["count"] = clients
     scenario = workdir / f"baseline-{clients}.json"
     scenario.write_text(json.dumps(raw), encoding="utf-8")
     results = [one_run(src, scenario, workdir / "out.ndjson") for _ in range(runs)]
-    digests = {r["ndjson_sha256"] for r in results}
-    if len(digests) != 1:
-        raise RuntimeError(f"{clients} clients: repeats wrote different NDJSON {sorted(digests)}")
+    wrong = sorted({r["ndjson_sha256"] for r in results} - {pinned})
+    if wrong:
+        raise SystemExit(f"bench_sim: {clients} clients wrote NDJSON sha256 {wrong}, pinned {pinned}")
     entry = {"clients": clients, "runs": runs}
     for key in ("wall_s", "cpu_s", "peak_rss_mib"):
         entry[key] = round(statistics.median(r[key] for r in results), 3)
@@ -93,8 +98,8 @@ def main() -> int:
     src = args.src.resolve()
     entry = {"host": host_facts(src), "ladder": []}
     with tempfile.TemporaryDirectory(prefix="bench_sim-") as tmp:
-        for clients, runs in LADDER.items():
-            entry["ladder"].append(rung(src, clients, runs, Path(tmp)))
+        for clients, (runs, pinned) in LADDER.items():
+            entry["ladder"].append(rung(src, clients, runs, pinned, Path(tmp)))
             print(json.dumps(entry["ladder"][-1]), flush=True)
 
     path = ROOT / f"BENCH_{args.label}.json"

@@ -20,10 +20,16 @@ becomes readable at t + latency.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
 KEY_LEN = 20
+
+# Keys are pure functions of their arguments and DhtKey is frozen, so each
+# table key is derived once and shared. The bound covers the campaigns and
+# inboxes of a 1,000-client fleet with room to spare.
+KEY_CACHE_SIZE = 1 << 16
 
 # A campaign can sit in the DHT for at most max_wait before it starts; one
 # extra day of slack covers the campaign itself plus stragglers.
@@ -50,16 +56,19 @@ def derive_key(logical_key: bytes) -> DhtKey:
     return DhtKey(hashlib.sha256(logical_key).digest()[:KEY_LEN])
 
 
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
 def campaign_table_key(canonical_url: str) -> DhtKey:
     """Key under which start times for a target URL are announced."""
     return derive_key(canonical_url.encode("utf-8"))
 
 
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE, typed=True)  # 500.0 and 500 render apart
 def comrades_table_key(start_minute: int, canonical_url: str) -> DhtKey:
     """Key under which participants of one (start, URL) campaign register."""
     return derive_key(f"{start_minute}|{canonical_url}".encode("utf-8"))
 
 
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
 def inbox_key(public_key: bytes) -> DhtKey:
     """Key of a client's message inbox."""
     return derive_key(public_key)

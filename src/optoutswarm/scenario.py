@@ -163,17 +163,21 @@ def from_dict(raw: dict[str, Any]) -> Scenario:
     """Build and validate a Scenario from parsed JSON."""
     for required in ("seed", "duration", "clients"):
         _require(required in raw, f"missing required field {required!r}")
+    _require(
+        type(raw["clients"]) is list and all(type(g) is dict for g in raw["clients"]),
+        "clients: must be a list of objects",
+    )
     groups = tuple(
         ClientGroup(
-            count=int(g.get("count", 1)),
+            count=g.get("count", 1),
             config=_coordinator_config(g.get("config", {}), f"clients[{i}].config"),
             trust=_trust_config(g.get("trust", {}), f"clients[{i}].trust"),
         )
         for i, g in enumerate(raw["clients"])
     )
     scenario = Scenario(
-        seed=int(raw["seed"]),
-        duration=int(raw["duration"]),
+        seed=raw["seed"],
+        duration=raw["duration"],
         clients=groups,
         target_sites=tuple(
             _target_site(s, f"target_sites[{i}]")
@@ -189,10 +193,8 @@ def from_dict(raw: dict[str, Any]) -> Scenario:
             _adversary(a, f"adversaries[{i}]")
             for i, a in enumerate(raw.get("adversaries", []))
         ),
-        opt_out_rate=int(raw.get("opt_out_rate", DEFAULT_OPT_OUT_RATE)),
-        campaign_duration=int(
-            raw.get("campaign_duration", DEFAULT_CAMPAIGN_DURATION)
-        ),
+        opt_out_rate=raw.get("opt_out_rate", DEFAULT_OPT_OUT_RATE),
+        campaign_duration=raw.get("campaign_duration", DEFAULT_CAMPAIGN_DURATION),
         confirm_policy=raw.get("confirm_policy", "accept_all"),
     )
     validate(scenario)
@@ -201,11 +203,11 @@ def from_dict(raw: dict[str, Any]) -> Scenario:
 
 def validate(scenario: Scenario) -> None:
     """Cross-field checks; raises InvalidScenario naming the violation."""
-    _require(scenario.seed >= 0, "seed: must be non-negative")
-    _require(scenario.duration > 0, "duration: must be positive")
+    _require_int(scenario.seed, 0, None, "seed")
+    _require_int(scenario.duration, 1, None, "duration")
     _require(len(scenario.clients) > 0, "clients: at least one group required")
     for i, group in enumerate(scenario.clients):
-        _require(group.count >= 1, f"clients[{i}].count: must be at least 1")
+        _require_int(group.count, 1, None, f"clients[{i}].count")
     max_wait = max(g.config.max_wait for g in scenario.clients)
     _require(
         scenario.duration >= max_wait,
@@ -223,8 +225,8 @@ def validate(scenario: Scenario) -> None:
                     0 <= idx < total,
                     f"spam_injections[{i}].clients: no client {idx}",
                 )
-    _require(scenario.opt_out_rate >= 0, "opt_out_rate: must be non-negative")
-    _require(scenario.campaign_duration >= 1, "campaign_duration: must be positive")
+    _require_int(scenario.opt_out_rate, 0, None, "opt_out_rate")
+    _require_int(scenario.campaign_duration, 1, None, "campaign_duration")
     _require(
         scenario.confirm_policy in ("accept_all", "reject_all"),
         f"confirm_policy: unknown policy {scenario.confirm_policy!r}",
@@ -249,6 +251,7 @@ def _validate_adversary(spec: AdversarySpec, scenario: Scenario, where: str) -> 
         _require_int(p.get("injection_period", 30), 1, None, f"{where}.injection_period")
     elif spec.strategy == "separation":
         _require_int(p.get("injection_period"), 1, None, f"{where}.injection_period")
+        _require_int(p.get("lead_minutes", 60), 1, None, f"{where}.lead_minutes")
     elif spec.strategy == "challenge_flood":
         _require("victim" in p, f"{where}.victim: required")
         _require(
@@ -260,7 +263,12 @@ def _validate_adversary(spec: AdversarySpec, scenario: Scenario, where: str) -> 
         _require_int(p.get("max_rand", 0), 0, None, f"{where}.max_rand")
     elif spec.strategy == "sybil_flood":
         _require_int(p.get("identity_count"), 1, None, f"{where}.identity_count")
-    # mitm_forwarder has only optional params (rewrite_issuer: bool)
+    elif spec.strategy == "mitm_forwarder":
+        rewrite = p.get("rewrite_issuer", False)
+        _require(
+            type(rewrite) is bool,
+            f"{where}.rewrite_issuer: must be true or false, got {rewrite!r}",
+        )
 
 
 def to_dict(scenario: Scenario) -> dict[str, Any]:

@@ -113,10 +113,9 @@ def convergence(report: MetricsReport, url: str) -> float:
 class _Adversary:
     """Base: full DHT read/write access, own identity and RNG, no honest keys."""
 
-    strategy = "abstract"
-
     def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
         self.spec = spec
+        self.strategy = spec.strategy
         self.index = index
         self.rng = Random(f"{sim.scenario.seed}:adversary:{index}")
         self.identity = crypto.generate_identity(self.rng)
@@ -145,37 +144,21 @@ class _Adversary:
             sim.dht.put(comrades_table_key(start, url.render()), pk, now)
 
 
-class _TimePortalAdversary(_Adversary):
-    """Parks campaigns in the far future so they can never fire."""
+class _StartInjector(_Adversary):
+    """Every `injection_period` minutes, announces a start `lead` minutes out
+    for every known URL.
 
-    strategy = "time_portal"
+    time_portal parks campaigns in the far future (`offset_minutes`) so they
+    can never fire; separation floods near-term starts (`lead_minutes`) to
+    splinter the fleet below the launch threshold.
+    """
+
+    LEAD_PARAM = {"time_portal": "offset_minutes", "separation": "lead_minutes"}
 
     def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
         super().__init__(spec, index, sim)
-        self.offset = spec.params["offset_minutes"]
         self.period = spec.params.get("injection_period", 30)
-
-    def step(self, sim: "Simulation", now: int) -> None:
-        if now % self.period != 0:
-            return
-        for url in sim.known_urls():
-            start = now + self.offset
-            sim.dht.put(
-                campaign_table_key(url.render()), str(start).encode("ascii"), now
-            )
-            sim.adversarial_starts.add((url.render(), start))
-            self.bump("injected")
-
-
-class _SeparationAdversary(_Adversary):
-    """Floods near-term starts to splinter the fleet below the threshold."""
-
-    strategy = "separation"
-
-    def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
-        super().__init__(spec, index, sim)
-        self.period = spec.params["injection_period"]
-        self.lead = int(spec.params.get("lead_minutes", 60))
+        self.lead = spec.params.get(self.LEAD_PARAM[spec.strategy], 60)
 
     def step(self, sim: "Simulation", now: int) -> None:
         if now % self.period != 0:
@@ -191,8 +174,6 @@ class _SeparationAdversary(_Adversary):
 
 class _ChallengeFloodAdversary(_Adversary):
     """Registers as a comrade, then buries one victim in puzzles."""
-
-    strategy = "challenge_flood"
 
     def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
         super().__init__(spec, index, sim)
@@ -226,11 +207,9 @@ class _MitmForwarderAdversary(_Adversary):
     to the key inside the challenge, which is never the forwarder's.
     """
 
-    strategy = "mitm_forwarder"
-
     def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
         super().__init__(spec, index, sim)
-        self.rewrite_issuer = bool(spec.params.get("rewrite_issuer", False))
+        self.rewrite_issuer = spec.params.get("rewrite_issuer", False)
 
     def step(self, sim: "Simulation", now: int) -> None:
         self._register_everywhere(sim, now, self.identity.public_key)
@@ -270,8 +249,6 @@ class _MitmForwarderAdversary(_Adversary):
 class _SybilFloodAdversary(_Adversary):
     """Registers a crowd of fresh, never-verified identities everywhere."""
 
-    strategy = "sybil_flood"
-
     def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
         super().__init__(spec, index, sim)
         count = spec.params["identity_count"]
@@ -283,8 +260,10 @@ class _SybilFloodAdversary(_Adversary):
         registered = 0
         for url, start in self._announced_campaigns(sim, now):
             key = comrades_table_key(start, url.render())
+            # the keys are distinct, so putting one never changes another's presence
+            live = set(sim.dht.get(key, now))
             for pk in self.sybil_keys:
-                if not sim.dht.contains(key, pk, now):
+                if pk not in live:
                     sim.dht.put(key, pk, now)
                     registered += 1
         if registered:
@@ -292,14 +271,11 @@ class _SybilFloodAdversary(_Adversary):
 
 
 _ADVERSARY_CLASSES = {
-    cls.strategy: cls
-    for cls in (
-        _TimePortalAdversary,
-        _SeparationAdversary,
-        _ChallengeFloodAdversary,
-        _MitmForwarderAdversary,
-        _SybilFloodAdversary,
-    )
+    "time_portal": _StartInjector,
+    "separation": _StartInjector,
+    "challenge_flood": _ChallengeFloodAdversary,
+    "mitm_forwarder": _MitmForwarderAdversary,
+    "sybil_flood": _SybilFloodAdversary,
 }
 
 
@@ -491,6 +467,9 @@ class Simulation:
                 if peer_pk == client.identity.public_key:
                     continue
                 if peer_pk in client.trust_db.verified:
+                    continue
+                # a live challenge: initiate_verification would send nothing
+                if not client.trust_db.due(peer_pk, now, client.tcfg.rechallenge_timeout):
                     continue
                 try:
                     sent = trust.initiate_verification(

@@ -98,6 +98,12 @@ class TrustDb:
     def trust(self, public_key: bytes) -> int:
         return self.records.get(public_key, 0)
 
+    def due(self, peer_public_key: bytes, now: int, timeout: int) -> bool:
+        """Whether a challenge to this peer may go out: none is pending, or
+        the pending one has gone unanswered for `timeout` minutes."""
+        pending = self.pending.get(peer_public_key)
+        return pending is None or pending.issued_at + timeout <= now
+
     def reset(self) -> None:
         self.records.clear()
         self.verified.clear()
@@ -225,8 +231,7 @@ def initiate_verification(
     key = comrades_table_key(shared_campaign.start, shared_campaign.url.render())
     if not dht.contains(key, peer_public_key, now):
         raise NotAComrade("peer is not registered for that campaign")
-    pending = db.pending.get(peer_public_key)
-    if pending is not None and now < pending.issued_at + cfg.rechallenge_timeout:
+    if not db.due(peer_public_key, now, cfg.rechallenge_timeout):
         return False
     challenge, expected_rand2 = crypto.generate_challenge(
         me, cfg.max_rand, rng, issued_at=now

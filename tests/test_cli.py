@@ -191,10 +191,25 @@ class TestRun:
         # was: validate 1 (int("soon") raised ValueError)
         ({"strategy": "time_portal", "offset_minutes": "soon"}, "offset_minutes"),
         ({"strategy": "sybil_flood", "identity_count": 2.5}, "identity_count"),
+        # was: validate 0, run 1 ("invalid literal for int()")
+        ({"strategy": "separation", "injection_period": 30, "lead_minutes": "soon"},
+         "lead_minutes"),
+        # was: ran silently, injecting starts in the past or truncated ones
+        ({"strategy": "separation", "injection_period": 30, "lead_minutes": -30},
+         "lead_minutes"),
+        ({"strategy": "separation", "injection_period": 30, "lead_minutes": 0},
+         "lead_minutes"),
+        ({"strategy": "separation", "injection_period": 30, "lead_minutes": 2.5},
+         "lead_minutes"),
+        # was: bool("no") is True, so the run rewrote issuers
+        ({"strategy": "mitm_forwarder", "rewrite_issuer": "no"}, "rewrite_issuer"),
+        ({"strategy": "mitm_forwarder", "rewrite_issuer": 0}, "rewrite_issuer"),
     ], ids=["time_portal.period=0", "time_portal.period=-30", "separation.period=2.5",
             "separation.period='30'", "at_minute=-5", "at_minute=duration",
             "at_minute=1000000", "at_minute=2.5", "victim=0.5", "count=2.5", "count=true",
-            "offset_minutes='soon'", "identity_count=2.5"])
+            "offset_minutes='soon'", "identity_count=2.5", "lead_minutes='soon'",
+            "lead_minutes=-30", "lead_minutes=0", "lead_minutes=2.5",
+            "rewrite_issuer='no'", "rewrite_issuer=0"])
     def test_bad_adversary_param_exits_2(self, scenario_path, adversary, field, capsys):
         raw = json.loads(scenario_path.read_text())
         raw["adversaries"] = [adversary]
@@ -211,9 +226,40 @@ class TestRun:
             {"strategy": "time_portal", "offset_minutes": 60, "injection_period": 1},
             {"strategy": "challenge_flood", "victim": 5, "count": 1, "at_minute": 0},
             {"strategy": "challenge_flood", "victim": 0, "count": 1, "at_minute": 299},
+            {"strategy": "separation", "injection_period": 1, "lead_minutes": 1},
+            {"strategy": "mitm_forwarder", "rewrite_issuer": True},
+            {"strategy": "mitm_forwarder", "rewrite_issuer": False},
         ]
         scenario_path.write_text(json.dumps(raw))
         assert main(["validate", str(scenario_path)]) == EXIT_OK
+
+    @pytest.mark.parametrize(("change", "field"), [
+        # was: truncated or coerced by int(), and the run went ahead
+        ({"seed": 7.9}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"duration": "400"}, "duration"),
+        ({"duration": 300.0}, "duration"),
+        ({"opt_out_rate": 2.5}, "opt_out_rate"),
+        ({"opt_out_rate": "20"}, "opt_out_rate"),
+        ({"campaign_duration": 30.5}, "campaign_duration"),
+        ({"clients": [{"count": 2.7}]}, "clients[0].count"),
+        ({"clients": [{"count": "6"}]}, "clients[0].count"),
+        ({"clients": [{"count": True}]}, "clients[0].count"),
+        # was: run exited 1 on an object or a bare number in the list
+        ({"clients": {"count": 6}}, "clients"),
+        ({"clients": [6]}, "clients"),
+    ], ids=["seed=7.9", "seed=true", "duration='400'", "duration=300.0",
+            "opt_out_rate=2.5", "opt_out_rate='20'", "campaign_duration=30.5",
+            "count=2.7", "count='6'", "count=true", "clients={}", "clients=[6]"])
+    def test_bad_top_level_field_exits_2(self, scenario_path, change, field, capsys):
+        raw = json.loads(scenario_path.read_text())
+        raw.update(change)
+        scenario_path.write_text(json.dumps(raw))
+        for command in ("validate", "run"):
+            assert main([command, str(scenario_path)]) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert f"invalid scenario: {field}:" in captured.err
+            assert captured.out == ""
 
     def test_bad_sweep_spec_rejected(self, scenario_path, capsys):
         with pytest.raises(SystemExit):

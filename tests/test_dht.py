@@ -27,6 +27,14 @@ def test_derive_key_is_truncated_sha256():
     assert len(dht.derive_key(b"whatever").key) == 20
 
 
+def test_table_keys_are_derived_once():
+    key = dht.comrades_table_key(500, "http://a.example/")
+    assert key == k("500|http://a.example/")
+    assert dht.comrades_table_key(500, "http://a.example/") is key
+    assert dht.comrades_table_key(500.0, "http://a.example/") == k("500.0|http://a.example/")
+    assert dht.inbox_key(b"pk") is dht.inbox_key(b"pk") == k("pk")
+
+
 def test_url_key_differs_from_start_url_key():
     url = "http://spam.example/x"
     assert dht.campaign_table_key(url) != dht.comrades_table_key(500, url)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from optoutswarm import trust
 from optoutswarm.scenario import from_dict, load_file
 from optoutswarm.simulation import MetricsReport, NoSuchCampaign, convergence, run
 
@@ -207,3 +208,20 @@ def test_module_level_run_matches_class(tmp_path):
     from optoutswarm.simulation import Simulation
 
     assert run(small).to_ndjson() == Simulation(small).run().to_ndjson()
+
+
+def test_only_due_peers_reach_initiate_verification(monkeypatch):
+    # 100 sybil keys never answer; a peer with a live challenge is skipped
+    # before the call, so every call sends (without the skip: 31,256 calls)
+    calls = 0
+    initiate = trust.initiate_verification
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return initiate(*args)
+
+    monkeypatch.setattr(trust, "initiate_verification", counted)
+    report = run(load_file("scenarios/sybil_flood.json"))
+    sent = sum(e["type"] == "challenge_sent" for e in report.events)
+    assert calls == sent == 3256

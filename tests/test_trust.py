@@ -191,6 +191,12 @@ class TestInitiate:
         assert self.initiate(120) is True
         assert len(self.dht.get(inbox_key(self.peer.public_key), 120)) == 2
 
+    def test_due_turns_at_the_timeout(self):
+        assert self.db.due(self.peer.public_key, 0, 120) is True  # nothing pending
+        assert self.initiate(5) is True
+        assert self.db.due(self.peer.public_key, 5 + 120 - 1, 120) is False
+        assert self.db.due(self.peer.public_key, 5 + 120, 120) is True
+
 
 class TestHandleChallenge:
     def setup_method(self):
