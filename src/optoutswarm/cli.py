@@ -122,15 +122,17 @@ def _print_summary_table(seed: int, report: simulation.MetricsReport) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         base = scenario_mod.load_file(args.scenario)
+        seeds = list(args.sweep) if args.sweep is not None else [
+            args.seed if args.seed is not None else base.seed
+        ]
+        runs = [dataclasses.replace(base, seed=seed) for seed in seeds]
+        for scn in runs:  # an overriding seed gets the same checks as the file's
+            scenario_mod.validate(scn)
     except InvalidScenario as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    seeds = list(args.sweep) if args.sweep is not None else [
-        args.seed if args.seed is not None else base.seed
-    ]
-    multiple = len(seeds) > 1
-    for seed in seeds:
-        scn = dataclasses.replace(base, seed=seed)
+    multiple = len(runs) > 1
+    for seed, scn in zip(seeds, runs):
         if args.out:
             report = _run_to_file(scn, _out_path(args.out, seed, multiple))
         else:

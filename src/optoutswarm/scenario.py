@@ -5,26 +5,33 @@ the seed, the client fleet, the advertised websites, when spam arrives and
 to whom, redirector mappings, the whitelist, and any adversaries. Loading
 validates everything up front so a bad file fails with a named field before
 any simulation work starts.
+
+The dataclasses are the schema: `from_dict` reads each record by its fields'
+annotations, and `to_dict` writes the same fields back. Adversary params,
+which the JSON keeps beside `strategy`, are described by `ADVERSARIES`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import dataclass, field
-from typing import Any
+import math
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields
+from enum import Enum
+from typing import Any, Literal, NamedTuple
 
-from optoutswarm.coordinator import CoordinatorConfig, JoinPolicy
-from optoutswarm.evaluator import CanonicalUrl, EmailDocument, RedirectMap, canonicalize
+from optoutswarm.coordinator import CoordinatorConfig
+from optoutswarm.evaluator import (
+    CanonicalUrl,
+    EmailDocument,
+    InvalidUrl,
+    RedirectMap,
+    canonicalize,
+)
 from optoutswarm.trust import TrustConfig
 from optoutswarm.website import TargetSite
-
-ADVERSARY_STRATEGIES = (
-    "time_portal",
-    "separation",
-    "challenge_flood",
-    "mitm_forwarder",
-    "sybil_flood",
-)
 
 DEFAULT_OPT_OUT_RATE = 6
 DEFAULT_CAMPAIGN_DURATION = 30  # minutes of bursting, matches the probe window
@@ -38,7 +45,7 @@ class InvalidScenario(Exception):
 class ClientGroup:
     """A block of identically configured clients."""
 
-    count: int
+    count: int = 1
     config: CoordinatorConfig = field(default_factory=CoordinatorConfig)
     trust: TrustConfig = field(default_factory=TrustConfig)
 
@@ -48,14 +55,19 @@ class SpamInjection:
     """One spam delivery: which minute, which clients, what text."""
 
     minute: int
-    clients: tuple[int, ...] | str  # explicit indices or "all"
-    mail: EmailDocument
+    body: str
+    clients: tuple[int, ...] | Literal["all"] = "all"
+    footer_hint: str | None = None
+
+    @property
+    def mail(self) -> EmailDocument:
+        return EmailDocument(body=self.body, footer_hint=self.footer_hint)
 
 
 @dataclass(frozen=True)
 class AdversarySpec:
     strategy: str
-    params: dict[str, Any] = field(default_factory=dict)
+    params: dict[str, Any] = field(default_factory=dict)  # every param of the strategy
 
 
 @dataclass(frozen=True)
@@ -70,7 +82,8 @@ class Scenario:
     adversaries: tuple[AdversarySpec, ...] = ()
     opt_out_rate: int = DEFAULT_OPT_OUT_RATE
     campaign_duration: int = DEFAULT_CAMPAIGN_DURATION
-    confirm_policy: str = "accept_all"  # the user decision modeled as a policy
+    # the user's per-URL decision, modeled as a policy
+    confirm_policy: Literal["accept_all", "reject_all"] = "accept_all"
 
     @property
     def client_count(self) -> int:
@@ -82,260 +95,207 @@ class Scenario:
         return tuple(injection.clients)  # type: ignore[arg-type]
 
 
+REQUIRED = object()
+
+
+class Param(NamedTuple):
+    """One adversary param and its default (REQUIRED if it has none).
+
+    `kind` is "bool", "int" (at least `low`), "client" (an index into the
+    fleet) or "minute" (a minute of the run, in [0, duration)).
+    """
+
+    kind: str
+    default: Any = REQUIRED
+    low: int = 0
+
+
+ADVERSARIES: dict[str, dict[str, Param]] = {
+    "time_portal": {
+        "offset_minutes": Param("int", low=1),
+        "injection_period": Param("int", 30, low=1),
+    },
+    "separation": {
+        "injection_period": Param("int", low=1),
+        "lead_minutes": Param("int", 60, low=1),
+    },
+    "challenge_flood": {
+        "victim": Param("client"),
+        "count": Param("int", low=1),
+        "at_minute": Param("minute", 30),
+        "max_rand": Param("int", 10_000),
+    },
+    "mitm_forwarder": {"rewrite_issuer": Param("bool", False)},
+    "sybil_flood": {"identity_count": Param("int", low=1)},
+}
+
+_RECORDS = (Scenario, ClientGroup, CoordinatorConfig, TrustConfig, TargetSite, SpamInjection)
+
+# every record's fields, in declaration order, with their annotations resolved
+_FIELDS = {cls: typing.get_type_hints(cls) for cls in _RECORDS}
+
+_SCALARS = {
+    int: "an integer",
+    str: "a string",
+    bool: "true or false",
+    type(None): "null",
+}
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidScenario(message)
 
 
-def _coordinator_config(raw: dict[str, Any], where: str) -> CoordinatorConfig:
-    kwargs: dict[str, Any] = {}
-    for key in (
-        "min_wait",
-        "max_wait",
-        "min_comrades",
-        "min_accumulated_trust",
-        "poll_interval",
-        "max_challenges_answered",
-        "launch_grace",
-    ):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "usage_windows" in raw:
-        kwargs["usage_windows"] = tuple(
-            (int(a), int(b)) for a, b in raw["usage_windows"]
+def _expect(condition: bool, path: str, what: str, value: Any) -> None:
+    _require(condition, f"{path or 'top level'}: must be {what}, got {value!r}")
+
+
+def _at(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _read(tp: Any, value: Any, path: str) -> Any:
+    """Parsed JSON `value` as annotation `tp`; raises naming `path`."""
+    if tp in _FIELDS:
+        return _read_record(tp, value, path)
+    if tp is AdversarySpec:
+        return _read_adversary(value, path)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union or origin is types.UnionType:  # arms take distinct JSON kinds
+        for arm in args[1:]:
+            with contextlib.suppress(InvalidScenario):
+                return _read(arm, value, path)
+        return _read(args[0], value, path)  # fails, naming what the first arm takes
+    if origin is tuple:  # tuple[X, ...] or a fixed tuple such as tuple[int, int]
+        _expect(type(value) is list, path, "a list", value)
+        items = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        _expect(len(items) == len(value), path, f"a list of {len(items)} items", value)
+        return tuple(
+            _read(item, v, f"{path}[{i}]") for i, (item, v) in enumerate(zip(items, value))
         )
-    if "join_policy" in raw:
+    if origin is Literal:
+        _expect(value in args, path, " or ".join(map(repr, args)), value)
+        return value
+    if isinstance(tp, type) and issubclass(tp, Enum):  # read by its value
+        choices = [member.value for member in tp]
+        _expect(value in choices, path, " or ".join(map(repr, choices)), value)
+        return tp(value)
+    if tp is CanonicalUrl:
         try:
-            kwargs["join_policy"] = JoinPolicy(raw["join_policy"])
-        except ValueError:
-            raise InvalidScenario(
-                f"{where}.join_policy: unknown policy {raw['join_policy']!r}"
-            ) from None
-    try:
-        return CoordinatorConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise InvalidScenario(f"{where}: {exc}") from None
-
-
-def _trust_config(raw: dict[str, Any], where: str) -> TrustConfig:
-    try:
-        return TrustConfig(**raw)
-    except (TypeError, ValueError) as exc:
-        raise InvalidScenario(f"{where}: {exc}") from None
-
-
-def _target_site(raw: dict[str, Any], where: str) -> TargetSite:
-    try:
-        kwargs = dict(raw)
-        kwargs["url"] = canonicalize(kwargs["url"])
-        return TargetSite(**kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidScenario(f"{where}: {exc}") from None
-
-
-def _spam_injection(raw: dict[str, Any], where: str) -> SpamInjection:
-    try:
-        clients = raw.get("clients", "all")
-        if clients != "all":
-            clients = tuple(int(i) for i in clients)
-        return SpamInjection(
-            minute=int(raw["minute"]),
-            clients=clients,
-            mail=EmailDocument(
-                body=raw["body"], footer_hint=raw.get("footer_hint")
-            ),
+            return canonicalize(_read(str, value, path))
+        except (InvalidUrl, ValueError) as exc:
+            raise InvalidScenario(f"{path}: {exc}") from None
+    if tp is RedirectMap:
+        _expect(
+            type(value) is dict and all(type(v) is str for v in value.values()),
+            path, "an object of strings", value,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidScenario(f"{where}: {exc}") from None
+        return RedirectMap(dict(value))
+    if tp is float:  # an int stays an int, so the normalized form keeps it
+        finite = type(value) is int or (type(value) is float and math.isfinite(value))
+        _expect(finite, path, "a finite number", value)
+    else:
+        _expect(type(value) is tp, path, _SCALARS[tp], value)
+    return value
 
 
-def _adversary(raw: dict[str, Any], where: str) -> AdversarySpec:
+def _read_record(cls: type, raw: Any, path: str) -> Any:
+    annotations = _FIELDS[cls]
+    _expect(type(raw) is dict, path, "an object", raw)
+    if unknown := sorted(raw.keys() - annotations.keys()):
+        raise InvalidScenario(f"{_at(path, unknown[0])}: unknown field")
+    for f in fields(cls):
+        has_default = f.default is not MISSING or f.default_factory is not MISSING
+        _require(f.name in raw or has_default, f"{_at(path, f.name)}: required")
+    kwargs = {
+        name: _read(annotations[name], value, _at(path, name)) for name, value in raw.items()
+    }
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a range check in the record's __post_init__
+        raise InvalidScenario(f"{path}: {exc}") from None
+
+
+def _read_adversary(raw: Any, path: str) -> AdversarySpec:
+    _expect(type(raw) is dict, path, "an object", raw)
     strategy = raw.get("strategy")
-    _require(
-        strategy in ADVERSARY_STRATEGIES,
-        f"{where}.strategy: unknown strategy {strategy!r}",
-    )
-    params = {k: v for k, v in raw.items() if k != "strategy"}
-    return AdversarySpec(strategy=strategy, params=params)
+    spec = ADVERSARIES.get(strategy) if type(strategy) is str else None
+    _require(spec is not None, f"{path}.strategy: unknown strategy {strategy!r}")
+    if unknown := sorted(raw.keys() - spec.keys() - {"strategy"}):
+        raise InvalidScenario(f"{path}.{unknown[0]}: unknown field")
+    for name, param in spec.items():
+        _require(name in raw or param.default is not REQUIRED, f"{path}.{name}: required")
+    return AdversarySpec(strategy, {name: raw.get(name, p.default) for name, p in spec.items()})
 
 
 def from_dict(raw: dict[str, Any]) -> Scenario:
     """Build and validate a Scenario from parsed JSON."""
-    for required in ("seed", "duration", "clients"):
-        _require(required in raw, f"missing required field {required!r}")
-    _require(
-        type(raw["clients"]) is list and all(type(g) is dict for g in raw["clients"]),
-        "clients: must be a list of objects",
-    )
-    groups = tuple(
-        ClientGroup(
-            count=g.get("count", 1),
-            config=_coordinator_config(g.get("config", {}), f"clients[{i}].config"),
-            trust=_trust_config(g.get("trust", {}), f"clients[{i}].trust"),
-        )
-        for i, g in enumerate(raw["clients"])
-    )
-    scenario = Scenario(
-        seed=raw["seed"],
-        duration=raw["duration"],
-        clients=groups,
-        target_sites=tuple(
-            _target_site(s, f"target_sites[{i}]")
-            for i, s in enumerate(raw.get("target_sites", []))
-        ),
-        spam_injections=tuple(
-            _spam_injection(s, f"spam_injections[{i}]")
-            for i, s in enumerate(raw.get("spam_injections", []))
-        ),
-        redirect_map=RedirectMap(dict(raw.get("redirect_map", {}))),
-        whitelist=tuple(raw.get("whitelist", [])),
-        adversaries=tuple(
-            _adversary(a, f"adversaries[{i}]")
-            for i, a in enumerate(raw.get("adversaries", []))
-        ),
-        opt_out_rate=raw.get("opt_out_rate", DEFAULT_OPT_OUT_RATE),
-        campaign_duration=raw.get("campaign_duration", DEFAULT_CAMPAIGN_DURATION),
-        confirm_policy=raw.get("confirm_policy", "accept_all"),
-    )
+    scenario = _read(Scenario, raw, "")
     validate(scenario)
     return scenario
 
 
 def validate(scenario: Scenario) -> None:
-    """Cross-field checks; raises InvalidScenario naming the violation."""
-    _require_int(scenario.seed, 0, None, "seed")
-    _require_int(scenario.duration, 1, None, "duration")
+    """Range and cross-field checks; raises InvalidScenario naming the field."""
+    _check("int", scenario.seed, scenario, "seed")
+    _check("int", scenario.duration, scenario, "duration", low=1)
     _require(len(scenario.clients) > 0, "clients: at least one group required")
     for i, group in enumerate(scenario.clients):
-        _require_int(group.count, 1, None, f"clients[{i}].count")
+        _check("int", group.count, scenario, f"clients[{i}].count", low=1)
     max_wait = max(g.config.max_wait for g in scenario.clients)
     _require(
         scenario.duration >= max_wait,
         f"duration: must be at least the largest max_wait ({max_wait})",
     )
-    total = scenario.client_count
+    urls = set()
+    for i, site in enumerate(scenario.target_sites):
+        _require(site.url not in urls, f"target_sites[{i}].url: {site.url} is listed twice")
+        urls.add(site.url)
     for i, injection in enumerate(scenario.spam_injections):
-        _require(
-            0 <= injection.minute < scenario.duration,
-            f"spam_injections[{i}].minute: outside [0, duration)",
-        )
+        _check("minute", injection.minute, scenario, f"spam_injections[{i}].minute")
         if injection.clients != "all":
             for idx in injection.clients:
-                _require(
-                    0 <= idx < total,
-                    f"spam_injections[{i}].clients: no client {idx}",
-                )
-    _require_int(scenario.opt_out_rate, 0, None, "opt_out_rate")
-    _require_int(scenario.campaign_duration, 1, None, "campaign_duration")
-    _require(
-        scenario.confirm_policy in ("accept_all", "reject_all"),
-        f"confirm_policy: unknown policy {scenario.confirm_policy!r}",
-    )
+                _check("client", idx, scenario, f"spam_injections[{i}].clients")
+    _check("int", scenario.opt_out_rate, scenario, "opt_out_rate")
+    _check("int", scenario.campaign_duration, scenario, "campaign_duration", low=1)
     for i, adversary in enumerate(scenario.adversaries):
-        _validate_adversary(adversary, scenario, f"adversaries[{i}]")
+        for name, param in ADVERSARIES[adversary.strategy].items():
+            where = f"adversaries[{i}].{name}"
+            _check(param.kind, adversary.params[name], scenario, where, param.low)
 
 
-def _require_int(value: Any, low: int, high: int | None, what: str) -> None:
-    """`value` must be an int (not a bool or float) in [low, high)."""
-    _require(
-        type(value) is int and low <= value and (high is None or value < high),
-        f"{what}: must be an integer in [{low}, {'inf' if high is None else high}),"
-        f" got {value!r}",
-    )
-
-
-def _validate_adversary(spec: AdversarySpec, scenario: Scenario, where: str) -> None:
-    p = spec.params
-    if spec.strategy == "time_portal":
-        _require_int(p.get("offset_minutes"), 1, None, f"{where}.offset_minutes")
-        _require_int(p.get("injection_period", 30), 1, None, f"{where}.injection_period")
-    elif spec.strategy == "separation":
-        _require_int(p.get("injection_period"), 1, None, f"{where}.injection_period")
-        _require_int(p.get("lead_minutes", 60), 1, None, f"{where}.lead_minutes")
-    elif spec.strategy == "challenge_flood":
-        _require("victim" in p, f"{where}.victim: required")
+def _check(kind: str, value: Any, scenario: Scenario, where: str, low: int = 0) -> None:
+    """`value` must be of `kind`, as a `Param` names it."""
+    if kind == "bool":
+        _require(type(value) is bool, f"{where}: must be true or false, got {value!r}")
+    elif kind == "client":
         _require(
-            type(p["victim"]) is int and 0 <= p["victim"] < scenario.client_count,
-            f"{where}.victim: no client {p['victim']!r}",
+            type(value) is int and 0 <= value < scenario.client_count,
+            f"{where}: no client {value!r}",
         )
-        _require_int(p.get("count"), 1, None, f"{where}.count")
-        _require_int(p.get("at_minute", 30), 0, scenario.duration, f"{where}.at_minute")
-        _require_int(p.get("max_rand", 0), 0, None, f"{where}.max_rand")
-    elif spec.strategy == "sybil_flood":
-        _require_int(p.get("identity_count"), 1, None, f"{where}.identity_count")
-    elif spec.strategy == "mitm_forwarder":
-        rewrite = p.get("rewrite_issuer", False)
+    else:
+        high = scenario.duration if kind == "minute" else None
         _require(
-            type(rewrite) is bool,
-            f"{where}.rewrite_issuer: must be true or false, got {rewrite!r}",
+            type(value) is int and low <= value and (high is None or value < high),
+            f"{where}: must be an integer in [{low}, {'inf' if high is None else high}),"
+            f" got {value!r}",
         )
 
 
-def to_dict(scenario: Scenario) -> dict[str, Any]:
-    """Normalized JSON-ready form; from_dict(to_dict(s)) round-trips."""
-    return {
-        "seed": scenario.seed,
-        "duration": scenario.duration,
-        "clients": [
-            {
-                "count": g.count,
-                "config": {
-                    "min_wait": g.config.min_wait,
-                    "max_wait": g.config.max_wait,
-                    "min_comrades": g.config.min_comrades,
-                    "min_accumulated_trust": g.config.min_accumulated_trust,
-                    "usage_windows": [list(w) for w in g.config.usage_windows],
-                    "join_policy": g.config.join_policy.value,
-                    "poll_interval": g.config.poll_interval,
-                    "max_challenges_answered": g.config.max_challenges_answered,
-                    "launch_grace": g.config.launch_grace,
-                },
-                "trust": {
-                    "alpha": g.trust.alpha,
-                    "success_trust": g.trust.success_trust,
-                    "challenge_trust": g.trust.challenge_trust,
-                    "failures_before_reset": g.trust.failures_before_reset,
-                    "ramp_step": g.trust.ramp_step,
-                    "ramp_cap": g.trust.ramp_cap,
-                    "rechallenge_timeout": g.trust.rechallenge_timeout,
-                    "max_rand": g.trust.max_rand,
-                    "probe_count": g.trust.probe_count,
-                },
-            }
-            for g in scenario.clients
-        ],
-        "target_sites": [
-            {
-                "url": site.url.render(),
-                "base_latency": site.base_latency,
-                "capacity": site.capacity,
-                "timeout": site.timeout,
-                "request_bytes": site.request_bytes,
-                "cost_per_gib": site.cost_per_gib,
-                "visitor_rate": site.visitor_rate,
-                "revenue_per_visit": site.revenue_per_visit,
-                "patience": site.patience,
-            }
-            for site in scenario.target_sites
-        ],
-        "spam_injections": [
-            {
-                "minute": s.minute,
-                "clients": "all" if s.clients == "all" else list(s.clients),
-                "body": s.mail.body,
-                "footer_hint": s.mail.footer_hint,
-            }
-            for s in scenario.spam_injections
-        ],
-        "redirect_map": dict(scenario.redirect_map.mapping),
-        "whitelist": list(scenario.whitelist),
-        "adversaries": [
-            {"strategy": a.strategy, **a.params} for a in scenario.adversaries
-        ],
-        "opt_out_rate": scenario.opt_out_rate,
-        "campaign_duration": scenario.campaign_duration,
-        "confirm_policy": scenario.confirm_policy,
-    }
+def to_dict(value: Any) -> Any:
+    """Normalized JSON-ready form of a Scenario; from_dict(to_dict(s)) round-trips."""
+    if type(value) in _FIELDS:
+        return {name: to_dict(getattr(value, name)) for name in _FIELDS[type(value)]}
+    if type(value) is AdversarySpec:
+        return {"strategy": value.strategy, **value.params}
+    if type(value) is tuple:
+        return [to_dict(item) for item in value]
+    if type(value) is RedirectMap:
+        return dict(value.mapping)
+    if type(value) is CanonicalUrl:
+        return value.render()
+    return value.value if isinstance(value, Enum) else value
 
 
 def load_file(path: str) -> Scenario:

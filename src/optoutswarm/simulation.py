@@ -157,8 +157,8 @@ class _StartInjector(_Adversary):
 
     def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
         super().__init__(spec, index, sim)
-        self.period = spec.params.get("injection_period", 30)
-        self.lead = spec.params.get(self.LEAD_PARAM[spec.strategy], 60)
+        self.period = spec.params["injection_period"]
+        self.lead = spec.params[self.LEAD_PARAM[spec.strategy]]
 
     def step(self, sim: "Simulation", now: int) -> None:
         if now % self.period != 0:
@@ -175,21 +175,15 @@ class _StartInjector(_Adversary):
 class _ChallengeFloodAdversary(_Adversary):
     """Registers as a comrade, then buries one victim in puzzles."""
 
-    def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
-        super().__init__(spec, index, sim)
-        self.victim = spec.params["victim"]
-        self.count = spec.params["count"]
-        self.at_minute = spec.params.get("at_minute", 30)
-        self.max_rand = spec.params.get("max_rand", 10_000)
-
     def step(self, sim: "Simulation", now: int) -> None:
         self._register_everywhere(sim, now, self.identity.public_key)
-        if now != self.at_minute:
+        params = self.spec.params
+        if now != params["at_minute"]:
             return
-        victim_pk = sim.clients[self.victim].identity.public_key
-        for _ in range(self.count):
+        victim_pk = sim.clients[params["victim"]].identity.public_key
+        for _ in range(params["count"]):
             challenge, _expected = crypto.generate_challenge(
-                self.identity, self.max_rand, self.rng, issued_at=now
+                self.identity, params["max_rand"], self.rng, issued_at=now
             )
             sealed = crypto.seal(
                 victim_pk, trust.encode_challenge_payload(challenge)
@@ -206,10 +200,6 @@ class _MitmForwarderAdversary(_Adversary):
     nothing. Without rewriting, victims solve fine but their responses route
     to the key inside the challenge, which is never the forwarder's.
     """
-
-    def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
-        super().__init__(spec, index, sim)
-        self.rewrite_issuer = spec.params.get("rewrite_issuer", False)
 
     def step(self, sim: "Simulation", now: int) -> None:
         self._register_everywhere(sim, now, self.identity.public_key)
@@ -231,7 +221,7 @@ class _MitmForwarderAdversary(_Adversary):
             if not isinstance(message, crypto.Challenge):
                 continue
             forwarded = message
-            if self.rewrite_issuer:
+            if self.spec.params["rewrite_issuer"]:
                 forwarded = crypto.Challenge(
                     issuer_public_key=self.identity.public_key,
                     rand1=message.rand1,

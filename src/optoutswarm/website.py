@@ -37,6 +37,11 @@ class TargetSite:
             raise ValueError("capacity must be at least 1")
         if self.timeout <= self.base_latency:
             raise ValueError("timeout must exceed base_latency")
+        for name in (
+            "request_bytes", "cost_per_gib", "visitor_rate", "revenue_per_visit", "patience"
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass

@@ -247,7 +247,7 @@ class TestRun:
         ({"clients": [{"count": True}]}, "clients[0].count"),
         # was: run exited 1 on an object or a bare number in the list
         ({"clients": {"count": 6}}, "clients"),
-        ({"clients": [6]}, "clients"),
+        ({"clients": [6]}, "clients[0]"),  # the element that is not an object
     ], ids=["seed=7.9", "seed=true", "duration='400'", "duration=300.0",
             "opt_out_rate=2.5", "opt_out_rate='20'", "campaign_duration=30.5",
             "count=2.7", "count='6'", "count=true", "clients={}", "clients=[6]"])
@@ -260,6 +260,81 @@ class TestRun:
             captured = capsys.readouterr()
             assert f"invalid scenario: {field}:" in captured.err
             assert captured.out == ""
+
+    @pytest.mark.parametrize(("path", "value", "field"), [
+        # was: exit 1 from both commands
+        (("clients", 0, "config"), 5, "clients[0].config"),
+        (("adversaries",), {"strategy": "sybil_flood"}, "adversaries"),
+        (("adversaries",), ["sybil_flood"], "adversaries[0]"),
+        (("clients", 0, "config", "usage_windows"), [[1, 2, 3]], "usage_windows[0]"),
+        # was: validate 0, run 1
+        (("spam_injections", 0, "body"), 5, "spam_injections[0].body"),
+        # was: coerced or truncated, and the run went ahead
+        (("redirect_map",), [["a", "b"]], "redirect_map"),
+        (("whitelist",), "abc", "whitelist"),
+        (("spam_injections", 0, "minute"), 5.5, "spam_injections[0].minute"),
+        (("spam_injections", 0, "clients"), [0.7], "spam_injections[0].clients[0]"),
+        (("clients", 0, "config", "min_wait"), 30.5, "clients[0].config.min_wait"),
+        (("clients", 0, "config", "max_wait"), 240.5, "clients[0].config.max_wait"),
+        (("clients", 0, "config", "usage_windows"), [[0.5, 10000]],
+         "usage_windows[0][0]"),
+        (("clients", 0, "trust", "max_rand"), 10.5, "clients[0].trust.max_rand"),
+        (("target_sites", 0, "request_bytes"), 1.5, "target_sites[0].request_bytes"),
+        # was: exit 1 mid-run ("load must be non-negative"), and a negative cost
+        (("target_sites", 0, "visitor_rate"), -3, "target_sites[0]"),
+        (("target_sites", 0, "cost_per_gib"), -1, "target_sites[0]"),
+        # was: ignored
+        (("clients", 0, "config", "mni_comrades"), 3, "clients[0].config.mni_comrades"),
+        (("seeed",), 3, "seeed"),
+        (("adversaries",), [{"strategy": "challenge_flood", "victim": 0, "cuont": 5}],
+         "adversaries[0].cuont"),
+    ], ids=["config=5", "adversaries={}", "adversaries=[str]", "usage_windows=[[1,2,3]]",
+            "body=5", "redirect_map=[[]]", "whitelist='abc'", "minute=5.5",
+            "clients=[0.7]", "min_wait=30.5", "max_wait=240.5", "usage_windows=[[0.5,..]]",
+            "trust.max_rand=10.5", "request_bytes=1.5", "visitor_rate=-3",
+            "cost_per_gib=-1", "config.mni_comrades", "seeed",
+            "adversary.cuont"])
+    def test_malformed_field_exits_2(self, scenario_path, path, value, field, capsys):
+        raw = json.loads(scenario_path.read_text())
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        scenario_path.write_text(json.dumps(raw))
+        for command in ("validate", "run"):
+            assert main([command, str(scenario_path)]) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert f"{field}:" in captured.err
+            assert captured.out == ""
+
+    def test_duplicate_site_url_exits_2(self, scenario_path, capsys):
+        raw = json.loads(scenario_path.read_text())
+        # the same site once canonicalized, so one would silently replace the other
+        site = dict(raw["target_sites"][0], url="HTTP://Tiny.Example:80/go?id=2")
+        raw["target_sites"].append(site)
+        scenario_path.write_text(json.dumps(raw))
+        for command in ("validate", "run"):
+            assert main([command, str(scenario_path)]) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert "target_sites[1].url:" in captured.err
+            assert captured.out == ""
+
+    def test_negative_seed_override_exits_2(self, scenario_path, capsys):
+        assert main(["run", str(scenario_path), "--seed", "-3"]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert "invalid scenario: seed:" in captured.err
+        assert captured.out == ""
+
+    def test_sweep_through_a_negative_seed_exits_2_before_running(
+        self, scenario_path, tmp_path, capsys
+    ):
+        out = tmp_path / "runs.ndjson"
+        assert main(["run", str(scenario_path), "--sweep=-1..1",
+                     "--out", str(out)]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert "invalid scenario: seed:" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.glob("runs*")) == []
 
     def test_bad_sweep_spec_rejected(self, scenario_path, capsys):
         with pytest.raises(SystemExit):

@@ -1,8 +1,9 @@
-"""Golden digests: the NDJSON of every bundled scenario at its own seed.
+"""Golden digests: the NDJSON of every bundled scenario at its own seed, and
+the normalized form that `optoutswarm validate` prints for it.
 
-A change that moves any of these bytes changes what the simulator computes.
-Such a change must update the digest here and say in CHANGES.md which bytes
-moved and why.
+A change that moves any of these bytes changes what the simulator computes,
+or what a scenario file means. Such a change must update the digest here and
+say in CHANGES.md which bytes moved and why.
 """
 
 import hashlib
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from optoutswarm.cli import main
 from optoutswarm.scenario import load_file
 from optoutswarm.simulation import Simulation, run
 
@@ -24,9 +26,26 @@ GOLDEN = {
     "time_portal.json": "a656276f83e6ec0b9585f047bb940204e77341b35f469cfe819074f4899c3e69",
 }
 
+# sha256 of `optoutswarm validate` standard output for each bundled scenario
+NORMALIZED = {
+    "baseline.json": "0d811fc867f2f9903edd811614ed381837c123430785b3090335ef771b5b39c3",
+    "challenge_flood.json": "43e56ae25e332e8d8a029d99ddaa20c8048b88d65b42655fc530df3848ff6a42",
+    "mitm_forwarder.json": "39779b288386a447a46475979c93008b8fdad06d2e2688e246b5bb6bf876d43a",
+    "separation.json": "46f7212da776948a15f2dc9ff5743a35a788ca488803fd354bd247318bdac83e",
+    "sybil_flood.json": "2eb9e3e85299478a9c0290ed04fa6b5a20f2641f1ca1ed18477133a08b3f098b",
+    "time_portal.json": "4690a91a2cead3250f74dbe001f84596b8c33769b498ec2b1215303ee9dee81d",
+}
+
 
 def test_every_bundled_scenario_is_pinned():
     assert sorted(p.name for p in SCENARIOS.glob("*.json")) == sorted(GOLDEN)
+    assert sorted(NORMALIZED) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(NORMALIZED))
+def test_bundled_scenario_normalized_form_digest(name, capsys):
+    assert main(["validate", str(SCENARIOS / name)]) == 0
+    assert _digest(capsys.readouterr().out) == NORMALIZED[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -1,8 +1,13 @@
 """Scenario parsing, validation diagnostics, and round-tripping."""
 
 import json
+from functools import reduce
+from operator import getitem
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from optoutswarm.coordinator import JoinPolicy
 from optoutswarm.scenario import (
@@ -12,6 +17,9 @@ from optoutswarm.scenario import (
     load_file,
     to_dict,
 )
+from optoutswarm.simulation import run
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def minimal(**overrides) -> dict:
@@ -79,6 +87,23 @@ class TestValidation:
             ({"opt_out_rate": -1}, "opt_out_rate"),
             ({"campaign_duration": 0}, "campaign_duration"),
             ({"confirm_policy": "maybe"}, "confirm_policy"),
+            # unknown keys, at any level
+            ({"seeed": 1}, r"^seeed: unknown field"),
+            ({"clients": [{"count": 1, "config": {"mni_comrades": 2}}]},
+             r"^clients\[0\]\.config\.mni_comrades: unknown field"),
+            ({"clients": [{"count": 1, "trust": {"alpah": 3.0}}]},
+             r"^clients\[0\]\.trust\.alpah: unknown field"),
+            ({"spam_injections": [{"minute": 5, "body": "u", "footer": "x"}]},
+             r"^spam_injections\[0\]\.footer: unknown field"),
+            ({"adversaries": [{"strategy": "sybil_flood", "identity_count": 5, "ids": 5}]},
+             r"^adversaries\[0\]\.ids: unknown field"),
+            # a range check in a record's __post_init__, named by the record's path
+            ({"clients": [{"count": 1, "trust": {"probe_count": 0}}]},
+             r"^clients\[0\]\.trust: probe_count"),
+            ({"clients": [{"count": 1, "trust": {"alpha": float("nan")}}]},
+             r"^clients\[0\]\.trust\.alpha: must be a finite number"),
+            ({"clients": [{"count": 1, "trust": {"alpha": float("inf")}}]},
+             r"^clients\[0\]\.trust\.alpha: must be a finite number"),
         ],
     )
     def test_field_violations_are_named(self, overrides, fragment):
@@ -126,7 +151,19 @@ class TestValidation:
 
     def test_mitm_forwarder_needs_no_params(self):
         scenario = from_dict(minimal(adversaries=[{"strategy": "mitm_forwarder"}]))
-        assert scenario.adversaries[0].params == {}
+        # defaults are filled at load, so the run reads every param from the spec
+        assert scenario.adversaries[0].params == {"rewrite_issuer": False}
+
+    def test_adversary_defaults_filled_at_load(self):
+        scenario = from_dict(minimal(adversaries=[
+            {"strategy": "challenge_flood", "victim": 0, "count": 5},
+            {"strategy": "time_portal", "offset_minutes": 600},
+            {"strategy": "separation", "injection_period": 30},
+        ]))
+        flood, portal, separation = (a.params for a in scenario.adversaries)
+        assert flood == {"victim": 0, "count": 5, "at_minute": 30, "max_rand": 10_000}
+        assert portal == {"offset_minutes": 600, "injection_period": 30}
+        assert separation == {"injection_period": 30, "lead_minutes": 60}
 
 
 class TestRoundTrip:
@@ -199,3 +236,58 @@ def test_bundled_scenarios_all_validate():
     for path in paths:
         scenario = load_file(path)
         assert isinstance(scenario, Scenario)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 500) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every path into a parsed JSON document, the document's own first."""
+    yield prefix
+    if type(node) is dict:
+        children = node.items()
+    elif type(node) is list:
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A small bundled scenario with one value replaced, one key deleted or
+    one unknown key added, anywhere in the document."""
+    name = draw(st.sampled_from(["baseline.json", "challenge_flood.json"]))
+    holder = [json.loads((SCENARIOS / name).read_text())]
+    paths = [p for p in _paths(holder) if p]
+    how = draw(st.sampled_from(["replace", "delete", "add"]))
+    if how == "replace":
+        path = draw(st.sampled_from(paths))
+        reduce(getitem, path[:-1], holder)[path[-1]] = draw(JSON_VALUES)
+    elif how == "delete":
+        path = draw(st.sampled_from([p for p in paths if type(p[-1]) is str]))
+        del reduce(getitem, path[:-1], holder)[path[-1]]
+    else:
+        objects = [p for p in paths if type(reduce(getitem, p, holder)) is dict]
+        target = reduce(getitem, draw(st.sampled_from(objects)), holder)
+        target["unknown_" + draw(st.text(max_size=8))] = draw(JSON_VALUES)
+    return holder[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_scenarios())
+def test_mutated_scenario_is_rejected_or_runs(raw):
+    try:
+        scenario = from_dict(raw)
+    except InvalidScenario:
+        return
+    assert from_dict(to_dict(scenario)) == scenario
+    # a drawn `count` of up to 500 is valid, but a run costs the fleet size squared
+    assume(scenario.client_count <= 16)
+    run(scenario, lambda _event: None)
