@@ -63,6 +63,8 @@ class CoordinatorConfig:
             raise ValueError("need 0 < min_wait < max_wait")
         if self.min_comrades < 1:
             raise ValueError("min_comrades must be at least 1")
+        if self.min_accumulated_trust < 0:
+            raise ValueError("min_accumulated_trust must be non-negative")
         if self.poll_interval < 1:
             raise ValueError("poll_interval must be at least 1")
         if self.max_challenges_answered < 0:
@@ -86,6 +88,11 @@ class CampaignStart:
     def __post_init__(self) -> None:
         if self.start <= 0:
             raise ValueError("start must be positive")
+
+    @property
+    def order(self) -> tuple[int, str]:
+        """Sort key: earliest start first, ties by URL, on every client alike."""
+        return (self.start, self.url.render())
 
 
 @dataclass
@@ -159,9 +166,13 @@ def propose_start(now: int, cfg: CoordinatorConfig, rng: Random) -> int:
     raise AssertionError("index out of segment range")
 
 
-def _read_campaign_table(
-    dht: SimulatedDht, url: CanonicalUrl, now: int
-) -> list[int]:
+def announce_start(dht: SimulatedDht, url: CanonicalUrl, start: int, now: int) -> None:
+    """Publish a start minute for a URL's campaign table, as ASCII digits."""
+    dht.put(campaign_table_key(url.render()), str(start).encode("ascii"), now)
+
+
+def read_starts(dht: SimulatedDht, url: CanonicalUrl, now: int) -> list[int]:
+    """Every announced start minute for a URL; malformed entries are skipped."""
     starts = []
     for value in dht.get(campaign_table_key(url.render()), now):
         try:
@@ -169,6 +180,11 @@ def _read_campaign_table(
         except (UnicodeDecodeError, ValueError):
             log.debug("ignoring malformed campaign table entry %r", value)
     return starts
+
+
+def register(dht: SimulatedDht, campaign: CampaignStart, public_key: bytes, now: int) -> None:
+    """Put a public key on a campaign's roster; re-registering is a no-op."""
+    dht.put(comrades_table_key(campaign.start, campaign.url.render()), public_key, now)
 
 
 def read_comrades(
@@ -196,7 +212,7 @@ def handle_url(
     the roster is a set and the local database keeps one record per
     campaign.
     """
-    announced = _read_campaign_table(dht, url, now)
+    announced = read_starts(dht, url, now)
     suitable = sorted({s for s in announced if is_suitable(s, now, cfg)})
     rejected = len(set(announced)) - len(suitable)
     proposed: CampaignStart | None = None
@@ -209,7 +225,7 @@ def handle_url(
         if outstanding:
             return HandleResult(joined=(), proposed=None, rejected_unsuitable=rejected)
         start = propose_start(now, cfg, rng)
-        dht.put(campaign_table_key(url.render()), str(start).encode("ascii"), now)
+        announce_start(dht, url, start, now)
         proposed = CampaignStart(url=url, start=start)
         suitable = [start]
 
@@ -224,9 +240,7 @@ def handle_url(
     joined = []
     for start in suitable:
         campaign = CampaignStart(url=url, start=start)
-        dht.put(
-            comrades_table_key(start, url.render()), identity.public_key, now
-        )
+        register(dht, campaign, identity.public_key, now)
         if campaign not in db.entries:
             db.entries[campaign] = CampaignRecord(joined_at=now)
         joined.append(campaign)
@@ -251,7 +265,7 @@ def tick(
     """
     decisions = []
     threshold = max(cfg.min_accumulated_trust, trust_db.current_min_accumulated_trust)
-    for campaign in sorted(db.pending(), key=lambda c: (c.start, c.url.render())):
+    for campaign in sorted(db.pending(), key=lambda c: c.order):
         if now < campaign.start:
             continue
         record = db.entries[campaign]

@@ -2,9 +2,9 @@
 
 The C kernel in ``_powcore.c`` is built on first use with the compiler Python
 was built with, and cached in ``__pycache__`` under its source digest. Where
-the build or its import fails, the pure-Python kernel runs instead;
-OPTOUTSWARM_PURE_PYTHON=1 forces it. ``crypto.solve_challenge`` imports this
-module on its first call, so importing the package builds nothing.
+the build or its import fails, the pure-Python kernel runs instead.
+``crypto.solve_challenge`` imports this module on its first call, so
+importing the package builds nothing.
 """
 
 import hashlib
@@ -69,7 +69,7 @@ def load(cache: Path = CACHE, cc: str | None = None) -> ModuleType:
     return module
 
 
-_kernel = _pow_python if os.environ.get("OPTOUTSWARM_PURE_PYTHON") == "1" else load()
+_kernel = load()
 BACKEND = _kernel.BACKEND
 solve_kernel = _kernel.solve_kernel
 

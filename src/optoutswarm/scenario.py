@@ -252,6 +252,11 @@ def validate(scenario: Scenario) -> None:
     for i, site in enumerate(scenario.target_sites):
         _require(site.url not in urls, f"target_sites[{i}].url: {site.url} is listed twice")
         urls.add(site.url)
+    for i, entry in enumerate(scenario.whitelist):  # matched against lowercased hosts
+        _require(
+            entry != "" and entry == entry.strip().lower(),
+            f"whitelist[{i}]: must be a lowercase host without spaces around it, got {entry!r}",
+        )
     for i, injection in enumerate(scenario.spam_injections):
         _check("minute", injection.minute, scenario, f"spam_injections[{i}].minute")
         if injection.clients != "all":

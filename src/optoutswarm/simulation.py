@@ -32,7 +32,7 @@ from optoutswarm.coordinator import (
     LocalCampaignDb,
 )
 from optoutswarm.crypto import ClientIdentity
-from optoutswarm.dht import SimulatedDht, campaign_table_key, comrades_table_key, inbox_key
+from optoutswarm.dht import SimulatedDht, comrades_table_key
 from optoutswarm.evaluator import CanonicalUrl
 from optoutswarm.scenario import AdversarySpec, Scenario
 from optoutswarm.trust import AnswerBudget, TrustConfig, TrustDb
@@ -47,7 +47,6 @@ class NoSuchCampaign(Exception):
 class ProbeLog:
     baseline: list[float] = field(default_factory=list)
     during: list[float] = field(default_factory=list)
-    judged: bool = False
 
 
 @dataclass
@@ -127,21 +126,16 @@ class _Adversary:
     def step(self, sim: "Simulation", now: int) -> None:
         raise NotImplementedError
 
-    def _announced_campaigns(
-        self, sim: "Simulation", now: int
-    ) -> list[tuple[CanonicalUrl, int]]:
-        found = []
-        for url in sim.known_urls():
-            for value in sim.dht.get(campaign_table_key(url.render()), now):
-                try:
-                    found.append((url, int(value.decode("ascii"))))
-                except (UnicodeDecodeError, ValueError):
-                    continue
-        return found
+    def _announced_campaigns(self, sim: "Simulation", now: int) -> list[CampaignStart]:
+        return [
+            CampaignStart(url=url, start=start)
+            for url in sim.known_urls()
+            for start in coordinator.read_starts(sim.dht, url, now)
+        ]
 
     def _register_everywhere(self, sim: "Simulation", now: int, pk: bytes) -> None:
-        for url, start in self._announced_campaigns(sim, now):
-            sim.dht.put(comrades_table_key(start, url.render()), pk, now)
+        for campaign in self._announced_campaigns(sim, now):
+            coordinator.register(sim.dht, campaign, pk, now)
 
 
 class _StartInjector(_Adversary):
@@ -165,9 +159,7 @@ class _StartInjector(_Adversary):
             return
         for url in sim.known_urls():
             start = now + self.lead
-            sim.dht.put(
-                campaign_table_key(url.render()), str(start).encode("ascii"), now
-            )
+            coordinator.announce_start(sim.dht, url, start, now)
             sim.adversarial_starts.add((url.render(), start))
             self.bump("injected")
 
@@ -185,10 +177,7 @@ class _ChallengeFloodAdversary(_Adversary):
             challenge, _expected = crypto.generate_challenge(
                 self.identity, params["max_rand"], self.rng, issued_at=now
             )
-            sealed = crypto.seal(
-                victim_pk, trust.encode_challenge_payload(challenge)
-            )
-            sim.dht.put(inbox_key(victim_pk), sealed.to_bytes(), now)
+            trust.post(sim.dht, victim_pk, trust.encode_challenge_payload(challenge), now)
             self.bump("challenges_sent")
 
 
@@ -203,21 +192,12 @@ class _MitmForwarderAdversary(_Adversary):
 
     def step(self, sim: "Simulation", now: int) -> None:
         self._register_everywhere(sim, now, self.identity.public_key)
-        my_inbox = inbox_key(self.identity.public_key)
         victims = set()
-        for url, start in self._announced_campaigns(sim, now):
-            key = comrades_table_key(start, url.render())
+        for campaign in self._announced_campaigns(sim, now):
+            key = comrades_table_key(campaign.start, campaign.url.render())
             victims.update(sim.dht.get(key, now))
         victims.discard(self.identity.public_key)
-        for raw in sim.dht.get(my_inbox, now):
-            sim.dht.remove(my_inbox, raw)
-            try:
-                sealed = crypto.SealedMessage.from_bytes(raw)
-                payload = crypto.open_sealed(self.identity, sealed)
-                message = trust.decode_payload(payload, issued_at=now)
-            except (ValueError, crypto.NotAddressee, crypto.DecryptionFailure,
-                    trust.MalformedPayload):
-                continue
+        for message in coordinator.poll_inbox(now, sim.dht, self.identity):
             if not isinstance(message, crypto.Challenge):
                 continue
             forwarded = message
@@ -229,10 +209,7 @@ class _MitmForwarderAdversary(_Adversary):
                     issued_at=now,
                 )
             for victim_pk in sorted(victims - {message.issuer_public_key}):
-                resealed = crypto.seal(
-                    victim_pk, trust.encode_challenge_payload(forwarded)
-                )
-                sim.dht.put(inbox_key(victim_pk), resealed.to_bytes(), now)
+                trust.post(sim.dht, victim_pk, trust.encode_challenge_payload(forwarded), now)
                 self.bump("forwarded")
 
 
@@ -248,13 +225,13 @@ class _SybilFloodAdversary(_Adversary):
 
     def step(self, sim: "Simulation", now: int) -> None:
         registered = 0
-        for url, start in self._announced_campaigns(sim, now):
-            key = comrades_table_key(start, url.render())
+        for campaign in self._announced_campaigns(sim, now):
+            key = comrades_table_key(campaign.start, campaign.url.render())
             # the keys are distinct, so putting one never changes another's presence
             live = set(sim.dht.get(key, now))
             for pk in self.sybil_keys:
                 if pk not in live:
-                    sim.dht.put(key, pk, now)
+                    coordinator.register(sim.dht, campaign, pk, now)
                     registered += 1
         if registered:
             self.bump("registered", registered)
@@ -450,9 +427,7 @@ class Simulation:
             self._initiate_verifications(client, now)
 
     def _initiate_verifications(self, client: SimClient, now: int) -> None:
-        for campaign in sorted(
-            client.campaign_db.entries, key=lambda c: (c.start, c.url.render())
-        ):
+        for campaign in sorted(client.campaign_db.entries, key=lambda c: c.order):
             for peer_pk in coordinator.read_comrades(self.dht, campaign, now):
                 if peer_pk == client.identity.public_key:
                     continue
@@ -461,19 +436,17 @@ class Simulation:
                 # a live challenge: initiate_verification would send nothing
                 if not client.trust_db.due(peer_pk, now, client.tcfg.rechallenge_timeout):
                     continue
-                try:
-                    sent = trust.initiate_verification(
-                        client.identity,
-                        peer_pk,
-                        campaign,
-                        self.dht,
-                        client.trust_db,
-                        client.tcfg,
-                        client.rng,
-                        now,
-                    )
-                except trust.NotAComrade:
-                    continue
+                # read from the roster this minute, so never NotAComrade
+                sent = trust.initiate_verification(
+                    client.identity,
+                    peer_pk,
+                    campaign,
+                    self.dht,
+                    client.trust_db,
+                    client.tcfg,
+                    client.rng,
+                    now,
+                )
                 if sent:
                     client.challenges_sent += 1
                     self.emit(
@@ -523,41 +496,35 @@ class Simulation:
                     site, 1, self.scenario.opt_out_rate, now, ledger
                 )
 
-    def _probe_minutes(self, client: SimClient, campaign: CampaignStart) -> tuple[set[int], set[int]]:
-        spacing = 30 // client.tcfg.probe_count
-        baseline = {
-            campaign.start - 30 + spacing * k for k in range(client.tcfg.probe_count)
-        }
-        during = {
-            campaign.start + spacing * k for k in range(client.tcfg.probe_count)
-        }
-        return baseline, during
-
     def _phase_probes(self, now: int) -> None:
+        # Probe k of a window falls `spacing * k` minutes after it opens: the
+        # baseline window 30 minutes before the start, the during window at it.
+        # Baseline probes due before the client joined are missed (the campaign
+        # was not in its db yet), and the campaign is then left unjudged.
         for client in self.clients:
-            for campaign, record in sorted(
-                client.campaign_db.entries.items(),
-                key=lambda item: (item[0].start, item[0].url.render()),
-            ):
+            count = client.tcfg.probe_count
+            spacing = 30 // count
+            for campaign in sorted(client.campaign_db.entries, key=lambda c: c.order):
+                offset = now - campaign.start
+                if not -30 <= offset <= 30:
+                    continue
                 entry = self.sites.get(campaign.url.render())
                 if entry is None:
                     continue
                 site, ledger = entry
-                baseline_minutes, during_minutes = self._probe_minutes(
-                    client, campaign
-                )
                 log = client.probe_logs.setdefault(campaign, ProbeLog())
-                if now in baseline_minutes and now >= record.joined_at:
+                slot, rest = divmod(offset + 30, spacing)
+                if rest == 0 and slot < count:
                     log.baseline.append(website.probe(site, now, ledger))
-                if now in during_minutes:
+                slot, rest = divmod(offset, spacing)
+                if rest == 0 and 0 <= slot < count:
                     log.during.append(website.probe(site, now, ledger))
-                if now == campaign.start + 30 and not log.judged:
+                if offset == 30:
                     self._judge(client, campaign, log, now)
 
     def _judge(
         self, client: SimClient, campaign: CampaignStart, log: ProbeLog, now: int
     ) -> None:
-        log.judged = True
         if (
             len(log.baseline) < client.tcfg.probe_count
             or len(log.during) < client.tcfg.probe_count

@@ -68,6 +68,13 @@ class TrustConfig:
             raise ValueError("probe_count must lie in [1, 30]")
         if self.alpha <= 1:
             raise ValueError("alpha must exceed 1")
+        if self.rechallenge_timeout < 1:
+            raise ValueError("rechallenge_timeout must be at least 1")
+        if self.failures_before_reset < 1:
+            raise ValueError("failures_before_reset must be at least 1")
+        for name in ("ramp_step", "ramp_cap", "success_trust", "challenge_trust"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -212,6 +219,11 @@ def decode_payload(data: bytes, issued_at: int = 0) -> Challenge | ChallengeSolu
     raise MalformedPayload(f"unknown payload tag {tag:#04x}")
 
 
+def post(dht: SimulatedDht, recipient: bytes, payload: bytes, now: int) -> None:
+    """Seal a payload to a public key and leave it in that key's inbox."""
+    dht.put(inbox_key(recipient), crypto.seal(recipient, payload).to_bytes(), now)
+
+
 def initiate_verification(
     me: ClientIdentity,
     peer_public_key: bytes,
@@ -239,8 +251,7 @@ def initiate_verification(
     db.pending[peer_public_key] = PendingChallenge(
         expected_rand2=expected_rand2, issued_at=now
     )
-    sealed = crypto.seal(peer_public_key, encode_challenge_payload(challenge))
-    dht.put(inbox_key(peer_public_key), sealed.to_bytes(), now)
+    post(dht, peer_public_key, encode_challenge_payload(challenge), now)
     return True
 
 
@@ -281,10 +292,7 @@ def handle_challenge(
         log.debug("dropping challenge with no solution in range")
         return ChallengeHandling(True, False, max_rand + 1, dropped="no_solution")
     response = ChallengeSolution(solver_public_key=me.public_key, rand2=rand2)
-    sealed = crypto.seal(
-        challenge.issuer_public_key, encode_response_payload(response)
-    )
-    dht.put(inbox_key(challenge.issuer_public_key), sealed.to_bytes(), now)
+    post(dht, challenge.issuer_public_key, encode_response_payload(response), now)
     return ChallengeHandling(True, True, work)
 
 

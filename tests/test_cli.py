@@ -127,15 +127,25 @@ class TestRun:
         {"probe_count": 0},
         {"probe_count": 31},  # 30 // 31 == 0: probes never spread, nothing judged
         {"alpha": 1},
-    ], ids=["max_rand=-1", "probe_count=0", "probe_count=31", "alpha=1"])
+        # was: ran to exit 0
+        {"rechallenge_timeout": 0},  # re-challenged every peer on every poll
+        {"failures_before_reset": 0},  # reset on every failed campaign
+        {"ramp_step": -1},  # ratcheted the launch threshold down
+        {"ramp_cap": -1},
+        {"success_trust": -1},  # a successful campaign cost its comrades trust
+        {"challenge_trust": -1},
+    ], ids=["max_rand=-1", "probe_count=0", "probe_count=31", "alpha=1",
+            "rechallenge_timeout=0", "failures_before_reset=0", "ramp_step=-1",
+            "ramp_cap=-1", "success_trust=-1", "challenge_trust=-1"])
     def test_bad_trust_field_exits_2_before_running(self, scenario_path, bad, capsys):
         raw = json.loads(scenario_path.read_text())
         raw["clients"][0]["trust"].update(bad)
         scenario_path.write_text(json.dumps(raw))
-        assert main(["run", str(scenario_path)]) == EXIT_INVALID
-        captured = capsys.readouterr()
-        assert "clients[0].trust" in captured.err
-        assert captured.out == ""
+        for command in ("validate", "run"):
+            assert main([command, str(scenario_path)]) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert "clients[0].trust" in captured.err
+            assert captured.out == ""
 
     @pytest.mark.parametrize("bad", [
         {"poll_interval": 0},  # was: exit 1, "integer modulo by zero"
@@ -143,16 +153,18 @@ class TestRun:
         {"max_challenges_answered": -1},  # was: never answered, exit 0
         {"launch_grace": -1},  # was: never launched, exit 0
         {"launch_grace": 0},
+        {"min_accumulated_trust": -1},  # was: ran to exit 0
     ], ids=["poll_interval=0", "poll_interval=-5", "max_challenges_answered=-1",
-            "launch_grace=-1", "launch_grace=0"])
+            "launch_grace=-1", "launch_grace=0", "min_accumulated_trust=-1"])
     def test_bad_coordinator_timing_exits_2_before_running(self, scenario_path, bad, capsys):
         raw = json.loads(scenario_path.read_text())
         raw["clients"][0]["config"].update(bad)
         scenario_path.write_text(json.dumps(raw))
-        assert main(["run", str(scenario_path)]) == EXIT_INVALID
-        captured = capsys.readouterr()
-        assert "clients[0].config" in captured.err
-        assert captured.out == ""
+        for command in ("validate", "run"):
+            assert main([command, str(scenario_path)]) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert "clients[0].config" in captured.err
+            assert captured.out == ""
 
     @pytest.mark.parametrize("max_rand", [-1, 2.5, "10"])
     def test_bad_challenge_flood_max_rand_exits_2(self, scenario_path, max_rand, capsys):
@@ -272,6 +284,11 @@ class TestRun:
         # was: coerced or truncated, and the run went ahead
         (("redirect_map",), [["a", "b"]], "redirect_map"),
         (("whitelist",), "abc", "whitelist"),
+        # was: never matched the lowercased host, so silently ignored
+        (("whitelist",), ["PILLS.example"], "whitelist[0]"),
+        (("whitelist",), ["mail.example", " pills.example"], "whitelist[1]"),
+        (("whitelist",), ["pills.example\n"], "whitelist[0]"),
+        (("whitelist",), [""], "whitelist[0]"),
         (("spam_injections", 0, "minute"), 5.5, "spam_injections[0].minute"),
         (("spam_injections", 0, "clients"), [0.7], "spam_injections[0].clients[0]"),
         (("clients", 0, "config", "min_wait"), 30.5, "clients[0].config.min_wait"),
@@ -289,7 +306,8 @@ class TestRun:
         (("adversaries",), [{"strategy": "challenge_flood", "victim": 0, "cuont": 5}],
          "adversaries[0].cuont"),
     ], ids=["config=5", "adversaries={}", "adversaries=[str]", "usage_windows=[[1,2,3]]",
-            "body=5", "redirect_map=[[]]", "whitelist='abc'", "minute=5.5",
+            "body=5", "redirect_map=[[]]", "whitelist='abc'", "whitelist=[upper]",
+            "whitelist=[spaced]", "whitelist=[newline]", "whitelist=['']", "minute=5.5",
             "clients=[0.7]", "min_wait=30.5", "max_wait=240.5", "usage_windows=[[0.5,..]]",
             "trust.max_rand=10.5", "request_bytes=1.5", "visitor_rate=-3",
             "cost_per_gib=-1", "config.mni_comrades", "seeed",

@@ -14,11 +14,13 @@ from optoutswarm.coordinator import (
     JoinPolicy,
     LocalCampaignDb,
     NoFeasibleStart,
+    announce_start,
     handle_url,
     is_suitable,
     poll_inbox,
     propose_start,
     read_comrades,
+    read_starts,
     tick,
 )
 from optoutswarm.dht import SimulatedDht, campaign_table_key, comrades_table_key, inbox_key
@@ -123,6 +125,17 @@ class TestHandleUrl:
         assert got.proposed is None
         assert [c.start for c in got.joined] == [200]
         assert len(self.dht.get(campaign_table_key(URL.render()), 100)) == 1
+
+    def test_malformed_table_entries_are_skipped(self):
+        key = campaign_table_key(URL.render())
+        self.dht.put(key, b"soon", 100)
+        self.dht.put(key, b"\xff", 100)
+        announce_start(self.dht, URL, 200, 100)
+        assert read_starts(self.dht, URL, 100) == [200]
+        got = self.handle()
+        assert got.proposed is None
+        assert [c.start for c in got.joined] == [200]
+        assert got.rejected_unsuitable == 0
 
     def test_unsuitable_starts_counted_and_replaced(self):
         self.dht.put(campaign_table_key(URL.render()), b"90", 100)  # too soon
@@ -278,8 +291,9 @@ class TestPollInbox:
         challenge, _ = crypto.generate_challenge(issuer, 30, Random(2))
         solution = crypto.ChallengeSolution(issuer.public_key, 17)
         key = inbox_key(me.public_key)
-        dht.put(key, crypto.seal(me.public_key, trust.encode_challenge_payload(challenge)).to_bytes(), 0)
-        dht.put(key, crypto.seal(me.public_key, trust.encode_response_payload(solution)).to_bytes(), 0)
+        trust.post(dht, me.public_key, trust.encode_challenge_payload(challenge), 0)
+        trust.post(dht, me.public_key, trust.encode_response_payload(solution), 0)
+        assert len(dht.get(key, 5)) == 2
         got = poll_inbox(5, dht, me)
         assert len(got) == 2
         kinds = {type(p) for p in got}

@@ -7,6 +7,9 @@ say in CHANGES.md which bytes moved and why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,8 @@ from optoutswarm.cli import main
 from optoutswarm.scenario import load_file
 from optoutswarm.simulation import Simulation, run
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 GOLDEN = {
     "baseline.json": "9df61019bedeadaede8b9f5152de489119bdbe4a0b45884ff5d6d6842ef5c9d3",
@@ -67,3 +71,25 @@ def test_live_simulations_do_not_interfere(name):
     first, second = Simulation(scenario), Simulation(scenario)
     assert _digest(first.run().to_ndjson()) == GOLDEN[name]
     assert _digest(second.run().to_ndjson()) == GOLDEN[name]
+
+
+def test_benchmark_trace_hooks_still_attach(tmp_path):
+    # perfbench/spans.py wraps the entry points of every layer by name. A
+    # refactor that drops or renames one breaks the traced benchmark, so a
+    # traced run of the baseline must still exit 0 with its pinned bytes.
+    out = tmp_path / "baseline.ndjson"
+    argv = ["run", str(SCENARIOS / "baseline.json"), "--out", str(out)]
+    code = (
+        "import sys\n"
+        "import spans\n"
+        "from optoutswarm import cli\n"
+        "spans.install(spans.Tracer())\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")  # writes nothing under perfbench/
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["baseline.json"]

@@ -1,7 +1,6 @@
 """Kernel-level checks for the brute-force search, both backends."""
 
 import hashlib
-import os
 import shlex
 import shutil
 import sys
@@ -97,7 +96,6 @@ def test_selected_backend_exports_kernel():
 
 
 @pytest.mark.skipif(not TOOLCHAIN, reason="no C compiler or OpenSSL headers")
-@pytest.mark.skipif(os.environ.get("OPTOUTSWARM_PURE_PYTHON") == "1", reason="pure kernel forced")
 def test_compiled_kernel_is_selected_where_it_can_build():
     assert pow_backend.BACKEND == "c"
     import optoutswarm._powcore

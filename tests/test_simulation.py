@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from optoutswarm import trust
+from optoutswarm import trust, website
 from optoutswarm.scenario import from_dict, load_file
 from optoutswarm.simulation import MetricsReport, NoSuchCampaign, convergence, run
 
@@ -225,3 +225,32 @@ def test_only_due_peers_reach_initiate_verification(monkeypatch):
     report = run(load_file("scenarios/sybil_flood.json"))
     sent = sum(e["type"] == "challenge_sent" for e in report.events)
     assert calls == sent == 3256
+
+
+@pytest.mark.parametrize("probe_count", [1, 5, 7, 30])
+@pytest.mark.parametrize("waits", [(60, 240), (10, 20)], ids=["joined_early", "joined_late"])
+def test_probe_schedule(monkeypatch, probe_count, waits):
+    # one client, so every probe belongs to the one campaign it proposes
+    probed = []
+    probe = website.probe
+
+    def recorded(site, now, ledger):
+        probed.append(now)
+        return probe(site, now, ledger)
+
+    monkeypatch.setattr(website, "probe", recorded)
+    raw = fleet_scenario(duration=300)
+    raw["clients"][0].update(count=1, trust={"probe_count": probe_count})
+    raw["clients"][0]["config"].update(min_wait=waits[0], max_wait=waits[1])
+    report = run(from_dict(raw))
+    (joined,) = [e for e in report.events if e["type"] == "campaign_joined"]
+    start = joined["start"]
+    spacing = 30 // probe_count
+    baseline = [start - 30 + spacing * k for k in range(probe_count)]
+    during = [start + spacing * k for k in range(probe_count)]
+    assert probed == [t for t in baseline if t >= joined["t"]] + during
+    judged = [e for e in report.events if e["type"] in ("outcome_judged", "outcome_unjudged")]
+    assert [e["t"] for e in judged] == [start + 30]
+    # a late joiner misses the first baseline probes, so it cannot judge
+    early = start - 30 >= joined["t"]
+    assert judged[0]["type"] == ("outcome_judged" if early else "outcome_unjudged")
