@@ -22,9 +22,11 @@ from random import Random
 
 from optoutswarm import crypto, trust
 from optoutswarm.crypto import ClientIdentity, SealedMessage
-from optoutswarm.dht import SimulatedDht, campaign_table_key, comrades_table_key, inbox_key
+from optoutswarm.dht import (
+    DhtKey, SimulatedDht, campaign_table_key, comrades_table_key, inbox_key,
+)
 from optoutswarm.evaluator import CanonicalUrl
-from optoutswarm.trust import TrustDb
+from optoutswarm.trust import TrustConfig, TrustDb
 
 log = logging.getLogger(__name__)
 
@@ -182,16 +184,46 @@ def read_starts(dht: SimulatedDht, url: CanonicalUrl, now: int) -> list[int]:
     return starts
 
 
+def _roster_key(campaign: CampaignStart) -> DhtKey:
+    return comrades_table_key(campaign.start, campaign.url.render())
+
+
 def register(dht: SimulatedDht, campaign: CampaignStart, public_key: bytes, now: int) -> None:
     """Put a public key on a campaign's roster; re-registering is a no-op."""
-    dht.put(comrades_table_key(campaign.start, campaign.url.render()), public_key, now)
+    dht.put(_roster_key(campaign), public_key, now)
 
 
 def read_comrades(
     dht: SimulatedDht, campaign: CampaignStart, now: int
 ) -> list[bytes]:
-    """Distinct registered public keys for one campaign, stable order."""
-    return sorted(dht.get(comrades_table_key(campaign.start, campaign.url.render()), now))
+    """Distinct registered public keys for one campaign, in registration order."""
+    return dht.get(_roster_key(campaign), now)
+
+
+def is_comrade(dht: SimulatedDht, db: LocalCampaignDb, public_key: bytes, now: int) -> bool:
+    """Whether a key is registered for any campaign I joined."""
+    return any(dht.contains(_roster_key(c), public_key, now) for c in db.entries)
+
+
+def challenge_comrades(
+    now: int, dht: SimulatedDht, identity: ClientIdentity, db: LocalCampaignDb,
+    trust_db: TrustDb, cfg: TrustConfig, rng: Random,
+) -> list[bytes]:
+    """Challenge every due comrade but myself and the verified; returns whom.
+
+    Campaigns go earliest first and each roster in key order, so a replay
+    draws the same challenges.
+    """
+    challenged = []
+    for campaign in sorted(db.entries, key=lambda c: c.order):
+        for peer in sorted(read_comrades(dht, campaign, now)):
+            if peer == identity.public_key or peer in trust_db.verified:
+                continue
+            if not trust_db.due(peer, now, cfg.rechallenge_timeout):
+                continue
+            trust.initiate_verification(identity, peer, dht, trust_db, cfg, rng, now)
+            challenged.append(peer)
+    return challenged
 
 
 def handle_url(

@@ -39,6 +39,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 KEY_HASH_LEN = 20  # addressing hash prefix, matches DHT key width
 PUBLIC_KEY_LEN = 32
+MAX_RAND_LIMIT = 2**63 - 1  # the C kernel scans with a signed 64-bit counter
 
 # Domain separation tags so the ephemeral scalar and the AEAD key can never
 # collide with each other or with challenge hashing.
@@ -147,8 +148,8 @@ def generate_challenge(
     Returns the challenge to send plus the expected answer, which the issuer
     keeps to itself until a response arrives.
     """
-    if max_rand < 0:
-        raise ValueError("max_rand must be non-negative")
+    if not 0 <= max_rand <= MAX_RAND_LIMIT:
+        raise ValueError(f"max_rand must lie in [0, {MAX_RAND_LIMIT}]")
     rand1 = rng.randint(0, max_rand)
     rand2 = rng.randint(0, max_rand)
     challenge = Challenge(

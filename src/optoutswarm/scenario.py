@@ -23,6 +23,7 @@ from enum import Enum
 from typing import Any, Literal, NamedTuple
 
 from optoutswarm.coordinator import CoordinatorConfig
+from optoutswarm.crypto import MAX_RAND_LIMIT
 from optoutswarm.evaluator import (
     CanonicalUrl,
     EmailDocument,
@@ -101,13 +102,14 @@ REQUIRED = object()
 class Param(NamedTuple):
     """One adversary param and its default (REQUIRED if it has none).
 
-    `kind` is "bool", "int" (at least `low`), "client" (an index into the
-    fleet) or "minute" (a minute of the run, in [0, duration)).
+    `kind` is "bool", "int" (in [`low`, `high`]), "client" (an index into
+    the fleet) or "minute" (a minute of the run, in [0, duration)).
     """
 
     kind: str
     default: Any = REQUIRED
     low: int = 0
+    high: float = math.inf
 
 
 ADVERSARIES: dict[str, dict[str, Param]] = {
@@ -123,7 +125,7 @@ ADVERSARIES: dict[str, dict[str, Param]] = {
         "victim": Param("client"),
         "count": Param("int", low=1),
         "at_minute": Param("minute", 30),
-        "max_rand": Param("int", 10_000),
+        "max_rand": Param("int", 10_000, high=MAX_RAND_LIMIT),
     },
     "mitm_forwarder": {"rewrite_issuer": Param("bool", False)},
     "sybil_flood": {"identity_count": Param("int", low=1)},
@@ -260,17 +262,21 @@ def validate(scenario: Scenario) -> None:
     for i, injection in enumerate(scenario.spam_injections):
         _check("minute", injection.minute, scenario, f"spam_injections[{i}].minute")
         if injection.clients != "all":
-            for idx in injection.clients:
-                _check("client", idx, scenario, f"spam_injections[{i}].clients")
+            where = f"spam_injections[{i}].clients"
+            for j, idx in enumerate(injection.clients):  # a repeat gets the spam twice
+                _check("client", idx, scenario, where)
+                _require(idx not in injection.clients[:j], f"{where}: {idx} is listed twice")
     _check("int", scenario.opt_out_rate, scenario, "opt_out_rate")
     _check("int", scenario.campaign_duration, scenario, "campaign_duration", low=1)
     for i, adversary in enumerate(scenario.adversaries):
         for name, param in ADVERSARIES[adversary.strategy].items():
             where = f"adversaries[{i}].{name}"
-            _check(param.kind, adversary.params[name], scenario, where, param.low)
+            _check(param.kind, adversary.params[name], scenario, where, param.low, param.high)
 
 
-def _check(kind: str, value: Any, scenario: Scenario, where: str, low: int = 0) -> None:
+def _check(
+    kind: str, value: Any, scenario: Scenario, where: str, low: int = 0, high: float = math.inf
+) -> None:
     """`value` must be of `kind`, as a `Param` names it."""
     if kind == "bool":
         _require(type(value) is bool, f"{where}: must be true or false, got {value!r}")
@@ -280,11 +286,11 @@ def _check(kind: str, value: Any, scenario: Scenario, where: str, low: int = 0) 
             f"{where}: no client {value!r}",
         )
     else:
-        high = scenario.duration if kind == "minute" else None
+        if kind == "minute":
+            high = scenario.duration - 1
         _require(
-            type(value) is int and low <= value and (high is None or value < high),
-            f"{where}: must be an integer in [{low}, {'inf' if high is None else high}),"
-            f" got {value!r}",
+            type(value) is int and low <= value <= high,
+            f"{where}: must be an integer in [{low}, {high}], got {value!r}",
         )
 
 

@@ -32,7 +32,7 @@ from optoutswarm.coordinator import (
     LocalCampaignDb,
 )
 from optoutswarm.crypto import ClientIdentity
-from optoutswarm.dht import SimulatedDht, comrades_table_key
+from optoutswarm.dht import SimulatedDht
 from optoutswarm.evaluator import CanonicalUrl
 from optoutswarm.scenario import AdversarySpec, Scenario
 from optoutswarm.trust import AnswerBudget, TrustConfig, TrustDb
@@ -73,10 +73,7 @@ class SimClient:
             self.budget = AnswerBudget(cap=self.cfg.max_challenges_answered)
 
     def issuer_is_comrade(self, dht: SimulatedDht, issuer_pk: bytes, now: int) -> bool:
-        return any(
-            dht.contains(comrades_table_key(c.start, c.url.render()), issuer_pk, now)
-            for c in self.campaign_db.entries
-        )
+        return coordinator.is_comrade(dht, self.campaign_db, issuer_pk, now)
 
 
 Sink = Callable[[dict[str, Any]], object]
@@ -133,9 +130,13 @@ class _Adversary:
             for start in coordinator.read_starts(sim.dht, url, now)
         ]
 
-    def _register_everywhere(self, sim: "Simulation", now: int, pk: bytes) -> None:
-        for campaign in self._announced_campaigns(sim, now):
+    def _register_everywhere(
+        self, sim: "Simulation", now: int, pk: bytes
+    ) -> list[CampaignStart]:
+        campaigns = self._announced_campaigns(sim, now)
+        for campaign in campaigns:
             coordinator.register(sim.dht, campaign, pk, now)
+        return campaigns
 
 
 class _StartInjector(_Adversary):
@@ -158,9 +159,9 @@ class _StartInjector(_Adversary):
         if now % self.period != 0:
             return
         for url in sim.known_urls():
-            start = now + self.lead
-            coordinator.announce_start(sim.dht, url, start, now)
-            sim.adversarial_starts.add((url.render(), start))
+            campaign = CampaignStart(url=url, start=now + self.lead)
+            coordinator.announce_start(sim.dht, url, campaign.start, now)
+            sim.adversarial_starts.add(campaign)
             self.bump("injected")
 
 
@@ -191,11 +192,9 @@ class _MitmForwarderAdversary(_Adversary):
     """
 
     def step(self, sim: "Simulation", now: int) -> None:
-        self._register_everywhere(sim, now, self.identity.public_key)
         victims = set()
-        for campaign in self._announced_campaigns(sim, now):
-            key = comrades_table_key(campaign.start, campaign.url.render())
-            victims.update(sim.dht.get(key, now))
+        for campaign in self._register_everywhere(sim, now, self.identity.public_key):
+            victims.update(coordinator.read_comrades(sim.dht, campaign, now))
         victims.discard(self.identity.public_key)
         for message in coordinator.poll_inbox(now, sim.dht, self.identity):
             if not isinstance(message, crypto.Challenge):
@@ -226,9 +225,8 @@ class _SybilFloodAdversary(_Adversary):
     def step(self, sim: "Simulation", now: int) -> None:
         registered = 0
         for campaign in self._announced_campaigns(sim, now):
-            key = comrades_table_key(campaign.start, campaign.url.render())
             # the keys are distinct, so putting one never changes another's presence
-            live = set(sim.dht.get(key, now))
+            live = set(coordinator.read_comrades(sim.dht, campaign, now))
             for pk in self.sybil_keys:
                 if pk not in live:
                     coordinator.register(sim.dht, campaign, pk, now)
@@ -283,10 +281,11 @@ class Simulation:
         ]
         self.events: list[dict[str, Any]] = []
         self.emit = self.events.append if sink is None else sink
-        self.adversarial_starts: set[tuple[str, int]] = set()
+        self.adversarial_starts: set[CampaignStart] = set()
         self.honest_joins_on_adversarial = 0
-        self.known_campaigns: set[tuple[str, int]] = set()
-        self.launched_by: dict[tuple[str, int], int] = {}
+        self.known_campaigns: set[CampaignStart] = set()
+        self.launched_by: dict[CampaignStart, int] = {}
+        self._whitelist = set(scenario.whitelist)
         self._confirm = (lambda _url: True) if (
             scenario.confirm_policy == "accept_all"
         ) else (lambda _url: False)
@@ -294,9 +293,8 @@ class Simulation:
     def known_urls(self) -> list[CanonicalUrl]:
         """URLs an adversary can see: advertised sites plus announced ones."""
         seen = {site.url.render(): site.url for site, _ in self.sites.values()}
-        for client in self.clients:
-            for campaign in client.campaign_db.entries:
-                seen.setdefault(campaign.url.render(), campaign.url)
+        for campaign in self.known_campaigns:
+            seen.setdefault(campaign.url.render(), campaign.url)
         return [seen[key] for key in sorted(seen)]
 
     # ------------------------------------------------------------------
@@ -307,18 +305,14 @@ class Simulation:
             adversary.step(self, now)
 
     def _phase_spam(self, now: int) -> None:
-        whitelist = set(self.scenario.whitelist)
         for injection in self.scenario.spam_injections:
             if injection.minute != now:
                 continue
+            urls = evaluator.evaluate(
+                injection.mail, self.scenario.redirect_map, self._whitelist, self._confirm
+            )
             for index in sorted(self.scenario.injection_targets(injection)):
                 client = self.clients[index]
-                urls = evaluator.evaluate(
-                    injection.mail,
-                    self.scenario.redirect_map,
-                    whitelist,
-                    self._confirm,
-                )
                 for url in urls:
                     client.urls_reported.add(url.render())
                     try:
@@ -343,10 +337,7 @@ class Simulation:
                         )
                         continue
                     client.joins_rejected_unsuitable += result.rejected_unsuitable
-                    if result.proposed is not None:
-                        self.known_campaigns.add(
-                            (url.render(), result.proposed.start)
-                        )
+                    if result.proposed is not None:  # joined below
                         self.emit(
                             {
                                 "t": now,
@@ -357,9 +348,8 @@ class Simulation:
                             }
                         )
                     for campaign in result.joined:
-                        key = (campaign.url.render(), campaign.start)
-                        self.known_campaigns.add(key)
-                        if key in self.adversarial_starts:
+                        self.known_campaigns.add(campaign)
+                        if campaign in self.adversarial_starts:
                             self.honest_joins_on_adversarial += 1
                         self.emit(
                             {
@@ -427,36 +417,20 @@ class Simulation:
             self._initiate_verifications(client, now)
 
     def _initiate_verifications(self, client: SimClient, now: int) -> None:
-        for campaign in sorted(client.campaign_db.entries, key=lambda c: c.order):
-            for peer_pk in coordinator.read_comrades(self.dht, campaign, now):
-                if peer_pk == client.identity.public_key:
-                    continue
-                if peer_pk in client.trust_db.verified:
-                    continue
-                # a live challenge: initiate_verification would send nothing
-                if not client.trust_db.due(peer_pk, now, client.tcfg.rechallenge_timeout):
-                    continue
-                # read from the roster this minute, so never NotAComrade
-                sent = trust.initiate_verification(
-                    client.identity,
-                    peer_pk,
-                    campaign,
-                    self.dht,
-                    client.trust_db,
-                    client.tcfg,
-                    client.rng,
-                    now,
-                )
-                if sent:
-                    client.challenges_sent += 1
-                    self.emit(
-                        {
-                            "t": now,
-                            "type": "challenge_sent",
-                            "client": client.index,
-                            "peer": peer_pk.hex(),
-                        }
-                    )
+        challenged = coordinator.challenge_comrades(
+            now, self.dht, client.identity, client.campaign_db, client.trust_db,
+            client.tcfg, client.rng,
+        )
+        for peer_pk in challenged:
+            client.challenges_sent += 1
+            self.emit(
+                {
+                    "t": now,
+                    "type": "challenge_sent",
+                    "client": client.index,
+                    "peer": peer_pk.hex(),
+                }
+            )
 
     def _phase_ticks(self, now: int) -> None:
         for client in self.clients:
@@ -464,16 +438,16 @@ class Simulation:
                 now, self.dht, client.trust_db, client.cfg, client.campaign_db
             )
             for decision in decisions:
-                key = (decision.campaign.url.render(), decision.campaign.start)
+                campaign = decision.campaign
                 if decision.launched:
-                    self.launched_by[key] = self.launched_by.get(key, 0) + 1
+                    self.launched_by[campaign] = self.launched_by.get(campaign, 0) + 1
                 self.emit(
                     {
                         "t": now,
                         "type": "launch_decision",
                         "client": client.index,
-                        "url": decision.campaign.url.render(),
-                        "start": decision.campaign.start,
+                        "url": campaign.url.render(),
+                        "start": campaign.start,
                         "launched": decision.launched,
                         "comrades": decision.comrade_count,
                         "trust_sum": decision.trust_sum,
@@ -607,19 +581,17 @@ class Simulation:
     def _summary(self) -> dict[str, Any]:
         end = self.scenario.duration
         campaigns = []
-        for url, start in sorted(self.known_campaigns | self.adversarial_starts):
-            roster = self.dht.get(
-                comrades_table_key(start, url), end - 1
-            )
-            distinct = set(roster)
+        listed = self.known_campaigns | self.adversarial_starts
+        for campaign in sorted(listed, key=lambda c: (c.url.render(), c.start)):
+            roster = set(coordinator.read_comrades(self.dht, campaign, end - 1))
             campaigns.append(
                 {
-                    "url": url,
-                    "start": start,
-                    "comrade_count": len(distinct),
-                    "honest_comrades": len(distinct & self.honest_keys),
-                    "launched_by": self.launched_by.get((url, start), 0),
-                    "adversarial": (url, start) in self.adversarial_starts,
+                    "url": campaign.url.render(),
+                    "start": campaign.start,
+                    "comrade_count": len(roster),
+                    "honest_comrades": len(roster & self.honest_keys),
+                    "launched_by": self.launched_by.get(campaign, 0),
+                    "adversarial": campaign in self.adversarial_starts,
                 }
             )
         sites = {}
@@ -659,9 +631,6 @@ class Simulation:
         ratios = {}
         for url in reported_urls:
             ratios[url] = self._convergence_ratio(url)
-        launched_campaigns = sorted(
-            key for key, count in self.launched_by.items() if count > 0
-        )
         return {
             "type": "summary",
             "campaigns": campaigns,
@@ -677,7 +646,7 @@ class Simulation:
                 for adversary in self.adversaries
             ],
             "totals": {
-                "campaigns_launched": len(launched_campaigns),
+                "campaigns_launched": len(self.launched_by),
                 "launch_decisions_true": sum(self.launched_by.values()),
                 "honest_joins_on_adversarial": self.honest_joins_on_adversarial,
                 "hash_evaluations": sum(c.hash_evaluations for c in self.clients),
@@ -695,11 +664,10 @@ class Simulation:
             return 0.0
         end = self.scenario.duration
         best = 0
-        for known_url, start in self.known_campaigns:
-            if known_url != url:
-                continue
-            roster = set(self.dht.get(comrades_table_key(start, url), end - 1))
-            best = max(best, len(roster & reporters))
+        for campaign in self.known_campaigns:
+            if campaign.url.render() == url:
+                roster = coordinator.read_comrades(self.dht, campaign, end - 1)
+                best = max(best, len(reporters.intersection(roster)))
         return best / len(reporters)
 
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable
 
 from optoutswarm import crypto
 from optoutswarm.crypto import Challenge, ChallengeSolution, ClientIdentity
-from optoutswarm.dht import SimulatedDht, comrades_table_key, inbox_key
+from optoutswarm.dht import SimulatedDht, inbox_key
 
 if TYPE_CHECKING:
     from optoutswarm.coordinator import CampaignStart
@@ -34,10 +34,6 @@ TAG_RESPONSE = 0x02
 
 CHALLENGE_PAYLOAD_LEN = 1 + 32 + 8 + 32
 RESPONSE_PAYLOAD_LEN = 1 + 32 + 8
-
-
-class NotAComrade(Exception):
-    """Peer shares no campaign with us; no trust business to do."""
 
 
 class MalformedPayload(Exception):
@@ -62,8 +58,8 @@ class TrustConfig:
     probe_count: int = 5  # per window; probes are 30 // probe_count minutes apart
 
     def __post_init__(self) -> None:
-        if self.max_rand < 0:
-            raise ValueError("max_rand must be non-negative")
+        if not 0 <= self.max_rand <= crypto.MAX_RAND_LIMIT:
+            raise ValueError(f"max_rand must lie in [0, {crypto.MAX_RAND_LIMIT}]")
         if not 1 <= self.probe_count <= 30:
             raise ValueError("probe_count must lie in [1, 30]")
         if self.alpha <= 1:
@@ -227,24 +223,16 @@ def post(dht: SimulatedDht, recipient: bytes, payload: bytes, now: int) -> None:
 def initiate_verification(
     me: ClientIdentity,
     peer_public_key: bytes,
-    shared_campaign: "CampaignStart",
     dht: SimulatedDht,
     db: TrustDb,
     cfg: TrustConfig,
     rng: Random,
     now: int,
-) -> bool:
-    """Send a challenge to a comrade we have not verified yet.
+) -> Challenge:
+    """Post a challenge to a peer and keep its answer, replacing any pending one.
 
-    At most one challenge per peer is outstanding; a peer that never answers
-    may be re-challenged after the timeout. Returns True when a challenge
-    was actually sent.
+    Whom to challenge, and when, is decided by `coordinator.challenge_comrades`.
     """
-    key = comrades_table_key(shared_campaign.start, shared_campaign.url.render())
-    if not dht.contains(key, peer_public_key, now):
-        raise NotAComrade("peer is not registered for that campaign")
-    if not db.due(peer_public_key, now, cfg.rechallenge_timeout):
-        return False
     challenge, expected_rand2 = crypto.generate_challenge(
         me, cfg.max_rand, rng, issued_at=now
     )
@@ -252,7 +240,7 @@ def initiate_verification(
         expected_rand2=expected_rand2, issued_at=now
     )
     post(dht, peer_public_key, encode_challenge_payload(challenge), now)
-    return True
+    return challenge
 
 
 @dataclass(frozen=True)

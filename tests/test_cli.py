@@ -134,9 +134,13 @@ class TestRun:
         {"ramp_cap": -1},
         {"success_trust": -1},  # a successful campaign cost its comrades trust
         {"challenge_trust": -1},
+        # was: validate 0, run 1 ("int too big to convert" in the C kernel)
+        {"max_rand": 2**63},
+        {"max_rand": 2**70},
     ], ids=["max_rand=-1", "probe_count=0", "probe_count=31", "alpha=1",
             "rechallenge_timeout=0", "failures_before_reset=0", "ramp_step=-1",
-            "ramp_cap=-1", "success_trust=-1", "challenge_trust=-1"])
+            "ramp_cap=-1", "success_trust=-1", "challenge_trust=-1",
+            "max_rand=2**63", "max_rand=2**70"])
     def test_bad_trust_field_exits_2_before_running(self, scenario_path, bad, capsys):
         raw = json.loads(scenario_path.read_text())
         raw["clients"][0]["trust"].update(bad)
@@ -166,7 +170,7 @@ class TestRun:
             assert "clients[0].config" in captured.err
             assert captured.out == ""
 
-    @pytest.mark.parametrize("max_rand", [-1, 2.5, "10"])
+    @pytest.mark.parametrize("max_rand", [-1, 2.5, "10", 2**63, 2**70])
     def test_bad_challenge_flood_max_rand_exits_2(self, scenario_path, max_rand, capsys):
         raw = json.loads(scenario_path.read_text())
         raw["adversaries"] = [{"strategy": "challenge_flood", "victim": 0, "count": 5,
@@ -291,6 +295,8 @@ class TestRun:
         (("whitelist",), [""], "whitelist[0]"),
         (("spam_injections", 0, "minute"), 5.5, "spam_injections[0].minute"),
         (("spam_injections", 0, "clients"), [0.7], "spam_injections[0].clients[0]"),
+        # was: client 0 got the spam twice, and the run exited 0
+        (("spam_injections", 0, "clients"), [0, 0, 1], "spam_injections[0].clients"),
         (("clients", 0, "config", "min_wait"), 30.5, "clients[0].config.min_wait"),
         (("clients", 0, "config", "max_wait"), 240.5, "clients[0].config.max_wait"),
         (("clients", 0, "config", "usage_windows"), [[0.5, 10000]],
@@ -308,7 +314,7 @@ class TestRun:
     ], ids=["config=5", "adversaries={}", "adversaries=[str]", "usage_windows=[[1,2,3]]",
             "body=5", "redirect_map=[[]]", "whitelist='abc'", "whitelist=[upper]",
             "whitelist=[spaced]", "whitelist=[newline]", "whitelist=['']", "minute=5.5",
-            "clients=[0.7]", "min_wait=30.5", "max_wait=240.5", "usage_windows=[[0.5,..]]",
+            "clients=[0.7]", "clients=[0,0,1]", "min_wait=30.5", "max_wait=240.5", "usage_windows=[[0.5,..]]",
             "trust.max_rand=10.5", "request_bytes=1.5", "visitor_rate=-3",
             "cost_per_gib=-1", "config.mni_comrades", "seeed",
             "adversary.cuont"])

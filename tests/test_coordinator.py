@@ -1,5 +1,6 @@
 """Start-time selection, campaign joining, and the launch gates."""
 
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -15,17 +16,20 @@ from optoutswarm.coordinator import (
     LocalCampaignDb,
     NoFeasibleStart,
     announce_start,
+    challenge_comrades,
     handle_url,
+    is_comrade,
     is_suitable,
     poll_inbox,
     propose_start,
     read_comrades,
     read_starts,
+    register,
     tick,
 )
 from optoutswarm.dht import SimulatedDht, campaign_table_key, comrades_table_key, inbox_key
 from optoutswarm.evaluator import canonicalize
-from optoutswarm.trust import TrustDb
+from optoutswarm.trust import TrustConfig, TrustDb
 
 URL = canonicalize("http://pills.example/buy")
 
@@ -325,6 +329,101 @@ class TestPollInbox:
         assert got.issued_at == 40
 
 
+class TestRoster:
+    def setup_method(self):
+        self.dht = SimulatedDht()
+        self.db = LocalCampaignDb()
+        self.joined = CampaignStart(url=URL, start=500)
+        self.other = CampaignStart(url=URL, start=600)
+        self.db.entries[self.joined] = CampaignRecord(joined_at=0)
+
+    def test_read_comrades_keeps_registration_order(self):
+        keys = [identity(f"reg-{i}").public_key for i in range(5)]
+        for key in keys:
+            register(self.dht, self.joined, key, 0)
+        register(self.dht, self.joined, keys[0], 1)  # re-registering keeps the place
+        assert read_comrades(self.dht, self.joined, 1) == keys
+
+    def test_is_comrade_on_any_joined_roster(self):
+        peer, stranger = identity("peer").public_key, identity("stranger").public_key
+        register(self.dht, self.other, peer, 0)
+        assert not is_comrade(self.dht, self.db, peer, 0)  # a roster I did not join
+        self.db.entries[self.other] = CampaignRecord(joined_at=0)
+        assert is_comrade(self.dht, self.db, peer, 0)
+        assert not is_comrade(self.dht, self.db, stranger, 0)
+        assert not is_comrade(self.dht, self.db, peer, self.dht.ttl_minutes + 1)  # expired
+
+
+class TestChallengeComrades:
+    def setup_method(self):
+        self.dht = SimulatedDht()
+        self.me = identity("initiator")
+        self.peer = identity("peer").public_key
+        self.campaign = CampaignStart(url=URL, start=500)
+        self.db = LocalCampaignDb()
+        self.db.entries[self.campaign] = CampaignRecord(joined_at=0)
+        register(self.dht, self.campaign, self.me.public_key, 0)
+        register(self.dht, self.campaign, self.peer, 0)
+        self.trust_db = TrustDb()
+        self.cfg = TrustConfig(max_rand=50, rechallenge_timeout=120)
+        self.rng = Random(1)
+
+    def challenge(self, now: int) -> list[bytes]:
+        return challenge_comrades(
+            now, self.dht, self.me, self.db, self.trust_db, self.cfg, self.rng
+        )
+
+    def inbox(self, public_key: bytes, now: int) -> list[bytes]:
+        return self.dht.get(inbox_key(public_key), now)
+
+    def test_one_outstanding_challenge_per_peer(self):
+        assert self.challenge(0) == [self.peer]
+        first = self.trust_db.pending[self.peer]
+        assert self.challenge(10) == []
+        assert self.trust_db.pending[self.peer] is first
+        assert len(self.inbox(self.peer, 10)) == 1
+
+    def test_rechallenge_after_timeout(self):
+        assert self.challenge(0) == [self.peer]
+        assert self.challenge(119) == []
+        assert self.challenge(120) == [self.peer]
+        assert len(self.inbox(self.peer, 120)) == 2
+
+    def test_due_turns_at_the_timeout(self):
+        assert self.trust_db.due(self.peer, 0, 120) is True  # nothing pending
+        assert self.challenge(5) == [self.peer]
+        assert self.trust_db.due(self.peer, 5 + 120 - 1, 120) is False
+        assert self.challenge(5 + 120 - 1) == []
+        assert self.trust_db.due(self.peer, 5 + 120, 120) is True
+        assert self.challenge(5 + 120) == [self.peer]
+
+    def test_key_on_no_joined_roster_is_never_challenged(self):
+        stranger = identity("stranger").public_key
+        register(self.dht, CampaignStart(url=URL, start=600), stranger, 0)  # not joined
+        assert self.challenge(0) == [self.peer]
+        assert self.inbox(stranger, 0) == []
+        assert stranger not in self.trust_db.pending
+
+    def test_self_and_verified_peers_are_skipped(self):
+        self.trust_db.verified.add(self.peer)
+        assert self.challenge(0) == []
+        assert self.inbox(self.me.public_key, 0) == []
+        assert self.inbox(self.peer, 0) == []
+
+    def test_campaigns_earliest_first_and_rosters_in_key_order(self):
+        later = CampaignStart(url=URL, start=900)
+        earlier = CampaignStart(url=URL, start=400)
+        rosters = {}
+        for campaign in (later, earlier):  # joined out of start order
+            self.db.entries[campaign] = CampaignRecord(joined_at=0)
+            keys = [identity(f"{campaign.start}-{i}").public_key for i in range(4)]
+            for key in sorted(keys, reverse=True):  # registered out of key order
+                register(self.dht, campaign, key, 0)
+            rosters[campaign] = sorted(keys)
+        register(self.dht, later, self.peer, 0)  # on two rosters, challenged once
+        assert self.challenge(0) == rosters[earlier] + [self.peer] + rosters[later]
+
+
 class TestConfigValidation:
     def test_min_wait_must_be_below_max_wait(self):
         with pytest.raises(ValueError):
@@ -357,3 +456,11 @@ class TestConfigValidation:
     def test_campaign_start_must_be_positive(self):
         with pytest.raises(ValueError):
             CampaignStart(url=URL, start=0)
+
+
+def test_only_coordinator_and_dht_name_the_roster_key():
+    # every other module reaches a roster through coordinator, so the key
+    # format and the who-to-challenge rule keep one owner
+    src = Path(__file__).resolve().parent.parent / "src" / "optoutswarm"
+    naming = [p.name for p in src.glob("*.py") if "comrades_table_key" in p.read_text("utf-8")]
+    assert sorted(naming) == ["coordinator.py", "dht.py"]

@@ -62,6 +62,11 @@ class TestChallenge:
         with pytest.raises(ValueError):
             crypto.generate_challenge(identity("a"), -1, Random(1))
 
+    def test_interval_beyond_the_kernel_rejected(self):
+        crypto.generate_challenge(identity("a"), crypto.MAX_RAND_LIMIT, Random(1))
+        with pytest.raises(ValueError):
+            crypto.generate_challenge(identity("a"), crypto.MAX_RAND_LIMIT + 1, Random(1))
+
     def test_target_binds_issuer_key(self):
         issuer = identity("a")
         preimage = (

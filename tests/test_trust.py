@@ -6,13 +6,12 @@ import pytest
 
 from optoutswarm import crypto
 from optoutswarm.coordinator import CampaignStart
-from optoutswarm.dht import SimulatedDht, comrades_table_key, inbox_key
+from optoutswarm.dht import SimulatedDht, inbox_key
 from optoutswarm.evaluator import canonicalize
 from optoutswarm.trust import (
     AnswerBudget,
     CampaignOutcome,
     MalformedPayload,
-    NotAComrade,
     TrustConfig,
     TrustDb,
     Verdict,
@@ -143,59 +142,22 @@ class TestPayloads:
 
 
 class TestInitiate:
-    def setup_method(self):
-        self.dht = SimulatedDht()
-        self.me = identity("initiator")
-        self.peer = identity("peer")
-        self.campaign = CampaignStart(url=URL, start=500)
-        self.key = comrades_table_key(500, URL.render())
-        self.dht.put(self.key, self.peer.public_key, 0)
-        self.db = TrustDb()
-        self.cfg = TrustConfig(max_rand=50, rechallenge_timeout=120)
-        self.rng = Random(1)
-
-    def initiate(self, now: int) -> bool:
-        return initiate_verification(
-            self.me, self.peer.public_key, self.campaign,
-            self.dht, self.db, self.cfg, self.rng, now,
-        )
-
-    def test_unregistered_peer_rejected(self):
-        stranger = identity("stranger")
-        with pytest.raises(NotAComrade):
-            initiate_verification(
-                self.me, stranger.public_key, self.campaign,
-                self.dht, self.db, self.cfg, Random(1), 0,
-            )
-
     def test_challenge_lands_in_peer_inbox(self):
-        assert self.initiate(0) is True
-        values = self.dht.get(inbox_key(self.peer.public_key), 0)
+        dht = SimulatedDht()
+        me, peer = identity("initiator"), identity("peer")
+        db = TrustDb()
+        sent = initiate_verification(
+            me, peer.public_key, dht, db, TrustConfig(max_rand=50), Random(1), 0
+        )
+        values = dht.get(inbox_key(peer.public_key), 0)
         assert len(values) == 1
         sealed = crypto.SealedMessage.from_bytes(values[0])
-        payload = crypto.open_sealed(self.peer, sealed)
+        payload = crypto.open_sealed(peer, sealed)
         challenge = decode_payload(payload)
         assert isinstance(challenge, crypto.Challenge)
-        assert challenge.issuer_public_key == self.me.public_key
-
-    def test_one_outstanding_challenge_per_peer(self):
-        assert self.initiate(0) is True
-        first = self.db.pending[self.peer.public_key]
-        assert self.initiate(10) is False
-        assert self.db.pending[self.peer.public_key] is first
-        assert len(self.dht.get(inbox_key(self.peer.public_key), 10)) == 1
-
-    def test_rechallenge_after_timeout(self):
-        assert self.initiate(0) is True
-        assert self.initiate(119) is False
-        assert self.initiate(120) is True
-        assert len(self.dht.get(inbox_key(self.peer.public_key), 120)) == 2
-
-    def test_due_turns_at_the_timeout(self):
-        assert self.db.due(self.peer.public_key, 0, 120) is True  # nothing pending
-        assert self.initiate(5) is True
-        assert self.db.due(self.peer.public_key, 5 + 120 - 1, 120) is False
-        assert self.db.due(self.peer.public_key, 5 + 120, 120) is True
+        assert challenge.issuer_public_key == me.public_key
+        assert challenge.rand1 == sent.rand1
+        assert db.pending[peer.public_key].issued_at == 0
 
 
 class TestHandleChallenge:
@@ -313,16 +275,10 @@ def test_full_handshake_end_to_end():
     dht = SimulatedDht()
     alice = identity("hs-alice")
     bob = identity("hs-bob")
-    campaign = CampaignStart(url=URL, start=700)
-    key = comrades_table_key(700, URL.render())
-    dht.put(key, alice.public_key, 0)
-    dht.put(key, bob.public_key, 0)
     cfg = TrustConfig(max_rand=40)
     alice_db = TrustDb()
 
-    assert initiate_verification(
-        alice, bob.public_key, campaign, dht, alice_db, cfg, Random(9), 0
-    )
+    initiate_verification(alice, bob.public_key, dht, alice_db, cfg, Random(9), 0)
     sealed = crypto.SealedMessage.from_bytes(dht.get(inbox_key(bob.public_key), 0)[0])
     challenge = decode_payload(crypto.open_sealed(bob, sealed))
     handled = handle_challenge(
