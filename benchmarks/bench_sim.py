@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Fleet ladder: `optoutswarm run` on scenarios/baseline.json at 10, 40 and 160 clients.
+"""Fleet ladder: `optoutswarm run` on scenarios/baseline.json at 10 to 320 clients.
 
+Each rung scales the baseline's one client group to a fleet size and, for
+one rung, raises `max_rand` from the baseline's 200 to the default 10,000.
 Each run is a fresh `python -m optoutswarm run SCENARIO --out FILE` child.
 `os.wait4` reports that child's own CPU time (user + system) and peak RSS;
 its wall time runs from the spawn to the wait. The ladder takes the median
-of 3 runs at 10 and 40 clients and 1 run at 160, checks that every run wrote
-the NDJSON pinned for its rung (exit 1 otherwise), and merges the results
-into `BENCH_<label>.json` at the repository root under the entry name,
-beside the host facts: nproc, the Python version and the kernel backend
-(`pow_backend.BACKEND`). From the repository root:
+of 3 runs at 10 and 40 clients and 1 run on the larger rungs, and checks
+that every run wrote the NDJSON pinned for its rung (exit 1 otherwise); the
+file is hashed and counted in chunks, so a large run is never held in memory.
+The results are merged into `BENCH_<label>.json` at the repository root under
+the entry name, beside the host facts: nproc, the Python version and the
+kernel backend (`pow_backend.BACKEND`). From the repository root:
 
-    python3 benchmarks/bench_sim.py --label stream --entry change
-    python3 benchmarks/bench_sim.py --label stream --entry parent --src ../parent/src
+    python3 benchmarks/bench_sim.py --label lazy --entry change
+    python3 benchmarks/bench_sim.py --label lazy --entry parent --src ../parent/src
 """
 
 import argparse
@@ -27,12 +30,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "scenarios" / "baseline.json"
-# clients -> (runs, sha256 of the NDJSON every run must write)
-LADDER = {
-    10: (3, "9df61019bedeadaede8b9f5152de489119bdbe4a0b45884ff5d6d6842ef5c9d3"),
-    40: (3, "8570a367ddc8c029f9dd48b536428a8d6b9d99a88f7ea2f8d4ddb0440c6b9f3f"),
-    160: (1, "7730112ae45838c1c7f3d7f550d3d9bcd18c7e513e15c94afce02ca595d6bd70"),
-}
+CHUNK_BYTES = 1 << 20
+# (clients, max_rand, runs, sha256 of the NDJSON every run must write)
+LADDER = [
+    (10, 200, 3, "9df61019bedeadaede8b9f5152de489119bdbe4a0b45884ff5d6d6842ef5c9d3"),
+    (40, 200, 3, "8570a367ddc8c029f9dd48b536428a8d6b9d99a88f7ea2f8d4ddb0440c6b9f3f"),
+    (160, 200, 1, "7730112ae45838c1c7f3d7f550d3d9bcd18c7e513e15c94afce02ca595d6bd70"),
+    (160, 10_000, 1, "5c636aab85537ea3e3a194a95e0e60a01c8c5eff9d6d55621d59e96e3454ca21"),
+    (320, 200, 1, "830ad691694f39b9a53a264a848785ddfc09edf697c57cfa40881d280e76702e"),
+]
 
 
 def _env(src: Path) -> dict[str, str]:
@@ -59,27 +65,36 @@ def one_run(src: Path, scenario: Path, out: Path) -> dict:
     wall = time.perf_counter() - started
     if os.waitstatus_to_exitcode(status) != 0:
         raise RuntimeError(f"{' '.join(argv)} exited {os.waitstatus_to_exitcode(status)}")
-    data = out.read_bytes()
+    digest, size, lines = hashlib.sha256(), 0, 0
+    with out.open("rb") as f:
+        for chunk in iter(lambda: f.read(CHUNK_BYTES), b""):
+            digest.update(chunk)
+            size += len(chunk)
+            lines += chunk.count(b"\n")
     return {
         "wall_s": wall,
         "cpu_s": usage.ru_utime + usage.ru_stime,
         "peak_rss_mib": usage.ru_maxrss / 1024,  # KiB on Linux
-        "ndjson_sha256": hashlib.sha256(data).hexdigest(),
-        "ndjson_bytes": len(data),
-        "events": data.count(b"\n") - 1,  # the last line is the summary
+        "ndjson_sha256": digest.hexdigest(),
+        "ndjson_bytes": size,
+        "events": lines - 1,  # the last line is the summary
     }
 
 
-def rung(src: Path, clients: int, runs: int, pinned: str, workdir: Path) -> dict:
+def rung(src: Path, clients: int, max_rand: int, runs: int, pinned: str, workdir: Path) -> dict:
     raw = json.loads(BASELINE.read_text(encoding="utf-8"))
     raw["clients"][0]["count"] = clients
-    scenario = workdir / f"baseline-{clients}.json"
+    raw["clients"][0]["trust"]["max_rand"] = max_rand
+    scenario = workdir / f"baseline-{clients}-{max_rand}.json"
     scenario.write_text(json.dumps(raw), encoding="utf-8")
     results = [one_run(src, scenario, workdir / "out.ndjson") for _ in range(runs)]
     wrong = sorted({r["ndjson_sha256"] for r in results} - {pinned})
     if wrong:
-        raise SystemExit(f"bench_sim: {clients} clients wrote NDJSON sha256 {wrong}, pinned {pinned}")
-    entry = {"clients": clients, "runs": runs}
+        raise SystemExit(
+            f"bench_sim: {clients} clients at max_rand {max_rand} wrote NDJSON sha256 "
+            f"{wrong}, pinned {pinned}"
+        )
+    entry = {"clients": clients, "max_rand": max_rand, "runs": runs}
     for key in ("wall_s", "cpu_s", "peak_rss_mib"):
         entry[key] = round(statistics.median(r[key] for r in results), 3)
         entry[f"{key}_runs"] = [round(r[key], 3) for r in results]
@@ -98,8 +113,8 @@ def main() -> int:
     src = args.src.resolve()
     entry = {"host": host_facts(src), "ladder": []}
     with tempfile.TemporaryDirectory(prefix="bench_sim-") as tmp:
-        for clients, (runs, pinned) in LADDER.items():
-            entry["ladder"].append(rung(src, clients, runs, pinned, Path(tmp)))
+        for clients, max_rand, runs, pinned in LADDER:
+            entry["ladder"].append(rung(src, clients, max_rand, runs, pinned, Path(tmp)))
             print(json.dumps(entry["ladder"][-1]), flush=True)
 
     path = ROOT / f"BENCH_{args.label}.json"

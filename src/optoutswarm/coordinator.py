@@ -21,7 +21,7 @@ from enum import Enum
 from random import Random
 
 from optoutswarm import crypto, trust
-from optoutswarm.crypto import ClientIdentity, SealedMessage
+from optoutswarm.crypto import ClientIdentity
 from optoutswarm.dht import (
     DhtKey, SimulatedDht, campaign_table_key, comrades_table_key, inbox_key,
 )
@@ -343,10 +343,9 @@ def poll_inbox(
     """
     key = inbox_key(identity.public_key)
     payloads = []
-    for raw in dht.get(key, now):
-        dht.remove(key, raw)
+    for sealed in dht.get(key, now):
+        dht.remove(key, sealed)
         try:
-            sealed = SealedMessage.from_bytes(raw)
             plaintext = crypto.open_sealed(identity, sealed)
             payloads.append(trust.decode_payload(plaintext, issued_at=now))
         except (ValueError, crypto.NotAddressee, crypto.DecryptionFailure,

@@ -5,28 +5,23 @@ spent CPU time for a peer by solving that peer's challenge: the issuer picks
 two random numbers, publishes one of them plus a hash binding its own public
 key to both, and the solver brute-forces the hidden one. Binding the issuer's
 key into the hash means a relayed challenge yields a solution for the
-original issuer, never for the relay.
+original issuer, never for the relay. A solver that is handed a candidate
+answer checks it with one hash and skips the scan when it holds; the result
+is the one the scan would return.
 
-Sealed messages are addressed by a 20-byte hash of the recipient key and can
+A sealed message is addressed by a 20-byte hash of the recipient key and can
 only be opened by the matching private key (X25519 + ChaCha20-Poly1305).
-
-Sealing derives an ephemeral scalar e and computes the shared point e·R with
-the recipient's public key R = r·G; opening computes r·E with the ephemeral
-public key E = e·G. Both are e·r·G, so both ends get the same box key. When
-the recipient's `ClientIdentity` is alive in this process, `seal` hands it
-that key, filed under E, and `open_sealed` pops it instead of running the
-exchange: an opened message costs two scalar multiplications instead of
-three, as with NaCl's `crypto_box_beforenm`. The handoff is exact because an
-identity refuses to exist unless its private key derives its public key, so
-the sealer's R is the opener's r·G. Nothing else changes: the recipient hash
-is checked first, the AEAD tag is still verified, a tampered E misses the
-lookup and takes the exchange path, and the sealed bytes are the same.
+`seal` does no crypto: it returns a `SealedMessage` holding the recipient
+key and the plaintext, and `to_bytes()` derives the wire bytes on demand.
+The ephemeral key is derived from those two fields, so two seals compare
+equal exactly when their wire bytes do. In-process, `open_sealed` checks the
+addressee of such a message and returns its plaintext; wire bytes go through
+the full X25519 exchange and the AEAD tag check.
 """
 
 from __future__ import annotations
 
 import hashlib
-import weakref
 from dataclasses import dataclass, field
 from random import Random
 
@@ -79,29 +74,15 @@ class ClientIdentity:
     # parsed once: building it derives the public key again, which costs
     # about half of an open
     _x25519: X25519PrivateKey = field(init=False, repr=False, compare=False)
-    # box keys that `seal` derived for messages to this identity, by
-    # ephemeral public key; `open_sealed` pops them
-    _box_keys: dict[bytes, bytes] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         private = X25519PrivateKey.from_private_bytes(self.private_key)
         if private.public_key().public_bytes_raw() != self.public_key:
             raise ValueError("private key does not derive the public key")
         object.__setattr__(self, "_x25519", private)
-        _live[self.public_key] = self
 
     def __repr__(self) -> str:  # keep private key out of logs
         return f"ClientIdentity(public_key={self.public_key.hex()[:12]}…)"
-
-
-# the newest identity alive in this process for each public key; weak, so it
-# keeps no identity alive, and shared by every simulation in the process,
-# which is safe because a handed key equals the one the exchange derives
-_live: weakref.WeakValueDictionary[bytes, ClientIdentity] = (
-    weakref.WeakValueDictionary()
-)
 
 
 def generate_identity(rng: Random) -> ClientIdentity:
@@ -161,14 +142,25 @@ def generate_challenge(
     return challenge, rand2
 
 
-def solve_challenge(challenge: Challenge, max_rand: int) -> tuple[int, int]:
-    """Brute-force the hidden rand2, counting hash evaluations as work.
+def solve_challenge(
+    challenge: Challenge, max_rand: int, known: int | None = None
+) -> tuple[int, int]:
+    """Find the hidden rand2, counting hash evaluations as work.
 
-    Tests candidates upward from zero; work for a solution found at value
-    ``test`` is ``test + 1``. Raises NoSolution when the whole interval is
-    exhausted, which is what a relayed challenge looks like after the relay
-    swaps in its own key.
+    The scan tests candidates upward from zero; work for a solution found at
+    value ``test`` is ``test + 1``. Raises NoSolution when the whole interval
+    is exhausted, which is what a relayed challenge looks like after the
+    relay swaps in its own key.
+
+    A `known` candidate that reproduces the target hash is that first match,
+    so it is returned, or rejected as out of range, without the scan. Any
+    other candidate is ignored.
     """
+    if known is not None and verify_solution(challenge, known):
+        if known > max_rand:
+            raise NoSolution(f"no solution in [0, {max_rand}]")
+        return known, known + 1
+
     from optoutswarm.pow_backend import solve_kernel
 
     prefix = challenge.issuer_public_key + challenge.rand1.to_bytes(8, "little")
@@ -185,67 +177,59 @@ def verify_solution(challenge: Challenge, rand2: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SealedMessage:
-    recipient_key_hash: bytes  # 20 bytes
-    ciphertext: bytes  # ephemeral public key (32) ‖ AEAD ciphertext
-
-    def to_bytes(self) -> bytes:
-        return self.recipient_key_hash + self.ciphertext
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SealedMessage":
-        if len(data) < KEY_HASH_LEN + PUBLIC_KEY_LEN:
-            raise ValueError("sealed message too short")
-        return cls(
-            recipient_key_hash=data[:KEY_HASH_LEN],
-            ciphertext=data[KEY_HASH_LEN:],
-        )
-
-
 def _box_key(shared_secret: bytes) -> bytes:
     return hash_bytes(_BOX_KEY_TAG + shared_secret)
 
 
-def seal(recipient_public_key: bytes, plaintext: bytes) -> SealedMessage:
-    """Encrypt so only the holder of the matching private key can read.
+@dataclass(frozen=True, slots=True)
+class SealedMessage:
+    """A message only the holder of `recipient_public_key` can open."""
 
-    The ephemeral key is derived from (recipient, plaintext), so sealing is
-    deterministic and replay in a seeded simulation is byte-stable. Each
-    distinct message gets a distinct AEAD key, which makes the fixed nonce
-    safe. A live recipient identity is handed the AEAD key (module docstring).
-    """
+    recipient_public_key: bytes
+    plaintext: bytes
+
+    def to_bytes(self) -> bytes:
+        """Wire form: recipient key hash (20) ‖ ephemeral public key (32) ‖
+        AEAD ciphertext.
+
+        The ephemeral key is derived from (recipient, plaintext), so sealing
+        is deterministic and replay in a seeded simulation is byte-stable.
+        Each distinct message gets a distinct AEAD key, which makes the fixed
+        nonce safe.
+        """
+        recipient = self.recipient_public_key
+        scalar = hash_bytes(_EPHEMERAL_TAG + recipient + self.plaintext)
+        ephemeral = X25519PrivateKey.from_private_bytes(scalar)
+        shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient))
+        ct = ChaCha20Poly1305(_box_key(shared)).encrypt(
+            _ZERO_NONCE, self.plaintext, recipient
+        )
+        return key_hash(recipient) + ephemeral.public_key().public_bytes_raw() + ct
+
+
+def seal(recipient_public_key: bytes, plaintext: bytes) -> SealedMessage:
+    """Address a plaintext to a public key; the wire bytes wait for `to_bytes`."""
     if len(recipient_public_key) != PUBLIC_KEY_LEN:
         raise ValueError("recipient public key must be 32 bytes")
-    scalar = hash_bytes(_EPHEMERAL_TAG + recipient_public_key + plaintext)
-    ephemeral = X25519PrivateKey.from_private_bytes(scalar)
-    ephemeral_pk = ephemeral.public_key().public_bytes_raw()
-    shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient_public_key))
-    box_key = _box_key(shared)
-    recipient = _live.get(recipient_public_key)
-    if recipient is not None:
-        recipient._box_keys[ephemeral_pk] = box_key
-    ct = ChaCha20Poly1305(box_key).encrypt(_ZERO_NONCE, plaintext, recipient_public_key)
-    return SealedMessage(
-        recipient_key_hash=key_hash(recipient_public_key),
-        ciphertext=ephemeral_pk + ct,
-    )
+    return SealedMessage(recipient_public_key, plaintext)
 
 
-def open_sealed(identity: ClientIdentity, msg: SealedMessage) -> bytes:
-    """Open a sealed message addressed to this identity."""
-    if msg.recipient_key_hash != key_hash(identity.public_key):
+def open_sealed(identity: ClientIdentity, msg: SealedMessage | bytes) -> bytes:
+    """Open a sealed message, or its wire bytes, addressed to this identity."""
+    if isinstance(msg, SealedMessage):
+        if msg.recipient_public_key != identity.public_key:
+            raise NotAddressee("message addressed to a different key")
+        return msg.plaintext
+    if len(msg) < KEY_HASH_LEN + PUBLIC_KEY_LEN:
+        raise ValueError("sealed message too short")
+    if msg[:KEY_HASH_LEN] != key_hash(identity.public_key):
         raise NotAddressee("message addressed to a different key")
-    ephemeral_pk = msg.ciphertext[:PUBLIC_KEY_LEN]
-    ct = msg.ciphertext[PUBLIC_KEY_LEN:]
-    box_key = identity._box_keys.pop(ephemeral_pk, None)
+    ephemeral_pk = msg[KEY_HASH_LEN : KEY_HASH_LEN + PUBLIC_KEY_LEN]
+    ct = msg[KEY_HASH_LEN + PUBLIC_KEY_LEN :]
     try:
-        if box_key is None:
-            shared = identity._x25519.exchange(
-                X25519PublicKey.from_public_bytes(ephemeral_pk)
-            )
-            box_key = _box_key(shared)
-        box = ChaCha20Poly1305(box_key)
-        return box.decrypt(_ZERO_NONCE, ct, identity.public_key)
+        shared = identity._x25519.exchange(X25519PublicKey.from_public_bytes(ephemeral_pk))
+        return ChaCha20Poly1305(_box_key(shared)).decrypt(
+            _ZERO_NONCE, ct, identity.public_key
+        )
     except (InvalidTag, ValueError) as exc:
         raise DecryptionFailure("sealed message failed to authenticate") from exc

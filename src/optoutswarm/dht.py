@@ -2,8 +2,9 @@
 
 The network stores three kinds of entries, all through the same two verbs:
 campaign start times under the hash of the target URL, participant public
-keys under the hash of "start|url", and sealed messages under the hash of
-the recipient's public key. Only 20-byte hashed keys ever hit the store;
+keys under the hash of "start|url", and sealed messages (`SealedMessage`
+objects, whose wire bytes no reader needs) under the hash of the
+recipient's public key. Only 20-byte hashed keys ever hit the store;
 preimages stay with the clients.
 
 Each key maps to an insertion-ordered dict from value to the minute it was
@@ -11,18 +12,18 @@ stored, so `contains` answers roster membership in O(1) and `remove` is a
 single pop. `get` returns the live values in insertion order.
 
 Values expire after a TTL so abandoned campaigns clean themselves up, and
-duplicate byte-identical values collapse to one (re-registering for a
-campaign is idempotent). Re-putting a live value refreshes its minute and
-keeps its place; re-putting an expired one moves it to the end. An optional
-visibility latency models propagation delay: a value written at minute t
-becomes readable at t + latency.
+equal values collapse to one (re-registering for a campaign is idempotent).
+Re-putting a live value refreshes its minute and keeps its place;
+re-putting an expired one moves it to the end.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+from collections.abc import Hashable
 from dataclasses import dataclass, field
+from typing import Any
 
 KEY_LEN = 20
 
@@ -79,10 +80,9 @@ class SimulatedDht:
     """Single authoritative store; real-DHT churn and routing are out of scope."""
 
     ttl_minutes: int = DEFAULT_TTL_MINUTES
-    visibility_latency: int = 0
-    _table: dict[bytes, dict[bytes, int]] = field(default_factory=dict)
+    _table: dict[bytes, dict[Hashable, int]] = field(default_factory=dict)
 
-    def put(self, key: DhtKey, value: bytes, now: int) -> None:
+    def put(self, key: DhtKey, value: Hashable, now: int) -> None:
         if not value:
             raise ValueError("value must be non-empty")
         values = self._table.setdefault(key.key, {})
@@ -91,16 +91,16 @@ class SimulatedDht:
             del values[value]  # expired: store afresh at the end
         values[value] = now  # a live duplicate is refreshed in place
 
-    def get(self, key: DhtKey, now: int) -> list[bytes]:
-        oldest, newest = now - self.ttl_minutes, now - self.visibility_latency
-        return [v for v, at in self._table.get(key.key, {}).items() if oldest <= at <= newest]
+    def get(self, key: DhtKey, now: int) -> list[Any]:
+        oldest = now - self.ttl_minutes
+        return [v for v, at in self._table.get(key.key, {}).items() if oldest <= at <= now]
 
-    def contains(self, key: DhtKey, value: bytes, now: int) -> bool:
+    def contains(self, key: DhtKey, value: Hashable, now: int) -> bool:
         """Whether `value` is in `get(key, now)`, without reading the others."""
         at = self._table.get(key.key, {}).get(value)
-        return at is not None and now - self.ttl_minutes <= at <= now - self.visibility_latency
+        return at is not None and now - self.ttl_minutes <= at <= now
 
-    def remove(self, key: DhtKey, value: bytes) -> None:
+    def remove(self, key: DhtKey, value: Hashable) -> None:
         values = self._table.get(key.key)
         if values is not None and values.pop(value, None) is not None and not values:
             del self._table[key.key]

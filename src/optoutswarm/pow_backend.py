@@ -3,8 +3,8 @@
 The C kernel in ``_powcore.c`` is built on first use with the compiler Python
 was built with, and cached in ``__pycache__`` under its source digest. Where
 the build or its import fails, the pure-Python kernel runs instead.
-``crypto.solve_challenge`` imports this module on its first call, so
-importing the package builds nothing.
+``crypto.solve_challenge`` imports this module the first time it must scan,
+so importing the package builds nothing.
 """
 
 import hashlib

@@ -274,7 +274,7 @@ class Simulation:
                     )
                 )
                 index += 1
-        self.honest_keys = {c.identity.public_key for c in self.clients}
+        self.by_key = {c.identity.public_key: c for c in self.clients}
         self.adversaries = [
             _ADVERSARY_CLASSES[spec.strategy](spec, i, self)
             for i, spec in enumerate(scenario.adversaries)
@@ -369,6 +369,9 @@ class Simulation:
             payloads = coordinator.poll_inbox(now, self.dht, client.identity)
             for payload in payloads:
                 if isinstance(payload, crypto.Challenge):
+                    # the issuer's pending answer spares the scan if it is for this challenge
+                    issuer = self.by_key.get(payload.issuer_public_key)
+                    pending = issuer and issuer.trust_db.pending.get(client.identity.public_key)
                     handling = trust.handle_challenge(
                         client.identity,
                         payload,
@@ -377,6 +380,7 @@ class Simulation:
                         lambda pk: client.issuer_is_comrade(self.dht, pk, now),
                         client.tcfg.max_rand,
                         now,
+                        known=pending.expected_rand2 if pending else None,
                     )
                     if handling.attempted:
                         client.solve_attempts += 1
@@ -589,7 +593,7 @@ class Simulation:
                     "url": campaign.url.render(),
                     "start": campaign.start,
                     "comrade_count": len(roster),
-                    "honest_comrades": len(roster & self.honest_keys),
+                    "honest_comrades": len(roster & self.by_key.keys()),
                     "launched_by": self.launched_by.get(campaign, 0),
                     "adversarial": campaign in self.adversarial_starts,
                 }

@@ -217,7 +217,7 @@ def decode_payload(data: bytes, issued_at: int = 0) -> Challenge | ChallengeSolu
 
 def post(dht: SimulatedDht, recipient: bytes, payload: bytes, now: int) -> None:
     """Seal a payload to a public key and leave it in that key's inbox."""
-    dht.put(inbox_key(recipient), crypto.seal(recipient, payload).to_bytes(), now)
+    dht.put(inbox_key(recipient), crypto.seal(recipient, payload), now)
 
 
 def initiate_verification(
@@ -259,12 +259,15 @@ def handle_challenge(
     issuer_is_comrade: Callable[[bytes], bool],
     max_rand: int,
     now: int,
+    known: int | None = None,
 ) -> ChallengeHandling:
     """Solve a comrade's challenge and mail the answer back.
 
     Challenges from strangers are dropped before they cost anything; the
     answer budget is spent per solve attempt, so even unsolvable garbage
-    from a registered comrade burns at most the configured rate.
+    from a registered comrade burns at most the configured rate. `known` is
+    a candidate answer for `crypto.solve_challenge`; the outcome is the same
+    with or without it.
     """
     if not issuer_is_comrade(challenge.issuer_public_key):
         log.debug("dropping challenge from non-comrade")
@@ -273,10 +276,10 @@ def handle_challenge(
         log.debug("dropping challenge: answer budget exhausted")
         return ChallengeHandling(False, False, 0, dropped="budget")
     try:
-        rand2, work = crypto.solve_challenge(challenge, max_rand)
+        rand2, work = crypto.solve_challenge(challenge, max_rand, known)
     except crypto.NoSolution:
-        # the full scan was still paid for; typical of relayed challenges
-        # whose hash binds a different issuer key
+        # a full scan is counted, known answer or not; typical of relayed
+        # challenges whose hash binds a different issuer key
         log.debug("dropping challenge with no solution in range")
         return ChallengeHandling(True, False, max_rand + 1, dropped="no_solution")
     response = ChallengeSolution(solver_public_key=me.public_key, rand2=rand2)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optoutswarm import crypto
+from optoutswarm import crypto, pow_backend
+from optoutswarm.dht import SimulatedDht, inbox_key
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -127,6 +128,59 @@ class TestSolve:
         assert crypto.solve_challenge(ch, 400) == (planted, planted + 1)
 
 
+def outcome(challenge: crypto.Challenge, max_rand: int, known: int | None = None):
+    """What `solve_challenge` returns, or "no_solution"."""
+    try:
+        return crypto.solve_challenge(challenge, max_rand, known)
+    except crypto.NoSolution:
+        return "no_solution"
+
+
+class TestKnownAnswer:
+    """A hint may only skip the scan, never change its result."""
+
+    ISSUER_MAX_RAND = 600
+
+    def challenges(self, count: int = 40):
+        rng = Random(21)
+        issuer = identity("known-issuer")
+        return [crypto.generate_challenge(issuer, self.ISSUER_MAX_RAND, rng) for _ in range(count)]
+
+    def test_every_hint_agrees_with_the_scan(self):
+        relay = identity("known-relay")
+        drawn = self.challenges()
+        seen = set()
+        for (ch, answer), (_, other) in zip(drawn, drawn[1:] + drawn[:1]):
+            forged = crypto.Challenge(relay.public_key, ch.rand1, ch.target_hash)
+            for max_rand in (0, 150, 300, self.ISSUER_MAX_RAND):
+                seen.add(answer <= max_rand)
+                for challenge, hint in ((ch, answer), (ch, other), (forged, answer)):
+                    assert outcome(challenge, max_rand, hint) == outcome(challenge, max_rand)
+        assert seen == {True, False}  # hints both inside and beyond the range
+
+    def test_a_correct_hint_skips_the_kernel(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(pow_backend, "solve_kernel", no_scan)
+        for ch, answer in self.challenges(10):
+            assert crypto.solve_challenge(ch, self.ISSUER_MAX_RAND, answer) == (answer, answer + 1)
+            if answer:
+                with pytest.raises(crypto.NoSolution):
+                    crypto.solve_challenge(ch, answer - 1, answer)
+
+    def test_a_wrong_hint_runs_the_kernel(self, monkeypatch):
+        calls = []
+        kernel = pow_backend.solve_kernel
+        monkeypatch.setattr(
+            pow_backend, "solve_kernel", lambda *args: calls.append(args) or kernel(*args)
+        )
+        (ch, answer), (_, other) = self.challenges(2)
+        assert other != answer
+        assert outcome(ch, self.ISSUER_MAX_RAND, other) == (answer, answer + 1)
+        assert len(calls) == 1
+
+
 def test_mean_work_tracks_interval_size():
     # linear hardness: uniform answers make the average scan half the interval
     rng = Random(5)
@@ -142,97 +196,74 @@ def test_mean_work_tracks_interval_size():
     assert 0.4 * (max_rand + 1) <= mean <= 0.6 * (max_rand + 1)
 
 
-# sha256 over the wire bytes of 16 sealed messages, as sealed before the box
-# key handoff existed: the handoff must not move a ciphertext byte
+# sha256 over the wire bytes of 16 sealed messages, as sealed when `seal`
+# still encrypted eagerly: lazy sealing must not move a ciphertext byte
 SEALED_WIRE_DIGEST = "16918fc817ea24f4622b776249359750b893ea28bde36358f600ffdc6a04296a"
 
-OPEN_PATHS = ("handoff", "cold")
+OPEN_FORMS = ("lazy", "wire")
 
 
-def open_via(path: str, recipient: crypto.ClientIdentity, msg: crypto.SealedMessage) -> bytes:
-    """Open `msg` through the named path, asserting that it is the one taken.
+def open_as(form: str, recipient: crypto.ClientIdentity, msg: crypto.SealedMessage) -> bytes:
+    """Open `msg` as the object `seal` returned, or through its wire bytes,
+    which run the X25519 exchange and the AEAD tag check."""
+    return crypto.open_sealed(recipient, msg if form == "lazy" else msg.to_bytes())
 
-    "handoff" opens with the live identity `seal` handed the box key to;
-    "cold" rebuilds the recipient from its private bytes, so the new identity
-    holds no key and must run the X25519 exchange.
-    """
-    ephemeral_pk = msg.ciphertext[: crypto.PUBLIC_KEY_LEN]
-    if path == "cold":
-        recipient = crypto.ClientIdentity(recipient.public_key, recipient.private_key)
-        assert ephemeral_pk not in recipient._box_keys
-    else:
-        assert ephemeral_pk in recipient._box_keys
-    try:
-        return crypto.open_sealed(recipient, msg)
-    finally:
-        assert ephemeral_pk not in recipient._box_keys
+
+def flip_bit(wire: bytes, index: int) -> bytes:
+    flipped = bytearray(wire)
+    flipped[index] ^= 0x01
+    return bytes(flipped)
 
 
 class TestSealedMessages:
-    # The round-trip tests below take every open path in turn, so each path
+    # The round-trip tests below open every message in both forms, so both
     # must return the same plaintext.
 
     def test_round_trip(self):
         bob = identity("bob")
         msg = crypto.seal(bob.public_key, b"meet at dawn")
-        for path in OPEN_PATHS:
-            assert open_via(path, bob, msg) == b"meet at dawn"
+        for form in OPEN_FORMS:
+            assert open_as(form, bob, msg) == b"meet at dawn"
 
     def test_wrong_identity_is_not_addressee(self):
         bob, eve = identity("bob"), identity("eve")
         msg = crypto.seal(bob.public_key, b"secret")
-        with pytest.raises(crypto.NotAddressee):
-            crypto.open_sealed(eve, msg)
+        for form in OPEN_FORMS:
+            with pytest.raises(crypto.NotAddressee):
+                open_as(form, eve, msg)
 
     def test_empty_plaintext_round_trips(self):
         bob = identity("bob")
         msg = crypto.seal(bob.public_key, b"")
-        for path in OPEN_PATHS:
-            assert open_via(path, bob, msg) == b""
+        for form in OPEN_FORMS:
+            assert open_as(form, bob, msg) == b""
 
     def test_tampered_ciphertext_fails_authentication(self):
         bob = identity("bob")
-        msg = crypto.seal(bob.public_key, b"payload")
-        flipped = bytearray(msg.ciphertext)
-        flipped[-1] ^= 0x01
-        broken = crypto.SealedMessage(msg.recipient_key_hash, bytes(flipped))
-        for path in OPEN_PATHS:
-            with pytest.raises(crypto.DecryptionFailure):
-                open_via(path, bob, broken)
-
-    def test_tampered_ephemeral_key_fails_while_a_handoff_entry_exists(self):
-        bob = identity("bob")
-        msg = crypto.seal(bob.public_key, b"payload")
-        ephemeral_pk = msg.ciphertext[: crypto.PUBLIC_KEY_LEN]
-        flipped = bytearray(msg.ciphertext)
-        flipped[0] ^= 0x01
-        broken = crypto.SealedMessage(msg.recipient_key_hash, bytes(flipped))
+        wire = crypto.seal(bob.public_key, b"payload").to_bytes()
         with pytest.raises(crypto.DecryptionFailure):
-            crypto.open_sealed(bob, broken)
-        # the forged key missed the lookup, so the genuine entry is still there
-        assert ephemeral_pk in bob._box_keys
-        assert crypto.open_sealed(bob, msg) == b"payload"
+            crypto.open_sealed(bob, flip_bit(wire, -1))
 
-    def test_second_open_takes_the_cold_path(self):
+    def test_tampered_ephemeral_key_fails_authentication(self):
         bob = identity("bob")
-        msg = crypto.seal(bob.public_key, b"twice")
-        assert open_via("handoff", bob, msg) == b"twice"
-        assert not bob._box_keys
-        assert crypto.open_sealed(bob, msg) == b"twice"
+        wire = crypto.seal(bob.public_key, b"payload").to_bytes()
+        with pytest.raises(crypto.DecryptionFailure):
+            crypto.open_sealed(bob, flip_bit(wire, crypto.KEY_HASH_LEN))
+
+    def test_tampered_recipient_hash_is_not_addressee(self):
+        bob = identity("bob")
+        wire = crypto.seal(bob.public_key, b"payload").to_bytes()
+        with pytest.raises(crypto.NotAddressee):
+            crypto.open_sealed(bob, flip_bit(wire, 0))
 
     def test_mismatched_key_pair_is_rejected(self):
         alice, bob = identity("alice"), identity("bob")
         with pytest.raises(ValueError, match="does not derive"):
             crypto.ClientIdentity(public_key=alice.public_key, private_key=bob.private_key)
 
-    def test_seal_to_a_key_no_live_identity_holds_leaves_no_entry(self):
-        # the identity is dropped at once, as a sybil key is
-        orphan = crypto.generate_identity(Random("orphan")).public_key
-        assert orphan not in crypto._live
-        live = list(crypto._live.values())
-        before = [dict(ident._box_keys) for ident in live]
-        crypto.seal(orphan, b"to nobody")
-        assert [ident._box_keys for ident in live] == before
+    def test_recipient_key_must_be_32_bytes(self):
+        with pytest.raises(ValueError):
+            crypto.seal(b"short", b"payload")
 
     def test_sealed_wire_bytes_are_pinned(self):
         bob = identity("bob")
@@ -244,22 +275,48 @@ class TestSealedMessages:
     def test_wire_round_trip(self):
         bob = identity("bob")
         msg = crypto.seal(bob.public_key, b"x" * 100)
-        again = crypto.SealedMessage.from_bytes(msg.to_bytes())
-        assert again == msg
+        wire = msg.to_bytes()
+        assert wire[: crypto.KEY_HASH_LEN] == crypto.key_hash(bob.public_key)
+        assert crypto.open_sealed(bob, wire) == msg.plaintext
         with pytest.raises(ValueError):
-            crypto.SealedMessage.from_bytes(b"too short")
+            crypto.open_sealed(bob, b"too short")
 
     def test_sealing_is_deterministic(self):
         bob = identity("bob")
+        assert crypto.seal(bob.public_key, b"same") == crypto.seal(bob.public_key, b"same")
         assert (
             crypto.seal(bob.public_key, b"same").to_bytes()
             == crypto.seal(bob.public_key, b"same").to_bytes()
         )
+
+    def test_seals_are_equal_exactly_when_their_wire_bytes_are(self):
+        # the DHT collapses equal values and keeps insertion order, so equal
+        # objects must stand for equal wire bytes and unequal ones for unequal
+        keys = [identity(tag).public_key for tag in ("bob", "eve", "carol")]
+        plaintexts = [b"", b"a", b"b", b"meet at dawn", b"\x01" * 73]
+        sealed = [crypto.seal(k, p) for k in keys for p in plaintexts]
+        wires = [m.to_bytes() for m in sealed]
+        for a, wire_a in zip(sealed, wires):
+            for b, wire_b in zip(sealed, wires):
+                assert (a == b) == (wire_a == wire_b)
+                assert (a == b) <= (hash(a) == hash(b))
+
+    def test_equal_seals_collapse_to_one_dht_value(self):
+        bob = identity("bob")
+        store = SimulatedDht()
+        key = inbox_key(bob.public_key)
+        store.put(key, crypto.seal(bob.public_key, b"twice"), 0)
+        store.put(key, crypto.seal(bob.public_key, b"other"), 0)
+        store.put(key, crypto.seal(bob.public_key, b"twice"), 1)
+        assert store.get(key, 1) == [
+            crypto.seal(bob.public_key, b"twice"),
+            crypto.seal(bob.public_key, b"other"),
+        ]
 
     @given(plaintext=st.binary(max_size=200))
     @settings(max_examples=30, deadline=None)
     def test_any_plaintext_round_trips(self, plaintext):
         bob = identity("prop-bob")
         msg = crypto.seal(bob.public_key, plaintext)
-        for path in OPEN_PATHS:
-            assert open_via(path, bob, msg) == plaintext
+        for form in OPEN_FORMS:
+            assert open_as(form, bob, msg) == plaintext

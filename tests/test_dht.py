@@ -116,13 +116,6 @@ def test_empty_value_rejected():
         fresh().put(k("a"), b"", 0)
 
 
-def test_visibility_latency_delays_reads():
-    store = fresh(visibility_latency=2)
-    store.put(k("a"), b"v", 10)
-    assert store.get(k("a"), 11) == []
-    assert store.get(k("a"), 12) == [b"v"]
-
-
 def test_live_reput_keeps_position():
     store = fresh(ttl_minutes=60)
     store.put(k("a"), b"v1", 0)
@@ -140,15 +133,14 @@ def test_expired_reput_moves_to_end():
     assert store.get(k("a"), 61) == [b"v2", b"v1"]
 
 
-def test_contains_honours_visibility_latency():
-    store = fresh(visibility_latency=2, ttl_minutes=60)
+def test_contains_honours_ttl():
+    store = fresh(ttl_minutes=60)
     store.put(k("a"), b"v", 10)
-    assert not store.contains(k("a"), b"v", 11)
-    assert store.contains(k("a"), b"v", 12)
+    assert store.contains(k("a"), b"v", 10)
     assert store.contains(k("a"), b"v", 70)
     assert not store.contains(k("a"), b"v", 71)
-    assert not store.contains(k("a"), b"other", 12)
-    assert not store.contains(k("b"), b"v", 12)
+    assert not store.contains(k("a"), b"other", 10)
+    assert not store.contains(k("b"), b"v", 10)
 
 
 def oracle_put(oracle: dict[bytes, dict[bytes, None]], key: dht.DhtKey, value: bytes) -> None:

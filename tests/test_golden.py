@@ -1,5 +1,8 @@
 """Golden digests: the NDJSON of every bundled scenario at its own seed, and
-the normalized form that `optoutswarm validate` prints for it.
+the normalized form that `optoutswarm validate` prints for it. One edge
+scenario under tests/ is pinned beside them: two client groups whose
+`max_rand` differ, so a challenge from the wider group can have its answer
+beyond the narrower solver's range (281 `no_solution` drops).
 
 A change that moves any of these bytes changes what the simulator computes,
 or what a scenario file means. Such a change must update the digest here and
@@ -8,6 +11,7 @@ say in CHANGES.md which bytes moved and why.
 
 import hashlib
 import os
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +24,8 @@ from optoutswarm.simulation import Simulation, run
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
+EDGE = ROOT / "tests" / "edge_mixed_max_rand.json"
+EDGE_DIGEST = "eeaa18c36b7acdf6b8b15567f3e62bbdd91ed7ff102e467b69b21e5e15e0f5e4"
 
 GOLDEN = {
     "baseline.json": "9df61019bedeadaede8b9f5152de489119bdbe4a0b45884ff5d6d6842ef5c9d3",
@@ -57,16 +63,41 @@ def test_bundled_scenario_ndjson_digest(name):
     assert _digest(run(load_file(str(SCENARIOS / name))).to_ndjson()) == GOLDEN[name]
 
 
+def test_edge_scenario_ndjson_digest():
+    assert _digest(run(load_file(str(EDGE))).to_ndjson()) == EDGE_DIGEST
+
+
+@pytest.mark.parametrize("path", [*sorted(SCENARIOS.glob("*.json")), EDGE], ids=lambda p: p.name)
+def test_events_add_up_to_the_summary(path):
+    report = run(load_file(str(path)))
+    counts = Counter()
+    launched = set()
+    for event in report.events:
+        kind = event["type"]
+        if kind == "challenge_dropped":
+            kind = f"dropped_{event['reason']}"
+        counts[kind, event.get("client")] += 1
+        if kind == "launch_decision" and event["launched"]:
+            launched.add((event["url"], event["start"]))
+    for client in report.summary["clients"]:
+        i = client["index"]
+        assert client["challenges_sent"] == counts["challenge_sent", i]
+        assert client["challenges_answered"] == counts["challenge_answered", i]
+        assert client["solve_attempts"] == (
+            counts["challenge_answered", i] + counts["dropped_no_solution", i]
+        )
+        assert client["trust_resets"] == counts["trust_reset", i]
+    assert report.summary["totals"]["campaigns_launched"] == len(launched)
+
+
 def _digest(ndjson: str) -> str:
     return hashlib.sha256(ndjson.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_live_simulations_do_not_interfere(name):
-    # Both fleets hold the same keys, and `seal` hands box keys to the newest
-    # live identity of a key: here the second simulation's, while the first
-    # one runs. Its clients then open on the exchange path, and the second
-    # one's identities carry keys they did not receive through their inbox.
+    # Both fleets hold the same keys; no state kept outside a `Simulation`
+    # may carry from one run into the other.
     scenario = load_file(str(SCENARIOS / name))
     first, second = Simulation(scenario), Simulation(scenario)
     assert _digest(first.run().to_ndjson()) == GOLDEN[name]

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from optoutswarm import crypto
+from optoutswarm import crypto, pow_backend
 from optoutswarm.coordinator import CampaignStart
 from optoutswarm.dht import SimulatedDht, inbox_key
 from optoutswarm.evaluator import canonicalize
@@ -151,8 +151,7 @@ class TestInitiate:
         )
         values = dht.get(inbox_key(peer.public_key), 0)
         assert len(values) == 1
-        sealed = crypto.SealedMessage.from_bytes(values[0])
-        payload = crypto.open_sealed(peer, sealed)
+        payload = crypto.open_sealed(peer, values[0])
         challenge = decode_payload(payload)
         assert isinstance(challenge, crypto.Challenge)
         assert challenge.issuer_public_key == me.public_key
@@ -192,9 +191,30 @@ class TestHandleChallenge:
         assert got.answered and got.attempted and got.dropped is None
         assert got.hash_evaluations == self.expected + 1
         values = self.dht.get(inbox_key(self.issuer.public_key), 0)
-        sealed = crypto.SealedMessage.from_bytes(values[0])
-        solution = decode_payload(crypto.open_sealed(self.issuer, sealed))
+        solution = decode_payload(crypto.open_sealed(self.issuer, values[0]))
         assert solution == crypto.ChallengeSolution(self.me.public_key, self.expected)
+
+    def test_without_a_hint_the_kernel_solves(self, monkeypatch):
+        calls = []
+        kernel = pow_backend.solve_kernel
+        monkeypatch.setattr(
+            pow_backend, "solve_kernel", lambda *args: calls.append(args) or kernel(*args)
+        )
+        got = self.handle(AnswerBudget(cap=5))
+        assert got.answered and got.hash_evaluations == self.expected + 1
+        assert len(calls) == 1
+
+    def test_a_hint_changes_nothing_but_the_scan(self, monkeypatch):
+        unhinted = self.handle(AnswerBudget(cap=5))
+        unhinted_inbox = self.dht.get(inbox_key(self.issuer.public_key), 0)
+        self.dht = SimulatedDht()
+        monkeypatch.setattr(pow_backend, "solve_kernel", None)  # any call fails
+        hinted = handle_challenge(
+            self.me, self.challenge, self.dht, AnswerBudget(cap=5),
+            issuer_is_comrade=lambda pk: True, max_rand=50, now=0, known=self.expected,
+        )
+        assert hinted == unhinted
+        assert self.dht.get(inbox_key(self.issuer.public_key), 0) == unhinted_inbox
 
     def test_unsolvable_burns_full_scan_and_budget(self):
         relay = identity("relay")
@@ -279,16 +299,14 @@ def test_full_handshake_end_to_end():
     alice_db = TrustDb()
 
     initiate_verification(alice, bob.public_key, dht, alice_db, cfg, Random(9), 0)
-    sealed = crypto.SealedMessage.from_bytes(dht.get(inbox_key(bob.public_key), 0)[0])
+    sealed = dht.get(inbox_key(bob.public_key), 0)[0]
     challenge = decode_payload(crypto.open_sealed(bob, sealed))
     handled = handle_challenge(
         bob, challenge, dht, AnswerBudget(cap=5),
         issuer_is_comrade=lambda pk: True, max_rand=40, now=1,
     )
     assert handled.answered
-    sealed_back = crypto.SealedMessage.from_bytes(
-        dht.get(inbox_key(alice.public_key), 1)[0]
-    )
+    sealed_back = dht.get(inbox_key(alice.public_key), 1)[0]
     solution = decode_payload(crypto.open_sealed(alice, sealed_back))
     assert handle_response(alice_db, solution, cfg) is True
     assert bob.public_key in alice_db.verified
