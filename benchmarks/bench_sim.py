@@ -3,6 +3,8 @@
 
 Each rung scales the baseline's one client group to a fleet size and, for
 one rung, raises `max_rand` from the baseline's 200 to the default 10,000.
+One rung runs 40 clients for 4,000 minutes instead of 400: the events are
+the same as at 400 minutes, so the extra time is what idle minutes cost.
 Each run is a fresh `python -m optoutswarm run SCENARIO --out FILE` child.
 `os.wait4` reports that child's own CPU time (user + system) and peak RSS;
 its wall time runs from the spawn to the wait. The ladder takes the median
@@ -31,13 +33,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "scenarios" / "baseline.json"
 CHUNK_BYTES = 1 << 20
-# (clients, max_rand, runs, sha256 of the NDJSON every run must write)
+# (clients, max_rand, minutes, runs, sha256 of the NDJSON every run must write)
 LADDER = [
-    (10, 200, 3, "9df61019bedeadaede8b9f5152de489119bdbe4a0b45884ff5d6d6842ef5c9d3"),
-    (40, 200, 3, "8570a367ddc8c029f9dd48b536428a8d6b9d99a88f7ea2f8d4ddb0440c6b9f3f"),
-    (160, 200, 1, "7730112ae45838c1c7f3d7f550d3d9bcd18c7e513e15c94afce02ca595d6bd70"),
-    (160, 10_000, 1, "5c636aab85537ea3e3a194a95e0e60a01c8c5eff9d6d55621d59e96e3454ca21"),
-    (320, 200, 1, "830ad691694f39b9a53a264a848785ddfc09edf697c57cfa40881d280e76702e"),
+    (10, 200, 400, 3, "9df61019bedeadaede8b9f5152de489119bdbe4a0b45884ff5d6d6842ef5c9d3"),
+    (40, 200, 400, 3, "8570a367ddc8c029f9dd48b536428a8d6b9d99a88f7ea2f8d4ddb0440c6b9f3f"),
+    (40, 200, 4000, 3, "7e40ff0dd8576a3712c7294eecc944068b0735d704f9db497c7bb95ee52c63ee"),
+    (160, 200, 400, 1, "7730112ae45838c1c7f3d7f550d3d9bcd18c7e513e15c94afce02ca595d6bd70"),
+    (160, 10_000, 400, 1, "5c636aab85537ea3e3a194a95e0e60a01c8c5eff9d6d55621d59e96e3454ca21"),
+    (320, 200, 400, 1, "830ad691694f39b9a53a264a848785ddfc09edf697c57cfa40881d280e76702e"),
 ]
 
 
@@ -81,20 +84,23 @@ def one_run(src: Path, scenario: Path, out: Path) -> dict:
     }
 
 
-def rung(src: Path, clients: int, max_rand: int, runs: int, pinned: str, workdir: Path) -> dict:
+def rung(
+    src: Path, clients: int, max_rand: int, minutes: int, runs: int, pinned: str, workdir: Path
+) -> dict:
     raw = json.loads(BASELINE.read_text(encoding="utf-8"))
     raw["clients"][0]["count"] = clients
     raw["clients"][0]["trust"]["max_rand"] = max_rand
-    scenario = workdir / f"baseline-{clients}-{max_rand}.json"
+    raw["duration"] = minutes
+    scenario = workdir / f"baseline-{clients}-{max_rand}-{minutes}.json"
     scenario.write_text(json.dumps(raw), encoding="utf-8")
     results = [one_run(src, scenario, workdir / "out.ndjson") for _ in range(runs)]
     wrong = sorted({r["ndjson_sha256"] for r in results} - {pinned})
     if wrong:
         raise SystemExit(
-            f"bench_sim: {clients} clients at max_rand {max_rand} wrote NDJSON sha256 "
-            f"{wrong}, pinned {pinned}"
+            f"bench_sim: {clients} clients at max_rand {max_rand} for {minutes} minutes "
+            f"wrote NDJSON sha256 {wrong}, pinned {pinned}"
         )
-    entry = {"clients": clients, "max_rand": max_rand, "runs": runs}
+    entry = {"clients": clients, "max_rand": max_rand, "minutes": minutes, "runs": runs}
     for key in ("wall_s", "cpu_s", "peak_rss_mib"):
         entry[key] = round(statistics.median(r[key] for r in results), 3)
         entry[f"{key}_runs"] = [round(r[key], 3) for r in results]
@@ -113,8 +119,8 @@ def main() -> int:
     src = args.src.resolve()
     entry = {"host": host_facts(src), "ladder": []}
     with tempfile.TemporaryDirectory(prefix="bench_sim-") as tmp:
-        for clients, max_rand, runs, pinned in LADDER:
-            entry["ladder"].append(rung(src, clients, max_rand, runs, pinned, Path(tmp)))
+        for clients, max_rand, minutes, runs, pinned in LADDER:
+            entry["ladder"].append(rung(src, clients, max_rand, minutes, runs, pinned, Path(tmp)))
             print(json.dumps(entry["ladder"][-1]), flush=True)
 
     path = ROOT / f"BENCH_{args.label}.json"

@@ -99,16 +99,23 @@ class CampaignStart:
 
 @dataclass
 class CampaignRecord:
-    joined_at: int
     state: CampaignState = CampaignState.PENDING
+    baseline: list[float] = field(default_factory=list)  # my latency probes before the start
+    during: list[float] = field(default_factory=list)  # and from the start on
 
 
 @dataclass
 class LocalCampaignDb:
+    """The campaigns I joined, in `CampaignStart.order`; `join` alone adds them."""
+
     entries: dict[CampaignStart, CampaignRecord] = field(default_factory=dict)
 
-    def pending(self) -> list[CampaignStart]:
-        return [c for c, r in self.entries.items() if r.state is CampaignState.PENDING]
+    def join(self, campaign: CampaignStart) -> CampaignRecord:
+        """Add a campaign in order; re-joining keeps its record as it is."""
+        if campaign not in self.entries:
+            self.entries[campaign] = CampaignRecord()
+            self.entries = dict(sorted(self.entries.items(), key=lambda e: e[0].order))
+        return self.entries[campaign]
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,6 @@ class LaunchDecision:
     comrade_count: int
     trust_sum: int
     trust_threshold: int
-    decided_at: int
 
 
 @dataclass(frozen=True)
@@ -215,7 +221,7 @@ def challenge_comrades(
     draws the same challenges.
     """
     challenged = []
-    for campaign in sorted(db.entries, key=lambda c: c.order):
+    for campaign in db.entries:
         for peer in sorted(read_comrades(dht, campaign, now)):
             if peer == identity.public_key or peer in trust_db.verified:
                 continue
@@ -273,8 +279,7 @@ def handle_url(
     for start in suitable:
         campaign = CampaignStart(url=url, start=start)
         register(dht, campaign, identity.public_key, now)
-        if campaign not in db.entries:
-            db.entries[campaign] = CampaignRecord(joined_at=now)
+        db.join(campaign)
         joined.append(campaign)
     return HandleResult(
         joined=tuple(joined), proposed=proposed, rejected_unsuitable=rejected
@@ -297,10 +302,9 @@ def tick(
     """
     decisions = []
     threshold = max(cfg.min_accumulated_trust, trust_db.current_min_accumulated_trust)
-    for campaign in sorted(db.pending(), key=lambda c: c.order):
-        if now < campaign.start:
+    for campaign, record in db.entries.items():
+        if record.state is not CampaignState.PENDING or now < campaign.start:
             continue
-        record = db.entries[campaign]
         if now >= campaign.start + cfg.launch_grace:
             record.state = CampaignState.SKIPPED
             decisions.append(
@@ -310,7 +314,6 @@ def tick(
                     comrade_count=0,
                     trust_sum=0,
                     trust_threshold=threshold,
-                    decided_at=now,
                 )
             )
             continue
@@ -325,7 +328,6 @@ def tick(
                 comrade_count=len(comrades),
                 trust_sum=trust_sum,
                 trust_threshold=threshold,
-                decided_at=now,
             )
         )
     return decisions

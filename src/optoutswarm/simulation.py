@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import json
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable
 
 from optoutswarm import coordinator, crypto, evaluator, trust, website
 from optoutswarm.coordinator import (
+    CampaignRecord,
     CampaignStart,
     CampaignState,
     CoordinatorConfig,
@@ -35,18 +37,12 @@ from optoutswarm.crypto import ClientIdentity
 from optoutswarm.dht import SimulatedDht
 from optoutswarm.evaluator import CanonicalUrl
 from optoutswarm.scenario import AdversarySpec, Scenario
-from optoutswarm.trust import AnswerBudget, TrustConfig, TrustDb
+from optoutswarm.trust import PROBE_WINDOW, AnswerBudget, TrustConfig, TrustDb
 from optoutswarm.website import TargetSite, TrafficLedger
 
 
 class NoSuchCampaign(Exception):
     """No client in the run ever reported that URL."""
-
-
-@dataclass
-class ProbeLog:
-    baseline: list[float] = field(default_factory=list)
-    during: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -58,8 +54,7 @@ class SimClient:
     rng: Random
     campaign_db: LocalCampaignDb = field(default_factory=LocalCampaignDb)
     trust_db: TrustDb = field(default_factory=TrustDb)
-    budget: AnswerBudget = None  # type: ignore[assignment]
-    probe_logs: dict[CampaignStart, ProbeLog] = field(default_factory=dict)
+    budget: AnswerBudget = field(init=False)
     urls_reported: set[str] = field(default_factory=set)
     solve_attempts: int = 0
     challenges_answered: int = 0
@@ -69,8 +64,7 @@ class SimClient:
 
     def __post_init__(self) -> None:
         self.trust_db.current_min_accumulated_trust = self.cfg.min_accumulated_trust
-        if self.budget is None:
-            self.budget = AnswerBudget(cap=self.cfg.max_challenges_answered)
+        self.budget = AnswerBudget(cap=self.cfg.max_challenges_answered)
 
     def issuer_is_comrade(self, dht: SimulatedDht, issuer_pk: bytes, now: int) -> bool:
         return coordinator.is_comrade(dht, self.campaign_db, issuer_pk, now)
@@ -283,17 +277,19 @@ class Simulation:
         self.emit = self.events.append if sink is None else sink
         self.adversarial_starts: set[CampaignStart] = set()
         self.honest_joins_on_adversarial = 0
-        self.known_campaigns: set[CampaignStart] = set()
-        self.launched_by: dict[CampaignStart, int] = {}
         self._whitelist = set(scenario.whitelist)
         self._confirm = (lambda _url: True) if (
             scenario.confirm_policy == "accept_all"
         ) else (lambda _url: False)
 
+    def joined_campaigns(self) -> set[CampaignStart]:
+        """Every campaign some honest client joined: the union of their tables."""
+        return set().union(*(client.campaign_db.entries for client in self.clients))
+
     def known_urls(self) -> list[CanonicalUrl]:
         """URLs an adversary can see: advertised sites plus announced ones."""
         seen = {site.url.render(): site.url for site, _ in self.sites.values()}
-        for campaign in self.known_campaigns:
+        for campaign in self.joined_campaigns():
             seen.setdefault(campaign.url.render(), campaign.url)
         return [seen[key] for key in sorted(seen)]
 
@@ -348,7 +344,6 @@ class Simulation:
                             }
                         )
                     for campaign in result.joined:
-                        self.known_campaigns.add(campaign)
                         if campaign in self.adversarial_starts:
                             self.honest_joins_on_adversarial += 1
                         self.emit(
@@ -443,8 +438,6 @@ class Simulation:
             )
             for decision in decisions:
                 campaign = decision.campaign
-                if decision.launched:
-                    self.launched_by[campaign] = self.launched_by.get(campaign, 0) + 1
                 self.emit(
                     {
                         "t": now,
@@ -476,37 +469,33 @@ class Simulation:
 
     def _phase_probes(self, now: int) -> None:
         # Probe k of a window falls `spacing * k` minutes after it opens: the
-        # baseline window 30 minutes before the start, the during window at it.
-        # Baseline probes due before the client joined are missed (the campaign
-        # was not in its db yet), and the campaign is then left unjudged.
+        # baseline window PROBE_WINDOW minutes before the start, the during one
+        # at it. Baseline probes due before the client joined are missed (the
+        # campaign was not in its table yet), so the campaign is left unjudged.
         for client in self.clients:
             count = client.tcfg.probe_count
-            spacing = 30 // count
-            for campaign in sorted(client.campaign_db.entries, key=lambda c: c.order):
+            spacing = PROBE_WINDOW // count
+            for campaign, record in client.campaign_db.entries.items():
                 offset = now - campaign.start
-                if not -30 <= offset <= 30:
+                if not -PROBE_WINDOW <= offset <= PROBE_WINDOW:
                     continue
                 entry = self.sites.get(campaign.url.render())
                 if entry is None:
                     continue
                 site, ledger = entry
-                log = client.probe_logs.setdefault(campaign, ProbeLog())
-                slot, rest = divmod(offset + 30, spacing)
+                slot, rest = divmod(offset + PROBE_WINDOW, spacing)
                 if rest == 0 and slot < count:
-                    log.baseline.append(website.probe(site, now, ledger))
+                    record.baseline.append(website.probe(site, now, ledger))
                 slot, rest = divmod(offset, spacing)
                 if rest == 0 and 0 <= slot < count:
-                    log.during.append(website.probe(site, now, ledger))
-                if offset == 30:
-                    self._judge(client, campaign, log, now)
+                    record.during.append(website.probe(site, now, ledger))
+                if offset == PROBE_WINDOW:
+                    self._judge(client, campaign, record, now)
 
     def _judge(
-        self, client: SimClient, campaign: CampaignStart, log: ProbeLog, now: int
+        self, client: SimClient, campaign: CampaignStart, record: CampaignRecord, now: int
     ) -> None:
-        if (
-            len(log.baseline) < client.tcfg.probe_count
-            or len(log.during) < client.tcfg.probe_count
-        ):
+        if min(len(record.baseline), len(record.during)) < client.tcfg.probe_count:
             self.emit(
                 {
                     "t": now,
@@ -525,8 +514,8 @@ class Simulation:
         )
         outcome = trust.CampaignOutcome(
             campaign=campaign,
-            baseline_latency=statistics.median(log.baseline),
-            during_latency=statistics.median(log.during),
+            baseline_latency=statistics.median(record.baseline),
+            during_latency=statistics.median(record.during),
             comrades=comrades,
         )
         verdict = trust.judge_outcome(outcome, client.tcfg.alpha)
@@ -584,8 +573,14 @@ class Simulation:
 
     def _summary(self) -> dict[str, Any]:
         end = self.scenario.duration
+        joined = self.joined_campaigns()
+        launched_by = Counter(
+            campaign for client in self.clients
+            for campaign, record in client.campaign_db.entries.items()
+            if record.state is CampaignState.LAUNCHED
+        )
         campaigns = []
-        listed = self.known_campaigns | self.adversarial_starts
+        listed = joined | self.adversarial_starts
         for campaign in sorted(listed, key=lambda c: (c.url.render(), c.start)):
             roster = set(coordinator.read_comrades(self.dht, campaign, end - 1))
             campaigns.append(
@@ -594,7 +589,7 @@ class Simulation:
                     "start": campaign.start,
                     "comrade_count": len(roster),
                     "honest_comrades": len(roster & self.by_key.keys()),
-                    "launched_by": self.launched_by.get(campaign, 0),
+                    "launched_by": launched_by[campaign],
                     "adversarial": campaign in self.adversarial_starts,
                 }
             )
@@ -634,7 +629,7 @@ class Simulation:
         )
         ratios = {}
         for url in reported_urls:
-            ratios[url] = self._convergence_ratio(url)
+            ratios[url] = self._convergence_ratio(url, joined)
         return {
             "type": "summary",
             "campaigns": campaigns,
@@ -650,15 +645,15 @@ class Simulation:
                 for adversary in self.adversaries
             ],
             "totals": {
-                "campaigns_launched": len(self.launched_by),
-                "launch_decisions_true": sum(self.launched_by.values()),
+                "campaigns_launched": len(launched_by),
+                "launch_decisions_true": sum(launched_by.values()),
                 "honest_joins_on_adversarial": self.honest_joins_on_adversarial,
                 "hash_evaluations": sum(c.hash_evaluations for c in self.clients),
                 "solve_attempts": sum(c.solve_attempts for c in self.clients),
             },
         }
 
-    def _convergence_ratio(self, url: str) -> float:
+    def _convergence_ratio(self, url: str, joined: set[CampaignStart]) -> float:
         reporters = {
             client.identity.public_key
             for client in self.clients
@@ -668,7 +663,7 @@ class Simulation:
             return 0.0
         end = self.scenario.duration
         best = 0
-        for campaign in self.known_campaigns:
+        for campaign in joined:
             if campaign.url.render() == url:
                 roster = coordinator.read_comrades(self.dht, campaign, end - 1)
                 best = max(best, len(reporters.intersection(roster)))

@@ -29,6 +29,8 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
+PROBE_WINDOW = 30  # minutes of latency probes before a campaign's start, and from it on
+
 TAG_CHALLENGE = 0x01
 TAG_RESPONSE = 0x02
 
@@ -55,13 +57,13 @@ class TrustConfig:
     ramp_cap: int = 10
     rechallenge_timeout: int = 120  # minutes before a silent peer is re-asked
     max_rand: int = 10_000
-    probe_count: int = 5  # per window; probes are 30 // probe_count minutes apart
+    probe_count: int = 5  # per window; probes are PROBE_WINDOW // probe_count minutes apart
 
     def __post_init__(self) -> None:
         if not 0 <= self.max_rand <= crypto.MAX_RAND_LIMIT:
             raise ValueError(f"max_rand must lie in [0, {crypto.MAX_RAND_LIMIT}]")
-        if not 1 <= self.probe_count <= 30:
-            raise ValueError("probe_count must lie in [1, 30]")
+        if not 1 <= self.probe_count <= PROBE_WINDOW:
+            raise ValueError(f"probe_count must lie in [1, {PROBE_WINDOW}]")
         if self.alpha <= 1:
             raise ValueError("alpha must exceed 1")
         if self.rechallenge_timeout < 1:

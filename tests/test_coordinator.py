@@ -1,5 +1,6 @@
 """Start-time selection, campaign joining, and the launch gates."""
 
+import inspect
 from pathlib import Path
 from random import Random
 
@@ -8,7 +9,6 @@ import pytest
 from optoutswarm import crypto, trust
 from optoutswarm.coordinator import (
     MINUTES_PER_WEEK,
-    CampaignRecord,
     CampaignStart,
     CampaignState,
     CoordinatorConfig,
@@ -180,11 +180,11 @@ class TestHandleUrl:
     def test_rejoining_is_idempotent(self):
         self.dht.put(campaign_table_key(URL.render()), b"200", 100)
         first = self.handle()
-        joined_at = self.db.entries[first.joined[0]].joined_at
+        record = self.db.entries[first.joined[0]]
         second = self.handle(now=110)
         assert second.joined == first.joined
         assert len(self.db.entries) == 1
-        assert self.db.entries[first.joined[0]].joined_at == joined_at
+        assert self.db.entries[first.joined[0]] is record
         assert read_comrades(self.dht, first.joined[0], 110) == [self.me.public_key]
 
     def test_one_outstanding_proposal_per_url(self):
@@ -208,7 +208,7 @@ class TestTick:
         self.trust_db = TrustDb()
         self.db = LocalCampaignDb()
         self.campaign = CampaignStart(url=URL, start=200)
-        self.db.entries[self.campaign] = CampaignRecord(joined_at=100)
+        self.db.join(self.campaign)
 
     def register(self, count: int):
         for i in range(count):
@@ -265,7 +265,6 @@ class TestTick:
         self.register(4)
         (decision,) = tick(204, self.dht, self.trust_db, self.cfg, self.db)
         assert decision.launched
-        assert decision.decided_at == 204
 
     def test_past_grace_is_skipped_unconditionally(self):
         self.register(100)
@@ -280,11 +279,43 @@ class TestTick:
         assert tick(201, self.dht, self.trust_db, self.cfg, self.db) == []
 
     def test_multiple_campaigns_decided_in_start_order(self):
-        later = CampaignStart(url=URL, start=300)
-        self.db.entries[later] = CampaignRecord(joined_at=100)
+        self.db.join(CampaignStart(url=URL, start=300))
+        self.db.join(CampaignStart(url=URL, start=250))  # joined out of start order
         self.register(4)
         decisions = tick(300, self.dht, self.trust_db, self.cfg, self.db)
-        assert [d.campaign.start for d in decisions] == [200, 300]
+        assert [d.campaign.start for d in decisions] == [200, 250, 300]
+
+
+class TestLocalCampaignDb:
+    OTHER = canonicalize("http://ads.example/buy")  # sorts before URL
+
+    def test_joins_in_any_order_iterate_in_campaign_order(self):
+        campaigns = [
+            CampaignStart(url=url, start=start)
+            for start in (50, 200, 300)
+            for url in (URL, self.OTHER)
+        ]
+        expected = sorted(campaigns, key=lambda c: (c.start, c.url.render()))
+        assert expected[:2] == [CampaignStart(self.OTHER, 50), CampaignStart(URL, 50)]
+        for seed in range(5):
+            db = LocalCampaignDb()
+            for campaign in Random(seed).sample(campaigns, len(campaigns)):
+                db.join(campaign)
+            assert list(db.entries) == expected
+
+    def test_rejoining_keeps_the_record(self):
+        db = LocalCampaignDb()
+        campaign = CampaignStart(url=URL, start=200)
+        record = db.join(campaign)
+        record.state = CampaignState.LAUNCHED
+        record.baseline.append(100.0)
+        record.during.append(250.0)
+        db.join(CampaignStart(url=URL, start=100))
+        assert db.join(campaign) is record
+        assert (record.state, record.baseline, record.during) == (
+            CampaignState.LAUNCHED, [100.0], [250.0]
+        )
+        assert len(db.entries) == 2
 
 
 class TestPollInbox:
@@ -335,7 +366,7 @@ class TestRoster:
         self.db = LocalCampaignDb()
         self.joined = CampaignStart(url=URL, start=500)
         self.other = CampaignStart(url=URL, start=600)
-        self.db.entries[self.joined] = CampaignRecord(joined_at=0)
+        self.db.join(self.joined)
 
     def test_read_comrades_keeps_registration_order(self):
         keys = [identity(f"reg-{i}").public_key for i in range(5)]
@@ -348,7 +379,7 @@ class TestRoster:
         peer, stranger = identity("peer").public_key, identity("stranger").public_key
         register(self.dht, self.other, peer, 0)
         assert not is_comrade(self.dht, self.db, peer, 0)  # a roster I did not join
-        self.db.entries[self.other] = CampaignRecord(joined_at=0)
+        self.db.join(self.other)
         assert is_comrade(self.dht, self.db, peer, 0)
         assert not is_comrade(self.dht, self.db, stranger, 0)
         assert not is_comrade(self.dht, self.db, peer, self.dht.ttl_minutes + 1)  # expired
@@ -361,7 +392,7 @@ class TestChallengeComrades:
         self.peer = identity("peer").public_key
         self.campaign = CampaignStart(url=URL, start=500)
         self.db = LocalCampaignDb()
-        self.db.entries[self.campaign] = CampaignRecord(joined_at=0)
+        self.db.join(self.campaign)
         register(self.dht, self.campaign, self.me.public_key, 0)
         register(self.dht, self.campaign, self.peer, 0)
         self.trust_db = TrustDb()
@@ -415,7 +446,7 @@ class TestChallengeComrades:
         earlier = CampaignStart(url=URL, start=400)
         rosters = {}
         for campaign in (later, earlier):  # joined out of start order
-            self.db.entries[campaign] = CampaignRecord(joined_at=0)
+            self.db.join(campaign)
             keys = [identity(f"{campaign.start}-{i}").public_key for i in range(4)]
             for key in sorted(keys, reverse=True):  # registered out of key order
                 register(self.dht, campaign, key, 0)
@@ -456,6 +487,18 @@ class TestConfigValidation:
     def test_campaign_start_must_be_positive(self):
         with pytest.raises(ValueError):
             CampaignStart(url=URL, start=0)
+
+
+def test_join_is_the_one_writer_of_the_campaign_table():
+    # the table stays in campaign order only while nothing else adds to it or sorts it
+    src = Path(__file__).resolve().parent.parent / "src" / "optoutswarm"
+    join = inspect.getsource(LocalCampaignDb.join)
+    for needle in (".entries[", "entries =", "entries.setdefault(", "entries.update(", ".order)"):
+        found = {p.name: p.read_text("utf-8").count(needle) for p in src.glob("*.py")}
+        elsewhere = {name: n for name, n in found.items() if name != "coordinator.py" and n}
+        assert elsewhere == {}, needle
+        assert found["coordinator.py"] == join.count(needle), needle
+    assert join.count(".order)") == 1
 
 
 def test_only_coordinator_and_dht_name_the_roster_key():

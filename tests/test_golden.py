@@ -2,25 +2,29 @@
 the normalized form that `optoutswarm validate` prints for it. One edge
 scenario under tests/ is pinned beside them: two client groups whose
 `max_rand` differ, so a challenge from the wider group can have its answer
-beyond the narrower solver's range (281 `no_solution` drops).
+beyond the narrower solver's range (281 `no_solution` drops). So is every
+scenario of the generated corpus in tests/corpus.py, which between them emit
+every event type and every drop reason.
 
 A change that moves any of these bytes changes what the simulator computes,
 or what a scenario file means. Such a change must update the digest here and
 say in CHANGES.md which bytes moved and why.
 """
 
+import functools
 import hashlib
 import os
-from collections import Counter
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import corpus
 from optoutswarm.cli import main
-from optoutswarm.scenario import load_file
-from optoutswarm.simulation import Simulation, run
+from optoutswarm.scenario import from_dict, load_file
+from optoutswarm.simulation import MetricsReport, Simulation, run
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -67,18 +71,57 @@ def test_edge_scenario_ndjson_digest():
     assert _digest(run(load_file(str(EDGE))).to_ndjson()) == EDGE_DIGEST
 
 
-@pytest.mark.parametrize("path", [*sorted(SCENARIOS.glob("*.json")), EDGE], ids=lambda p: p.name)
-def test_events_add_up_to_the_summary(path):
-    report = run(load_file(str(path)))
+EVENT_KINDS = {
+    "no_feasible_start", "campaign_proposed", "campaign_joined", "challenge_sent",
+    "challenge_answered", "dropped_not_comrade", "dropped_budget", "dropped_no_solution",
+    "verification", "launch_decision", "outcome_judged", "outcome_unjudged", "trust_reset",
+    "site_minute",
+}
+
+
+def _kind(event: dict) -> str:
+    if event["type"] == "challenge_dropped":
+        return f"dropped_{event['reason']}"
+    return event["type"]
+
+
+@functools.cache
+def _corpus_report(name: str) -> MetricsReport:
+    return run(from_dict(corpus.generate(name)))
+
+
+def test_every_corpus_variant_is_pinned():
+    assert sorted(corpus.PINNED) == sorted(corpus.VARIANTS)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.PINNED))
+def test_corpus_ndjson_digest(name):
+    assert _digest(_corpus_report(name).to_ndjson()) == corpus.PINNED[name]
+
+
+def test_corpus_emits_every_event_type_and_drop_reason():
+    kinds = {_kind(e) for name in corpus.VARIANTS for e in _corpus_report(name).events}
+    assert kinds == EVENT_KINDS
+
+
+@pytest.mark.parametrize(
+    "name", [*sorted(GOLDEN), EDGE.name, *(f"corpus:{name}" for name in corpus.VARIANTS)]
+)
+def test_events_add_up_to_the_summary(name):
+    if name.startswith("corpus:"):
+        report = _corpus_report(name.removeprefix("corpus:"))
+    else:
+        report = run(load_file(str(EDGE if name == EDGE.name else SCENARIOS / name)))
     counts = Counter()
-    launched = set()
+    launches = Counter()
+    joined = set()
     for event in report.events:
-        kind = event["type"]
-        if kind == "challenge_dropped":
-            kind = f"dropped_{event['reason']}"
+        kind = _kind(event)
         counts[kind, event.get("client")] += 1
         if kind == "launch_decision" and event["launched"]:
-            launched.add((event["url"], event["start"]))
+            launches[event["url"], event["start"]] += 1
+        if kind == "campaign_joined":
+            joined.add((event["url"], event["start"]))
     for client in report.summary["clients"]:
         i = client["index"]
         assert client["challenges_sent"] == counts["challenge_sent", i]
@@ -87,7 +130,13 @@ def test_events_add_up_to_the_summary(path):
             counts["challenge_answered", i] + counts["dropped_no_solution", i]
         )
         assert client["trust_resets"] == counts["trust_reset", i]
-    assert report.summary["totals"]["campaigns_launched"] == len(launched)
+    campaigns = {(c["url"], c["start"]): c for c in report.summary["campaigns"]}
+    assert joined <= campaigns.keys()
+    for key, campaign in campaigns.items():
+        assert campaign["launched_by"] == launches[key]
+    totals = report.summary["totals"]
+    assert totals["campaigns_launched"] == len(launches)
+    assert totals["launch_decisions_true"] == launches.total()
 
 
 def _digest(ndjson: str) -> str:
