@@ -3,8 +3,9 @@
 
 Each rung scales the baseline's one client group to a fleet size and, for
 one rung, raises `max_rand` from the baseline's 200 to the default 10,000.
-One rung runs 40 clients for 4,000 minutes instead of 400: the events are
-the same as at 400 minutes, so the extra time is what idle minutes cost.
+Two rungs run 40 clients for 4,000 minutes and for one week (10,080
+minutes) instead of 400: the events are the same as at 400 minutes, so the
+extra time is what idle minutes cost.
 Each run is a fresh `python -m optoutswarm run SCENARIO --out FILE` child.
 `os.wait4` reports that child's own CPU time (user + system) and peak RSS;
 its wall time runs from the spawn to the wait. The ladder takes the median
@@ -38,6 +39,7 @@ LADDER = [
     (10, 200, 400, 3, "9df61019bedeadaede8b9f5152de489119bdbe4a0b45884ff5d6d6842ef5c9d3"),
     (40, 200, 400, 3, "8570a367ddc8c029f9dd48b536428a8d6b9d99a88f7ea2f8d4ddb0440c6b9f3f"),
     (40, 200, 4000, 3, "7e40ff0dd8576a3712c7294eecc944068b0735d704f9db497c7bb95ee52c63ee"),
+    (40, 200, 10_080, 3, "20cab3edcb7932699b49048cb164afd765859e4385e9cfea25e4c0fd75d3dc88"),
     (160, 200, 400, 1, "7730112ae45838c1c7f3d7f550d3d9bcd18c7e513e15c94afce02ca595d6bd70"),
     (160, 10_000, 400, 1, "5c636aab85537ea3e3a194a95e0e60a01c8c5eff9d6d55621d59e96e3454ca21"),
     (320, 200, 400, 1, "830ad691694f39b9a53a264a848785ddfc09edf697c57cfa40881d280e76702e"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import logging
 import os
@@ -49,8 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_cmd = sub.add_parser("run", help="run a scenario file")
     run_cmd.add_argument("scenario", help="path to a scenario JSON file")
-    run_cmd.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run_cmd.add_argument(
+    seeds = run_cmd.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    seeds.add_argument(
         "--sweep",
         type=_parse_sweep,
         default=None,
@@ -82,10 +84,23 @@ def _out_path(base: str, seed: int, multiple: bool) -> Path:
     return path.with_name(f"{path.stem}-seed{seed}{path.suffix}")
 
 
+def _tmp_path(path: Path) -> Path:
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
+def _check_writable(path: Path) -> None:
+    """Raise OSError unless a run could write `path`; creates nothing that stays."""
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    tmp = _tmp_path(path)
+    tmp.touch()
+    tmp.unlink()
+
+
 def _run_to_file(scn: scenario_mod.Scenario, path: Path) -> simulation.MetricsReport:
     """Stream the run's NDJSON to a sibling temporary file, then rename it
     into place, so a failed run leaves whatever was at `path` untouched."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = _tmp_path(path)
     try:
         with open(tmp, "w", encoding="utf-8") as out:
             write, line = out.write, simulation.ndjson_line
@@ -132,6 +147,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
     multiple = len(runs) > 1
+    if args.out:
+        try:
+            for seed in seeds:
+                _check_writable(_out_path(args.out, seed, multiple))
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INVALID
     for seed, scn in zip(seeds, runs):
         if args.out:
             report = _run_to_file(scn, _out_path(args.out, seed, multiple))

@@ -94,7 +94,7 @@ class CampaignStart:
     @property
     def order(self) -> tuple[int, str]:
         """Sort key: earliest start first, ties by URL, on every client alike."""
-        return (self.start, self.url.render())
+        return (self.start, self.url)
 
 
 @dataclass
@@ -176,13 +176,13 @@ def propose_start(now: int, cfg: CoordinatorConfig, rng: Random) -> int:
 
 def announce_start(dht: SimulatedDht, url: CanonicalUrl, start: int, now: int) -> None:
     """Publish a start minute for a URL's campaign table, as ASCII digits."""
-    dht.put(campaign_table_key(url.render()), str(start).encode("ascii"), now)
+    dht.put(campaign_table_key(url), str(start).encode("ascii"), now)
 
 
 def read_starts(dht: SimulatedDht, url: CanonicalUrl, now: int) -> list[int]:
     """Every announced start minute for a URL; malformed entries are skipped."""
     starts = []
-    for value in dht.get(campaign_table_key(url.render()), now):
+    for value in dht.get(campaign_table_key(url), now):
         try:
             starts.append(int(value.decode("ascii")))
         except (UnicodeDecodeError, ValueError):
@@ -191,7 +191,7 @@ def read_starts(dht: SimulatedDht, url: CanonicalUrl, now: int) -> list[int]:
 
 
 def _roster_key(campaign: CampaignStart) -> DhtKey:
-    return comrades_table_key(campaign.start, campaign.url.render())
+    return comrades_table_key(campaign.start, campaign.url)
 
 
 def register(dht: SimulatedDht, campaign: CampaignStart, public_key: bytes, now: int) -> None:
@@ -349,7 +349,7 @@ def poll_inbox(
         dht.remove(key, sealed)
         try:
             plaintext = crypto.open_sealed(identity, sealed)
-            payloads.append(trust.decode_payload(plaintext, issued_at=now))
+            payloads.append(trust.decode_payload(plaintext))
         except (ValueError, crypto.NotAddressee, crypto.DecryptionFailure,
                 trust.MalformedPayload) as exc:
             log.debug("dropping inbox value: %s", exc)

@@ -96,7 +96,6 @@ class Challenge:
     issuer_public_key: bytes
     rand1: int
     target_hash: bytes
-    issued_at: int = 0  # sim-minute; 0 outside a simulation
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,6 @@ def generate_challenge(
     issuer: ClientIdentity,
     max_rand: int,
     rng: Random,
-    issued_at: int = 0,
 ) -> tuple[Challenge, int]:
     """Draw rand1 and rand2 uniformly from [0, max_rand].
 
@@ -137,7 +135,6 @@ def generate_challenge(
         issuer_public_key=issuer.public_key,
         rand1=rand1,
         target_hash=challenge_target(issuer.public_key, rand1, rand2),
-        issued_at=issued_at,
     )
     return challenge, rand2
 

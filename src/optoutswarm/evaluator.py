@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable, NewType
 
 from urllib.parse import urlsplit
 
@@ -44,34 +44,9 @@ class EmailDocument:
     footer_hint: str | None = None
 
 
-@dataclass(frozen=True)
-class CanonicalUrl:
-    """Parameter-free URL identity shared by all clients.
-
-    host keeps an explicit ":port" suffix only for non-default ports, so
-    distinct origins stay distinct without a separate field.
-    """
-
-    scheme: str
-    host: str
-    path: str
-
-    def render(self) -> str:
-        return f"{self.scheme}://{self.host}{self.path}"
-
-    def __str__(self) -> str:
-        return self.render()
-
-    @property
-    def hostname(self) -> str:
-        return self.host.rsplit(":", 1)[0] if ":" in self.host else self.host
-
-
-@dataclass(frozen=True)
-class RedirectMap:
-    """Short-URL to destination mapping; stands in for live redirector lookups."""
-
-    mapping: dict[str, str] = field(default_factory=dict)
+# Parameter-free URL identity shared by all clients: "scheme://host/path",
+# where host keeps an explicit ":port" only for non-default ports.
+CanonicalUrl = NewType("CanonicalUrl", str)
 
 
 def extract_urls(mail: EmailDocument) -> list[str]:
@@ -87,7 +62,7 @@ def extract_urls(mail: EmailDocument) -> list[str]:
 
 def unwrap_redirects(
     url: str,
-    redirects: RedirectMap,
+    redirects: dict[str, str],
     max_depth: int = DEFAULT_MAX_REDIRECT_DEPTH,
 ) -> str:
     """Follow the mapping until an unmapped URL or max_depth hops."""
@@ -96,7 +71,7 @@ def unwrap_redirects(
     seen = {url}
     current = url
     for _ in range(max_depth):
-        nxt = redirects.mapping.get(current)
+        nxt = redirects.get(current)
         if nxt is None:
             return current
         if nxt in seen:
@@ -125,28 +100,24 @@ def canonicalize(url: str) -> CanonicalUrl:
     if port is not None and port != _DEFAULT_PORTS[scheme]:
         host = f"{host}:{port}"
     path = parts.path.rstrip("/") or "/"
-    return CanonicalUrl(scheme=scheme, host=host, path=path)
+    return CanonicalUrl(f"{scheme}://{host}{path}")
 
 
-def load_whitelist(lines: Iterable[str]) -> set[str]:
-    """Parse a whitelist: one host suffix per line, '#' starts a comment."""
-    hosts = set()
-    for line in lines:
-        entry = line.split("#", 1)[0].strip().lower()
-        if entry:
-            hosts.add(entry)
-    return hosts
+def hostname(url: CanonicalUrl) -> str:
+    """The host of a canonical URL, without its port."""
+    host = url.split("://", 1)[1].split("/", 1)[0]
+    return host.rsplit(":", 1)[0] if ":" in host else host
 
 
 def is_whitelisted(url: CanonicalUrl, whitelist: set[str]) -> bool:
     """Exact host match or subdomain of any whitelisted suffix."""
-    host = url.hostname
+    host = hostname(url)
     return any(host == entry or host.endswith("." + entry) for entry in whitelist)
 
 
 def evaluate(
     mail: EmailDocument,
-    redirects: RedirectMap,
+    redirects: dict[str, str],
     whitelist: set[str],
     confirm: Callable[[CanonicalUrl], bool],
     max_depth: int = DEFAULT_MAX_REDIRECT_DEPTH,

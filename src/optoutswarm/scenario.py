@@ -24,13 +24,7 @@ from typing import Any, Literal, NamedTuple
 
 from optoutswarm.coordinator import CoordinatorConfig
 from optoutswarm.crypto import MAX_RAND_LIMIT
-from optoutswarm.evaluator import (
-    CanonicalUrl,
-    EmailDocument,
-    InvalidUrl,
-    RedirectMap,
-    canonicalize,
-)
+from optoutswarm.evaluator import CanonicalUrl, EmailDocument, InvalidUrl, canonicalize
 from optoutswarm.trust import TrustConfig
 from optoutswarm.website import TargetSite
 
@@ -78,7 +72,7 @@ class Scenario:
     clients: tuple[ClientGroup, ...]
     target_sites: tuple[TargetSite, ...] = ()
     spam_injections: tuple[SpamInjection, ...] = ()
-    redirect_map: RedirectMap = field(default_factory=RedirectMap)
+    redirect_map: dict[str, str] = field(default_factory=dict)
     whitelist: tuple[str, ...] = ()
     adversaries: tuple[AdversarySpec, ...] = ()
     opt_out_rate: int = DEFAULT_OPT_OUT_RATE
@@ -176,6 +170,12 @@ def _read(tp: Any, value: Any, path: str) -> Any:
         return tuple(
             _read(item, v, f"{path}[{i}]") for i, (item, v) in enumerate(zip(items, value))
         )
+    if origin is dict:  # dict[str, str]: JSON object keys are always strings
+        _expect(
+            type(value) is dict and all(type(v) is str for v in value.values()),
+            path, "an object of strings", value,
+        )
+        return dict(value)
     if origin is Literal:
         _expect(value in args, path, " or ".join(map(repr, args)), value)
         return value
@@ -188,12 +188,6 @@ def _read(tp: Any, value: Any, path: str) -> Any:
             return canonicalize(_read(str, value, path))
         except (InvalidUrl, ValueError) as exc:
             raise InvalidScenario(f"{path}: {exc}") from None
-    if tp is RedirectMap:
-        _expect(
-            type(value) is dict and all(type(v) is str for v in value.values()),
-            path, "an object of strings", value,
-        )
-        return RedirectMap(dict(value))
     if tp is float:  # an int stays an int, so the normalized form keeps it
         finite = type(value) is int or (type(value) is float and math.isfinite(value))
         _expect(finite, path, "a finite number", value)
@@ -302,10 +296,6 @@ def to_dict(value: Any) -> Any:
         return {"strategy": value.strategy, **value.params}
     if type(value) is tuple:
         return [to_dict(item) for item in value]
-    if type(value) is RedirectMap:
-        return dict(value.mapping)
-    if type(value) is CanonicalUrl:
-        return value.render()
     return value.value if isinstance(value, Enum) else value
 
 

@@ -55,7 +55,7 @@ class SimClient:
     campaign_db: LocalCampaignDb = field(default_factory=LocalCampaignDb)
     trust_db: TrustDb = field(default_factory=TrustDb)
     budget: AnswerBudget = field(init=False)
-    urls_reported: set[str] = field(default_factory=set)
+    urls_reported: set[CanonicalUrl] = field(default_factory=set)
     solve_attempts: int = 0
     challenges_answered: int = 0
     challenges_sent: int = 0
@@ -170,7 +170,7 @@ class _ChallengeFloodAdversary(_Adversary):
         victim_pk = sim.clients[params["victim"]].identity.public_key
         for _ in range(params["count"]):
             challenge, _expected = crypto.generate_challenge(
-                self.identity, params["max_rand"], self.rng, issued_at=now
+                self.identity, params["max_rand"], self.rng
             )
             trust.post(sim.dht, victim_pk, trust.encode_challenge_payload(challenge), now)
             self.bump("challenges_sent")
@@ -199,7 +199,6 @@ class _MitmForwarderAdversary(_Adversary):
                     issuer_public_key=self.identity.public_key,
                     rand1=message.rand1,
                     target_hash=message.target_hash,
-                    issued_at=now,
                 )
             for victim_pk in sorted(victims - {message.issuer_public_key}):
                 trust.post(sim.dht, victim_pk, trust.encode_challenge_payload(forwarded), now)
@@ -249,9 +248,8 @@ class Simulation:
     def __init__(self, scenario: Scenario, sink: Sink | None = None) -> None:
         self.scenario = scenario
         self.dht = SimulatedDht()
-        self.sites: dict[str, tuple[TargetSite, TrafficLedger]] = {
-            site.url.render(): (site, TrafficLedger())
-            for site in scenario.target_sites
+        self.sites: dict[CanonicalUrl, tuple[TargetSite, TrafficLedger]] = {
+            site.url: (site, TrafficLedger()) for site in scenario.target_sites
         }
         self.clients: list[SimClient] = []
         index = 0
@@ -288,10 +286,7 @@ class Simulation:
 
     def known_urls(self) -> list[CanonicalUrl]:
         """URLs an adversary can see: advertised sites plus announced ones."""
-        seen = {site.url.render(): site.url for site, _ in self.sites.values()}
-        for campaign in self.joined_campaigns():
-            seen.setdefault(campaign.url.render(), campaign.url)
-        return [seen[key] for key in sorted(seen)]
+        return sorted(self.sites.keys() | {c.url for c in self.joined_campaigns()})
 
     # ------------------------------------------------------------------
     # phases
@@ -310,7 +305,7 @@ class Simulation:
             for index in sorted(self.scenario.injection_targets(injection)):
                 client = self.clients[index]
                 for url in urls:
-                    client.urls_reported.add(url.render())
+                    client.urls_reported.add(url)
                     try:
                         result = coordinator.handle_url(
                             url,
@@ -328,7 +323,7 @@ class Simulation:
                                 "t": now,
                                 "type": "no_feasible_start",
                                 "client": index,
-                                "url": url.render(),
+                                "url": url,
                             }
                         )
                         continue
@@ -339,7 +334,7 @@ class Simulation:
                                 "t": now,
                                 "type": "campaign_proposed",
                                 "client": index,
-                                "url": url.render(),
+                                "url": url,
                                 "start": result.proposed.start,
                             }
                         )
@@ -351,7 +346,7 @@ class Simulation:
                                 "t": now,
                                 "type": "campaign_joined",
                                 "client": index,
-                                "url": campaign.url.render(),
+                                "url": campaign.url,
                                 "start": campaign.start,
                                 "rejected_unsuitable": result.rejected_unsuitable,
                             }
@@ -443,7 +438,7 @@ class Simulation:
                         "t": now,
                         "type": "launch_decision",
                         "client": client.index,
-                        "url": campaign.url.render(),
+                        "url": campaign.url,
                         "start": campaign.start,
                         "launched": decision.launched,
                         "comrades": decision.comrade_count,
@@ -459,7 +454,7 @@ class Simulation:
                     continue
                 if not campaign.start <= now < campaign.start + self.scenario.campaign_duration:
                     continue
-                entry = self.sites.get(campaign.url.render())
+                entry = self.sites.get(campaign.url)
                 if entry is None:
                     continue
                 site, ledger = entry
@@ -479,7 +474,7 @@ class Simulation:
                 offset = now - campaign.start
                 if not -PROBE_WINDOW <= offset <= PROBE_WINDOW:
                     continue
-                entry = self.sites.get(campaign.url.render())
+                entry = self.sites.get(campaign.url)
                 if entry is None:
                     continue
                 site, ledger = entry
@@ -501,7 +496,7 @@ class Simulation:
                     "t": now,
                     "type": "outcome_unjudged",
                     "client": client.index,
-                    "url": campaign.url.render(),
+                    "url": campaign.url,
                     "start": campaign.start,
                     "reason": "insufficient_probes",
                 }
@@ -526,7 +521,7 @@ class Simulation:
                 "t": now,
                 "type": "outcome_judged",
                 "client": client.index,
-                "url": campaign.url.render(),
+                "url": campaign.url,
                 "start": campaign.start,
                 "verdict": verdict.value,
                 "baseline_ms": outcome.baseline_latency,
@@ -579,13 +574,13 @@ class Simulation:
             for campaign, record in client.campaign_db.entries.items()
             if record.state is CampaignState.LAUNCHED
         )
+        listed = sorted(joined | self.adversarial_starts, key=lambda c: (c.url, c.start))
+        rosters = {c: set(coordinator.read_comrades(self.dht, c, end - 1)) for c in listed}
         campaigns = []
-        listed = joined | self.adversarial_starts
-        for campaign in sorted(listed, key=lambda c: (c.url.render(), c.start)):
-            roster = set(coordinator.read_comrades(self.dht, campaign, end - 1))
+        for campaign, roster in rosters.items():
             campaigns.append(
                 {
-                    "url": campaign.url.render(),
+                    "url": campaign.url,
                     "start": campaign.start,
                     "comrade_count": len(roster),
                     "honest_comrades": len(roster & self.by_key.keys()),
@@ -624,12 +619,15 @@ class Simulation:
                     "min_accumulated_trust": client.trust_db.current_min_accumulated_trust,
                 }
             )
-        reported_urls = sorted(
-            {url for client in self.clients for url in client.urls_reported}
-        )
+        # convergence: share of a URL's reporters on its fullest joined roster
+        reporters: dict[CanonicalUrl, set[bytes]] = {}
+        for client in self.clients:
+            for url in client.urls_reported:
+                reporters.setdefault(url, set()).add(client.identity.public_key)
         ratios = {}
-        for url in reported_urls:
-            ratios[url] = self._convergence_ratio(url, joined)
+        for url, keys in sorted(reporters.items()):
+            best = max((len(keys & rosters[c]) for c in joined if c.url == url), default=0)
+            ratios[url] = best / len(keys)
         return {
             "type": "summary",
             "campaigns": campaigns,
@@ -652,22 +650,6 @@ class Simulation:
                 "solve_attempts": sum(c.solve_attempts for c in self.clients),
             },
         }
-
-    def _convergence_ratio(self, url: str, joined: set[CampaignStart]) -> float:
-        reporters = {
-            client.identity.public_key
-            for client in self.clients
-            if url in client.urls_reported
-        }
-        if not reporters:
-            return 0.0
-        end = self.scenario.duration
-        best = 0
-        for campaign in joined:
-            if campaign.url.render() == url:
-                roster = coordinator.read_comrades(self.dht, campaign, end - 1)
-                best = max(best, len(reporters.intersection(roster)))
-        return best / len(reporters)
 
 
 def run(scenario: Scenario, sink: Sink | None = None) -> MetricsReport:

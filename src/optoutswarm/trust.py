@@ -193,7 +193,7 @@ def encode_response_payload(solution: ChallengeSolution) -> bytes:
     )
 
 
-def decode_payload(data: bytes, issued_at: int = 0) -> Challenge | ChallengeSolution:
+def decode_payload(data: bytes) -> Challenge | ChallengeSolution:
     """Parse a tagged inbox payload back into its message type."""
     if not data:
         raise MalformedPayload("empty payload")
@@ -205,7 +205,6 @@ def decode_payload(data: bytes, issued_at: int = 0) -> Challenge | ChallengeSolu
             issuer_public_key=data[1:33],
             rand1=int.from_bytes(data[33:41], "little"),
             target_hash=data[41:73],
-            issued_at=issued_at,
         )
     if tag == TAG_RESPONSE:
         if len(data) != RESPONSE_PAYLOAD_LEN:
@@ -235,9 +234,7 @@ def initiate_verification(
 
     Whom to challenge, and when, is decided by `coordinator.challenge_comrades`.
     """
-    challenge, expected_rand2 = crypto.generate_challenge(
-        me, cfg.max_rand, rng, issued_at=now
-    )
+    challenge, expected_rand2 = crypto.generate_challenge(me, cfg.max_rand, rng)
     db.pending[peer_public_key] = PendingChallenge(
         expected_rand2=expected_rand2, issued_at=now
     )

@@ -360,6 +360,30 @@ class TestRun:
         assert captured.out == ""
         assert list(tmp_path.glob("runs*")) == []
 
+    @pytest.mark.parametrize("out_name, sweep", [
+        ("missing/x.ndjson", []),
+        ("missing/x.ndjson", ["--sweep", "0..1"]),
+        ("", []),  # the directory itself
+    ], ids=["missing-dir", "missing-dir-sweep", "directory"])
+    def test_unwritable_out_exits_2_before_running(
+        self, scenario_path, tmp_path, out_name, sweep, capsys
+    ):
+        # was: exit 1 after the run, naming a temporary path the user never typed
+        out = tmp_path / out_name
+        assert main(["run", str(scenario_path), "--out", str(out), *sweep]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot write {out}: ")
+        assert "Traceback" not in captured.err and ".tmp" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [scenario_path]
+
+    def test_seed_and_sweep_are_exclusive(self, scenario_path, capsys):
+        # was: --seed silently ignored
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(scenario_path), "--seed", "5", "--sweep", "0..1"])
+        assert exit_info.value.code == EXIT_INVALID
+        assert "not allowed with argument --seed" in capsys.readouterr().err
+
     def test_bad_sweep_spec_rejected(self, scenario_path, capsys):
         with pytest.raises(SystemExit):
             main(["run", str(scenario_path), "--sweep", "5"])

@@ -120,10 +120,10 @@ def test_accumulated_trust_ignores_unknown_peers():
 class TestPayloads:
     def test_challenge_round_trip(self):
         issuer = identity("payload-issuer")
-        challenge, _ = crypto.generate_challenge(issuer, 100, Random(7), issued_at=42)
+        challenge, _ = crypto.generate_challenge(issuer, 100, Random(7))
         data = encode_challenge_payload(challenge)
         assert len(data) == 73
-        assert decode_payload(data, issued_at=42) == challenge
+        assert decode_payload(data) == challenge
 
     def test_response_round_trip(self):
         solution = crypto.ChallengeSolution(solver_public_key=b"s" * 32, rand2=77)
