@@ -135,17 +135,13 @@ def _print_summary_table(seed: int, report: simulation.MetricsReport) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        base = scenario_mod.load_file(args.scenario)
-        seeds = list(args.sweep) if args.sweep is not None else [
-            args.seed if args.seed is not None else base.seed
-        ]
-        runs = [dataclasses.replace(base, seed=seed) for seed in seeds]
-        for scn in runs:  # an overriding seed gets the same checks as the file's
-            scenario_mod.validate(scn)
-    except InvalidScenario as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    base = scenario_mod.load_file(args.scenario)
+    seeds = list(args.sweep) if args.sweep is not None else [
+        args.seed if args.seed is not None else base.seed
+    ]
+    runs = [dataclasses.replace(base, seed=seed) for seed in seeds]
+    for scn in runs:  # an overriding seed gets the same checks as the file's
+        scenario_mod.validate(scn)
     multiple = len(runs) > 1
     if args.out:
         try:
@@ -167,11 +163,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        scn = scenario_mod.load_file(args.scenario)
-    except InvalidScenario as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    scn = scenario_mod.load_file(args.scenario)
     print(json.dumps(scenario_mod.to_dict(scn), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -183,6 +175,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_validate(args)
+    except InvalidScenario as exc:
+        print(f"invalid scenario: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except Exception as exc:  # anything unexpected is an internal failure
         logging.getLogger(__name__).exception("internal failure")
         print(f"internal failure: {exc}", file=sys.stderr)

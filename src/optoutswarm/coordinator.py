@@ -63,6 +63,9 @@ class CoordinatorConfig:
     def __post_init__(self) -> None:
         if not 0 < self.min_wait < self.max_wait:
             raise ValueError("need 0 < min_wait < max_wait")
+        # a registration lives one DHT TTL (a week and a day); a later start finds it gone
+        if self.max_wait > MINUTES_PER_WEEK:
+            raise ValueError(f"max_wait must be at most {MINUTES_PER_WEEK}")
         if self.min_comrades < 1:
             raise ValueError("min_comrades must be at least 1")
         if self.min_accumulated_trust < 0:
@@ -136,10 +139,7 @@ class HandleResult:
 
 def is_suitable(start: int, now: int, cfg: CoordinatorConfig) -> bool:
     """A start we could personally commit to: near enough, far enough, online."""
-    if not (now + cfg.min_wait <= start <= now + cfg.max_wait):
-        return False
-    week_minute = start % MINUTES_PER_WEEK
-    return any(a <= week_minute < b for a, b in cfg.usage_windows)
+    return any(a <= start < b for a, b in _feasible_segments(now, cfg))
 
 
 def _feasible_segments(now: int, cfg: CoordinatorConfig) -> list[tuple[int, int]]:
@@ -306,20 +306,11 @@ def tick(
         if record.state is not CampaignState.PENDING or now < campaign.start:
             continue
         if now >= campaign.start + cfg.launch_grace:
-            record.state = CampaignState.SKIPPED
-            decisions.append(
-                LaunchDecision(
-                    campaign=campaign,
-                    launched=False,
-                    comrade_count=0,
-                    trust_sum=0,
-                    trust_threshold=threshold,
-                )
-            )
-            continue
-        comrades = read_comrades(dht, campaign, now)
-        trust_sum = trust.accumulated_trust(trust_db, comrades)
-        launched = len(comrades) > cfg.min_comrades and trust_sum >= threshold
+            comrades, trust_sum, launched = [], 0, False
+        else:
+            comrades = read_comrades(dht, campaign, now)
+            trust_sum = trust.accumulated_trust(trust_db, comrades)
+            launched = len(comrades) > cfg.min_comrades and trust_sum >= threshold
         record.state = CampaignState.LAUNCHED if launched else CampaignState.SKIPPED
         decisions.append(
             LaunchDecision(

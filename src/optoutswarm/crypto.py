@@ -67,28 +67,26 @@ def key_hash(public_key: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class ClientIdentity:
-    """An X25519 keypair; the public key doubles as the client's name."""
+    """An X25519 keypair built from its private key; the public key doubles
+    as the client's name."""
 
-    public_key: bytes
     private_key: bytes  # raw scalar, never written into any DHT record
-    # parsed once: building it derives the public key again, which costs
-    # about half of an open
+    public_key: bytes = field(init=False)
+    # parsed once and kept for opens: parsing derives the public key, which
+    # costs about half of an open
     _x25519: X25519PrivateKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         private = X25519PrivateKey.from_private_bytes(self.private_key)
-        if private.public_key().public_bytes_raw() != self.public_key:
-            raise ValueError("private key does not derive the public key")
         object.__setattr__(self, "_x25519", private)
+        object.__setattr__(self, "public_key", private.public_key().public_bytes_raw())
 
     def __repr__(self) -> str:  # keep private key out of logs
         return f"ClientIdentity(public_key={self.public_key.hex()[:12]}…)"
 
 
 def generate_identity(rng: Random) -> ClientIdentity:
-    private = rng.randbytes(PUBLIC_KEY_LEN)
-    public = X25519PrivateKey.from_private_bytes(private).public_key()
-    return ClientIdentity(public_key=public.public_bytes_raw(), private_key=private)
+    return ClientIdentity(rng.randbytes(PUBLIC_KEY_LEN))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from urllib.parse import urlsplit
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MAX_REDIRECT_DEPTH = 5
+MAX_REDIRECT_DEPTH = 5  # redirector hops followed before giving up
 
 # Sentence punctuation that email prose glues onto URLs.
 _TRAILING_PUNCTUATION = ".,!;"
@@ -60,17 +60,11 @@ def extract_urls(mail: EmailDocument) -> list[str]:
     return list(dict.fromkeys(found))
 
 
-def unwrap_redirects(
-    url: str,
-    redirects: dict[str, str],
-    max_depth: int = DEFAULT_MAX_REDIRECT_DEPTH,
-) -> str:
-    """Follow the mapping until an unmapped URL or max_depth hops."""
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
+def unwrap_redirects(url: str, redirects: dict[str, str]) -> str:
+    """Follow the mapping until an unmapped URL or MAX_REDIRECT_DEPTH hops."""
     seen = {url}
     current = url
-    for _ in range(max_depth):
+    for _ in range(MAX_REDIRECT_DEPTH):
         nxt = redirects.get(current)
         if nxt is None:
             return current
@@ -120,7 +114,6 @@ def evaluate(
     redirects: dict[str, str],
     whitelist: set[str],
     confirm: Callable[[CanonicalUrl], bool],
-    max_depth: int = DEFAULT_MAX_REDIRECT_DEPTH,
 ) -> list[CanonicalUrl]:
     """Extract, unwrap, canonicalize, filter. Per-URL failures are dropped.
 
@@ -131,7 +124,7 @@ def evaluate(
     seen: set[CanonicalUrl] = set()
     for raw in extract_urls(mail):
         try:
-            unwrapped = unwrap_redirects(raw, redirects, max_depth)
+            unwrapped = unwrap_redirects(raw, redirects)
             canonical = canonicalize(unwrapped)
         except (RedirectLoop, InvalidUrl) as exc:
             log.debug("dropping %r: %s", raw, exc)

@@ -109,10 +109,7 @@ class _Adversary:
         self.index = index
         self.rng = Random(f"{sim.scenario.seed}:adversary:{index}")
         self.identity = crypto.generate_identity(self.rng)
-        self.counters: dict[str, int] = {}
-
-    def bump(self, counter: str, by: int = 1) -> None:
-        self.counters[counter] = self.counters.get(counter, 0) + by
+        self.counters: Counter[str] = Counter()
 
     def step(self, sim: "Simulation", now: int) -> None:
         raise NotImplementedError
@@ -156,7 +153,7 @@ class _StartInjector(_Adversary):
             campaign = CampaignStart(url=url, start=now + self.lead)
             coordinator.announce_start(sim.dht, url, campaign.start, now)
             sim.adversarial_starts.add(campaign)
-            self.bump("injected")
+            self.counters["injected"] += 1
 
 
 class _ChallengeFloodAdversary(_Adversary):
@@ -173,7 +170,7 @@ class _ChallengeFloodAdversary(_Adversary):
                 self.identity, params["max_rand"], self.rng
             )
             trust.post(sim.dht, victim_pk, trust.encode_challenge_payload(challenge), now)
-            self.bump("challenges_sent")
+            self.counters["challenges_sent"] += 1
 
 
 class _MitmForwarderAdversary(_Adversary):
@@ -202,7 +199,7 @@ class _MitmForwarderAdversary(_Adversary):
                 )
             for victim_pk in sorted(victims - {message.issuer_public_key}):
                 trust.post(sim.dht, victim_pk, trust.encode_challenge_payload(forwarded), now)
-                self.bump("forwarded")
+                self.counters["forwarded"] += 1
 
 
 class _SybilFloodAdversary(_Adversary):
@@ -216,16 +213,13 @@ class _SybilFloodAdversary(_Adversary):
         ]
 
     def step(self, sim: "Simulation", now: int) -> None:
-        registered = 0
         for campaign in self._announced_campaigns(sim, now):
             # the keys are distinct, so putting one never changes another's presence
             live = set(coordinator.read_comrades(sim.dht, campaign, now))
             for pk in self.sybil_keys:
                 if pk not in live:
                     coordinator.register(sim.dht, campaign, pk, now)
-                    registered += 1
-        if registered:
-            self.bump("registered", registered)
+                    self.counters["registered"] += 1
 
 
 _ADVERSARY_CLASSES = {
@@ -465,7 +459,8 @@ class Simulation:
     def _phase_probes(self, now: int) -> None:
         # Probe k of a window falls `spacing * k` minutes after it opens: the
         # baseline window PROBE_WINDOW minutes before the start, the during one
-        # at it. Baseline probes due before the client joined are missed (the
+        # at it. The windows do not overlap, so at most one is due per minute.
+        # Baseline probes due before the client joined are missed (the
         # campaign was not in its table yet), so the campaign is left unjudged.
         for client in self.clients:
             count = client.tcfg.probe_count
@@ -478,12 +473,12 @@ class Simulation:
                 if entry is None:
                     continue
                 site, ledger = entry
-                slot, rest = divmod(offset + PROBE_WINDOW, spacing)
-                if rest == 0 and slot < count:
-                    record.baseline.append(website.probe(site, now, ledger))
-                slot, rest = divmod(offset, spacing)
-                if rest == 0 and 0 <= slot < count:
-                    record.during.append(website.probe(site, now, ledger))
+                for probes, since_open in (
+                    (record.baseline, offset + PROBE_WINDOW), (record.during, offset)
+                ):
+                    slot, rest = divmod(since_open, spacing)
+                    if rest == 0 and 0 <= slot < count:
+                        probes.append(website.probe(site, now, ledger))
                 if offset == PROBE_WINDOW:
                     self._judge(client, campaign, record, now)
 
@@ -508,14 +503,12 @@ class Simulation:
             if pk != client.identity.public_key
         )
         outcome = trust.CampaignOutcome(
-            campaign=campaign,
             baseline_latency=statistics.median(record.baseline),
             during_latency=statistics.median(record.during),
             comrades=comrades,
         )
         verdict = trust.judge_outcome(outcome, client.tcfg.alpha)
-        resets_before = client.trust_db.reset_count
-        trust.apply_outcome(client.trust_db, verdict, outcome, client.tcfg)
+        reset = trust.apply_outcome(client.trust_db, verdict, outcome, client.tcfg)
         self.emit(
             {
                 "t": now,
@@ -528,7 +521,7 @@ class Simulation:
                 "during_ms": outcome.during_latency,
             }
         )
-        if client.trust_db.reset_count > resets_before:
+        if reset:
             self.emit({"t": now, "type": "trust_reset", "client": client.index})
 
     def _phase_settle(self, now: int) -> None:

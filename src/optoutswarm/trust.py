@@ -18,18 +18,16 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from optoutswarm import crypto
 from optoutswarm.crypto import Challenge, ChallengeSolution, ClientIdentity
 from optoutswarm.dht import SimulatedDht, inbox_key
 
-if TYPE_CHECKING:
-    from optoutswarm.coordinator import CampaignStart
-
 log = logging.getLogger(__name__)
 
 PROBE_WINDOW = 30  # minutes of latency probes before a campaign's start, and from it on
+ANSWER_WINDOW = 60  # minutes of the sliding window the answer budget counts over
 
 TAG_CHALLENGE = 0x01
 TAG_RESPONSE = 0x02
@@ -79,7 +77,6 @@ class TrustConfig:
 class CampaignOutcome:
     """What one client measured about one campaign it watched."""
 
-    campaign: "CampaignStart"
     baseline_latency: float  # median of pre-start probes, ms
     during_latency: float  # median of in-campaign probes, ms
     comrades: tuple[bytes, ...]  # registered keys, excluding the observer
@@ -119,14 +116,13 @@ class TrustDb:
 
 @dataclass
 class AnswerBudget:
-    """At most `cap` challenge answers per sliding 60-minute window."""
+    """At most `cap` challenge answers per sliding ANSWER_WINDOW minutes."""
 
     cap: int
-    window: int = 60
     answered_at: deque[int] = field(default_factory=deque)
 
     def try_consume(self, now: int) -> bool:
-        while self.answered_at and self.answered_at[0] <= now - self.window:
+        while self.answered_at and self.answered_at[0] <= now - ANSWER_WINDOW:
             self.answered_at.popleft()
         if len(self.answered_at) >= self.cap:
             return False
@@ -148,8 +144,8 @@ def apply_outcome(
     verdict: Verdict,
     outcome: CampaignOutcome,
     cfg: TrustConfig,
-) -> TrustDb:
-    """Fold one measured campaign into the database.
+) -> bool:
+    """Fold one measured campaign into the database; True when it reset it.
 
     Success rewards every registered comrade and ratchets the participation
     threshold one step (campaigns should keep earning their size). A run of
@@ -168,7 +164,8 @@ def apply_outcome(
         db.consecutive_failures += 1
         if db.consecutive_failures >= cfg.failures_before_reset:
             db.reset()
-    return db
+            return True
+    return False
 
 
 def accumulated_trust(db: TrustDb, comrades: list[bytes] | tuple[bytes, ...]) -> int:

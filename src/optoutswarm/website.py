@@ -115,13 +115,13 @@ def settle_minute(
     if record.settled:
         return (0.0, 0.0, 0.0)
     record.settled = True
-    record.response_ms = response_time(site, _minute_load(site, record))
+    load = _minute_load(site, record)
+    record.response_ms = response_time(site, load)
     if record.response_ms > site.patience:
         record.visitors_lost = site.visitor_rate
     else:
         record.visitors_served = site.visitor_rate
-    total_requests = record.opt_out_requests + record.probe_requests + site.visitor_rate
-    traffic_bytes = total_requests * site.request_bytes
+    traffic_bytes = load * site.request_bytes
     traffic_cost = traffic_bytes * site.cost_per_gib / 2**30
     lost_revenue = record.visitors_lost * site.revenue_per_visit
 

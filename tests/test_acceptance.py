@@ -11,7 +11,6 @@ from pathlib import Path
 from random import Random
 
 from optoutswarm import crypto, trust, website
-from optoutswarm.coordinator import CampaignStart
 from optoutswarm.dht import SimulatedDht, derive_key
 from optoutswarm.evaluator import canonicalize
 from optoutswarm.scenario import from_dict, load_file
@@ -109,13 +108,12 @@ def test_criterion_05_answer_budget_caps_a_challenge_flood():
 
 def test_criterion_06_trust_trajectory_success_success_then_collapse():
     a, b = b"a" * 32, b"b" * 32
-    campaign = CampaignStart(url=canonicalize("http://pills.example/buy"), start=100)
     cfg = TrustConfig(failures_before_reset=3)
     db = TrustDb()
 
     def measured(verdict: Verdict) -> CampaignOutcome:
         during = 300.0 if verdict is Verdict.SUCCESS else 100.0
-        return CampaignOutcome(campaign, 100.0, during, comrades=(a, b))
+        return CampaignOutcome(100.0, during, comrades=(a, b))
 
     trust.apply_outcome(db, Verdict.SUCCESS, measured(Verdict.SUCCESS), cfg)
     trust.apply_outcome(db, Verdict.SUCCESS, measured(Verdict.SUCCESS), cfg)
@@ -219,7 +217,6 @@ def test_criterion_08_economics_match_hand_arithmetic():
     )
 
     outcome = CampaignOutcome(
-        campaign=CampaignStart(url=site.url, start=start),
         baseline_latency=statistics.median(baseline),
         during_latency=statistics.median(during),
         comrades=(),

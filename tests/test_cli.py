@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, summaries, output files, sweeps."""
 
 import json
+import os
 
 import pytest
 
@@ -158,8 +159,10 @@ class TestRun:
         {"launch_grace": -1},  # was: never launched, exit 0
         {"launch_grace": 0},
         {"min_accumulated_trust": -1},  # was: ran to exit 0
+        {"max_wait": 20000},  # was: exit 0, every roster expired before its start
     ], ids=["poll_interval=0", "poll_interval=-5", "max_challenges_answered=-1",
-            "launch_grace=-1", "launch_grace=0", "min_accumulated_trust=-1"])
+            "launch_grace=-1", "launch_grace=0", "min_accumulated_trust=-1",
+            "max_wait=20000"])
     def test_bad_coordinator_timing_exits_2_before_running(self, scenario_path, bad, capsys):
         raw = json.loads(scenario_path.read_text())
         raw["clients"][0]["config"].update(bad)
@@ -393,6 +396,28 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", str(scenario_path), "--sweep", "5..3"])
         assert "empty" in capsys.readouterr().err
+
+
+def test_console_script_names_the_cli_main():
+    # covers the entry point where the package is not installed, so the
+    # console script itself is not on PATH
+    import importlib
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text("utf-8"))["project"]
+    module, _, attr = project["scripts"]["optoutswarm"].partition(":")
+    assert (module, attr) == ("optoutswarm.cli", "main")
+    assert getattr(importlib.import_module(module), attr) is main
+    proc = subprocess.run(
+        [sys.executable, "-m", "optoutswarm", "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0
+    assert "run" in proc.stdout and "validate" in proc.stdout
 
 
 def test_console_script_is_installed():

@@ -5,8 +5,10 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from optoutswarm import crypto, trust
+from optoutswarm import coordinator, crypto, trust
 from optoutswarm.coordinator import (
     MINUTES_PER_WEEK,
     CampaignStart,
@@ -62,6 +64,56 @@ class TestSuitability:
         # windows are half-open: start of window in, end out
         assert is_suitable(200, now=100, cfg=cfg)
         assert not is_suitable(300, now=100, cfg=cfg)
+
+
+@st.composite
+def suitability_cases(draw):
+    """A config, a `now` and a start, often on a window or wait-bound edge ±1."""
+    cuts = sorted(draw(st.sets(st.integers(0, MINUTES_PER_WEEK), max_size=6)))
+    windows = tuple(zip(cuts[::2], cuts[1::2])) or ((0, MINUTES_PER_WEEK),)
+    min_wait = draw(st.integers(1, MINUTES_PER_WEEK - 1))
+    max_wait = draw(st.integers(min_wait + 1, MINUTES_PER_WEEK))
+    cfg = CoordinatorConfig(min_wait=min_wait, max_wait=max_wait, usage_windows=windows)
+    now = draw(st.integers(0, 4 * MINUTES_PER_WEEK))
+    weeks = range(now // MINUTES_PER_WEEK, (now + max_wait) // MINUTES_PER_WEEK + 2)
+    edges = [now + min_wait, now + max_wait] + [
+        week * MINUTES_PER_WEEK + x for week in weeks for window in windows for x in window
+    ]
+    edge = draw(st.sampled_from(edges))
+    start = draw(st.one_of(
+        st.integers(edge - 1, edge + 1), st.integers(now - 10, now + max_wait + 10)
+    ))
+    return cfg, now, start
+
+
+def reference_suitable(start: int, now: int, cfg: CoordinatorConfig) -> bool:
+    """The rule as the paper states it: inside the wait interval and a usage window."""
+    week_minute = start % MINUTES_PER_WEEK
+    return now + cfg.min_wait <= start <= now + cfg.max_wait and any(
+        a <= week_minute < b for a, b in cfg.usage_windows
+    )
+
+
+class TestFeasibilityRule:
+    @settings(max_examples=300, deadline=None)
+    @given(suitability_cases())
+    def test_is_suitable_matches_the_reference_rule(self, case):
+        cfg, now, start = case
+        assert is_suitable(start, now, cfg) == reference_suitable(start, now, cfg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(suitability_cases(), st.integers(0, 2**32))
+    def test_every_proposed_start_is_suitable(self, case, seed):
+        cfg, now, _start = case
+        rng = Random(seed)
+        try:
+            draws = [propose_start(now, cfg, rng) for _ in range(5)]
+        except NoFeasibleStart:
+            lo, hi = now + cfg.min_wait, now + cfg.max_wait
+            assert not any(reference_suitable(s, now, cfg) for s in range(lo, hi + 1))
+            return
+        assert all(is_suitable(s, now, cfg) for s in draws)
+        assert all(reference_suitable(s, now, cfg) for s in draws)
 
 
 class TestProposeStart:
@@ -266,11 +318,18 @@ class TestTick:
         (decision,) = tick(204, self.dht, self.trust_db, self.cfg, self.db)
         assert decision.launched
 
-    def test_past_grace_is_skipped_unconditionally(self):
+    def test_past_grace_is_skipped_unconditionally(self, monkeypatch):
         self.register(100)
+        self.trust_db.records = dict.fromkeys(read_comrades(self.dht, self.campaign, 200), 1)
+
+        def no_roster_read(*_args):
+            raise AssertionError("a campaign past its grace reads no roster")
+
+        monkeypatch.setattr(coordinator, "read_comrades", no_roster_read)
         (decision,) = tick(205, self.dht, self.trust_db, self.cfg, self.db)
         assert not decision.launched
         assert decision.comrade_count == 0
+        assert decision.trust_sum == 0
         assert self.db.entries[self.campaign].state is CampaignState.SKIPPED
 
     def test_decided_campaigns_never_revisited(self):
@@ -466,6 +525,12 @@ class TestConfigValidation:
     def test_window_outside_week_rejected(self):
         with pytest.raises(ValueError):
             CoordinatorConfig(usage_windows=((0, MINUTES_PER_WEEK + 1),))
+
+    def test_max_wait_beyond_one_week_rejected(self):
+        # the roster of a later start would expire from the DHT before it arrived
+        assert CoordinatorConfig(max_wait=MINUTES_PER_WEEK).max_wait == MINUTES_PER_WEEK
+        with pytest.raises(ValueError, match="max_wait must be at most 10080"):
+            CoordinatorConfig(max_wait=MINUTES_PER_WEEK + 1)
 
     @pytest.mark.parametrize("bad", [
         {"poll_interval": 0},

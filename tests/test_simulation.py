@@ -6,8 +6,10 @@ import json
 import pytest
 
 from optoutswarm import trust, website
-from optoutswarm.scenario import from_dict, load_file
-from optoutswarm.simulation import MetricsReport, NoSuchCampaign, convergence, run
+from optoutswarm.scenario import ADVERSARIES, from_dict, load_file
+from optoutswarm.simulation import (
+    _ADVERSARY_CLASSES, MetricsReport, NoSuchCampaign, convergence, run,
+)
 
 URL = "http://pills.example/buy"
 
@@ -200,6 +202,11 @@ def test_bundled_baseline_scenario_converges():
     assert campaigns[0]["comrade_count"] == 10
     assert campaigns[0]["launched_by"] == 10
     assert convergence(report, URL) == 1.0
+
+
+def test_every_validated_strategy_has_an_adversary_class():
+    # a strategy only scenario.ADVERSARIES knows would validate, then die mid-run
+    assert set(ADVERSARIES) == set(_ADVERSARY_CLASSES)
 
 
 def test_module_level_run_matches_class(tmp_path):

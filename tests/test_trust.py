@@ -5,9 +5,7 @@ from random import Random
 import pytest
 
 from optoutswarm import crypto, pow_backend
-from optoutswarm.coordinator import CampaignStart
 from optoutswarm.dht import SimulatedDht, inbox_key
-from optoutswarm.evaluator import canonicalize
 from optoutswarm.trust import (
     AnswerBudget,
     CampaignOutcome,
@@ -26,8 +24,6 @@ from optoutswarm.trust import (
     judge_outcome,
 )
 
-URL = canonicalize("http://pills.example/buy")
-
 
 def identity(tag: str) -> crypto.ClientIdentity:
     return crypto.generate_identity(Random(tag))
@@ -35,7 +31,6 @@ def identity(tag: str) -> crypto.ClientIdentity:
 
 def outcome(baseline: float, during: float, comrades=()) -> CampaignOutcome:
     return CampaignOutcome(
-        campaign=CampaignStart(url=URL, start=500),
         baseline_latency=baseline,
         during_latency=during,
         comrades=tuple(comrades),
@@ -101,8 +96,8 @@ class TestApplyOutcome:
         db = TrustDb(records={b"a" * 32: 4}, verified={b"a" * 32})
         db.current_min_accumulated_trust = 7
         cfg = TrustConfig(failures_before_reset=3)
-        for _ in range(3):
-            apply_outcome(db, Verdict.FAILURE, outcome(100, 100), cfg)
+        resets = [apply_outcome(db, Verdict.FAILURE, outcome(100, 100), cfg) for _ in range(3)]
+        assert resets == [False, False, True]
         assert db.records == {}
         assert db.verified == set()
         assert db.reset_count == 1
