@@ -8,16 +8,23 @@ minutes) instead of 400: the events are the same as at 400 minutes, so the
 extra time is what idle minutes cost.
 Each run is a fresh `python -m optoutswarm run SCENARIO --out FILE` child.
 `os.wait4` reports that child's own CPU time (user + system) and peak RSS;
-its wall time runs from the spawn to the wait. The ladder takes the median
-of 3 runs at 10 and 40 clients and 1 run on the larger rungs, and checks
-that every run wrote the NDJSON pinned for its rung (exit 1 otherwise); the
-file is hashed and counted in chunks, so a large run is never held in memory.
-The results are merged into `BENCH_<label>.json` at the repository root under
-the entry name, beside the host facts: nproc, the Python version and the
-kernel backend (`pow_backend.BACKEND`). From the repository root:
+its wall time runs from the spawn to the wait. Every rung runs `RUNS` times
+per tree and reports medians, and every run must write the NDJSON
+pinned for its rung (exit 1 otherwise); the file is hashed and counted in
+chunks, so a large run is never held in memory.
 
+With `--parent`, a second source tree runs beside `--src`, alternating run
+by run and swapping which goes first, so that drift on a shared host hits
+both alike. Both ladders are written, as entries `parent` and `change`, and
+each change rung gets a `vs_parent` block: the ratio of the medians and how
+many of the paired runs the change won, for wall and CPU time.
+
+The results are merged into `BENCH_<label>.json` at the repository root,
+beside the host facts: nproc, the Python version and the kernel backend
+(`pow_backend.BACKEND`). From the repository root:
+
+    python3 benchmarks/bench_sim.py --label schedule --parent ../parent/src
     python3 benchmarks/bench_sim.py --label lazy --entry change
-    python3 benchmarks/bench_sim.py --label lazy --entry parent --src ../parent/src
 """
 
 import argparse
@@ -34,16 +41,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "scenarios" / "baseline.json"
 CHUNK_BYTES = 1 << 20
-# (clients, max_rand, minutes, runs, sha256 of the NDJSON every run must write)
+RUNS = 5
+# (clients, max_rand, minutes, sha256 of the NDJSON every run must write)
 LADDER = [
-    (10, 200, 400, 3, "9df61019bedeadaede8b9f5152de489119bdbe4a0b45884ff5d6d6842ef5c9d3"),
-    (40, 200, 400, 3, "8570a367ddc8c029f9dd48b536428a8d6b9d99a88f7ea2f8d4ddb0440c6b9f3f"),
-    (40, 200, 4000, 3, "7e40ff0dd8576a3712c7294eecc944068b0735d704f9db497c7bb95ee52c63ee"),
-    (40, 200, 10_080, 3, "20cab3edcb7932699b49048cb164afd765859e4385e9cfea25e4c0fd75d3dc88"),
-    (160, 200, 400, 1, "7730112ae45838c1c7f3d7f550d3d9bcd18c7e513e15c94afce02ca595d6bd70"),
-    (160, 10_000, 400, 1, "5c636aab85537ea3e3a194a95e0e60a01c8c5eff9d6d55621d59e96e3454ca21"),
-    (320, 200, 400, 1, "830ad691694f39b9a53a264a848785ddfc09edf697c57cfa40881d280e76702e"),
+    (10, 200, 400, "9df61019bedeadaede8b9f5152de489119bdbe4a0b45884ff5d6d6842ef5c9d3"),
+    (40, 200, 400, "8570a367ddc8c029f9dd48b536428a8d6b9d99a88f7ea2f8d4ddb0440c6b9f3f"),
+    (40, 200, 4000, "7e40ff0dd8576a3712c7294eecc944068b0735d704f9db497c7bb95ee52c63ee"),
+    (40, 200, 10_080, "20cab3edcb7932699b49048cb164afd765859e4385e9cfea25e4c0fd75d3dc88"),
+    (160, 200, 400, "7730112ae45838c1c7f3d7f550d3d9bcd18c7e513e15c94afce02ca595d6bd70"),
+    (160, 10_000, 400, "5c636aab85537ea3e3a194a95e0e60a01c8c5eff9d6d55621d59e96e3454ca21"),
+    (320, 200, 400, "830ad691694f39b9a53a264a848785ddfc09edf697c57cfa40881d280e76702e"),
 ]
+MEASURED = ("wall_s", "cpu_s", "peak_rss_mib")
 
 
 def _env(src: Path) -> dict[str, str]:
@@ -76,6 +85,7 @@ def one_run(src: Path, scenario: Path, out: Path) -> dict:
             digest.update(chunk)
             size += len(chunk)
             lines += chunk.count(b"\n")
+    out.unlink()
     return {
         "wall_s": wall,
         "cpu_s": usage.ru_utime + usage.ru_stime,
@@ -87,47 +97,76 @@ def one_run(src: Path, scenario: Path, out: Path) -> dict:
 
 
 def rung(
-    src: Path, clients: int, max_rand: int, minutes: int, runs: int, pinned: str, workdir: Path
-) -> dict:
+    trees: dict[str, Path], clients: int, max_rand: int, minutes: int, pinned: str,
+    workdir: Path,
+) -> dict[str, dict]:
+    """One rung's entry per tree, from `RUNS` runs of each, alternating."""
     raw = json.loads(BASELINE.read_text(encoding="utf-8"))
     raw["clients"][0]["count"] = clients
     raw["clients"][0]["trust"]["max_rand"] = max_rand
     raw["duration"] = minutes
     scenario = workdir / f"baseline-{clients}-{max_rand}-{minutes}.json"
     scenario.write_text(json.dumps(raw), encoding="utf-8")
-    results = [one_run(src, scenario, workdir / "out.ndjson") for _ in range(runs)]
-    wrong = sorted({r["ndjson_sha256"] for r in results} - {pinned})
-    if wrong:
-        raise SystemExit(
-            f"bench_sim: {clients} clients at max_rand {max_rand} for {minutes} minutes "
-            f"wrote NDJSON sha256 {wrong}, pinned {pinned}"
-        )
-    entry = {"clients": clients, "max_rand": max_rand, "minutes": minutes, "runs": runs}
-    for key in ("wall_s", "cpu_s", "peak_rss_mib"):
-        entry[key] = round(statistics.median(r[key] for r in results), 3)
-        entry[f"{key}_runs"] = [round(r[key], 3) for r in results]
-    entry.update({k: results[0][k] for k in ("ndjson_sha256", "ndjson_bytes", "events")})
-    return entry
+    results: dict[str, list[dict]] = {name: [] for name in trees}
+    names = list(trees)
+    for i in range(RUNS):
+        for name in names if i % 2 == 0 else names[::-1]:
+            results[name].append(one_run(trees[name], scenario, workdir / "out.ndjson"))
+    entries = {}
+    for name, done in results.items():
+        wrong = sorted({r["ndjson_sha256"] for r in done} - {pinned})
+        if wrong:
+            raise SystemExit(
+                f"bench_sim: {name} at {clients} clients, max_rand {max_rand}, {minutes} "
+                f"minutes wrote NDJSON sha256 {wrong}, pinned {pinned}"
+            )
+        entry = {"clients": clients, "max_rand": max_rand, "minutes": minutes, "runs": RUNS}
+        for key in MEASURED:
+            entry[key] = round(statistics.median(r[key] for r in done), 3)
+            entry[f"{key}_runs"] = [round(r[key], 3) for r in done]
+        entry.update({k: done[0][k] for k in ("ndjson_sha256", "ndjson_bytes", "events")})
+        entries[name] = entry
+    if "parent" in entries:
+        parent, change = entries["parent"], entries["change"]
+        change["vs_parent"] = {
+            key: {
+                "median_ratio": round(change[key] / parent[key], 3),
+                "runs_won": sum(
+                    c < p for c, p in zip(change[f"{key}_runs"], parent[f"{key}_runs"])
+                ),
+            }
+            for key in ("wall_s", "cpu_s")
+        }
+    return entries
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--entry", required=True, help="name of this entry in the file")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="source tree the children import (default: this checkout's)")
+    side = parser.add_mutually_exclusive_group(required=True)
+    side.add_argument("--entry", help="name of the one entry --src writes")
+    side.add_argument("--parent", type=Path,
+                      help="a second source tree to alternate with --src, run by run; "
+                           "writes entries parent and change")
     args = parser.parse_args()
 
-    src = args.src.resolve()
-    entry = {"host": host_facts(src), "ladder": []}
+    if args.parent is None:
+        trees = {args.entry: args.src.resolve()}
+    else:
+        trees = {"parent": args.parent.resolve(), "change": args.src.resolve()}
+    ladders = {name: {"host": host_facts(src), "ladder": []} for name, src in trees.items()}
     with tempfile.TemporaryDirectory(prefix="bench_sim-") as tmp:
-        for clients, max_rand, minutes, runs, pinned in LADDER:
-            entry["ladder"].append(rung(src, clients, max_rand, minutes, runs, pinned, Path(tmp)))
-            print(json.dumps(entry["ladder"][-1]), flush=True)
+        for clients, max_rand, minutes, pinned in LADDER:
+            entries = rung(trees, clients, max_rand, minutes, pinned, Path(tmp))
+            for name, entry in entries.items():
+                ladders[name]["ladder"].append(entry)
+                print(json.dumps({"tree": name, **entry}), flush=True)
 
     path = ROOT / f"BENCH_{args.label}.json"
     bench = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    bench.setdefault("entries", {})[args.entry] = entry
+    bench.setdefault("entries", {}).update(ladders)
     path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

@@ -105,6 +105,7 @@ class CampaignRecord:
     state: CampaignState = CampaignState.PENDING
     baseline: list[float] = field(default_factory=list)  # my latency probes before the start
     during: list[float] = field(default_factory=list)  # and from the start on
+    roster_read: int = 0  # where my reads of its roster got to, for `SimulatedDht.appended`
 
 
 @dataclass
@@ -217,18 +218,29 @@ def challenge_comrades(
 ) -> list[bytes]:
     """Challenge every due comrade but myself and the verified; returns whom.
 
-    Campaigns go earliest first and each roster in key order, so a replay
-    draws the same challenges.
+    A comrade is live on the roster of a campaign I joined. Only peers that
+    may have fallen due are looked at: those stored afresh on one of my
+    rosters since I last read it, and those my trust database hands back.
+    The challenges go out by the earliest campaign each peer is live on, then
+    by key, so a replay draws the same challenges.
     """
-    challenged = []
-    for campaign in db.entries:
-        for peer in sorted(read_comrades(dht, campaign, now)):
-            if peer == identity.public_key or peer in trust_db.verified:
-                continue
-            if not trust_db.due(peer, now, cfg.rechallenge_timeout):
-                continue
-            trust.initiate_verification(identity, peer, dht, trust_db, cfg, rng, now)
-            challenged.append(peer)
+    peers = trust_db.take_maybe_due(now)
+    for campaign, record in db.entries.items():
+        fresh, record.roster_read = dht.appended(_roster_key(campaign), record.roster_read)
+        peers.update(fresh)
+    peers.discard(identity.public_key)
+    if not peers:
+        return []
+    due = []
+    for peer in peers:
+        if peer in trust_db.verified or not trust_db.due(peer, now, cfg.rechallenge_timeout):
+            continue
+        first = next((c for c in db.entries if dht.contains(_roster_key(c), peer, now)), None)
+        if first is not None:
+            due.append((first.order, peer))
+    challenged = [peer for _order, peer in sorted(due)]
+    for peer in challenged:
+        trust.initiate_verification(identity, peer, dht, trust_db, cfg, rng, now)
     return challenged
 
 

@@ -14,7 +14,9 @@ single pop. `get` returns the live values in insertion order.
 Values expire after a TTL so abandoned campaigns clean themselves up, and
 equal values collapse to one (re-registering for a campaign is idempotent).
 Re-putting a live value refreshes its minute and keeps its place;
-re-putting an expired one moves it to the end.
+re-putting an expired one moves it to the end. Each key counts the values
+stored at its end, so `appended` can hand a reader only what came since it
+last looked.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import functools
 import hashlib
 from collections.abc import Hashable
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any
 
 KEY_LEN = 20
@@ -81,14 +84,17 @@ class SimulatedDht:
 
     ttl_minutes: int = DEFAULT_TTL_MINUTES
     _table: dict[bytes, dict[Hashable, int]] = field(default_factory=dict)
+    _appends: dict[bytes, int] = field(default_factory=dict)  # values ever stored at the end
 
     def put(self, key: DhtKey, value: Hashable, now: int) -> None:
         if not value:
             raise ValueError("value must be non-empty")
         values = self._table.setdefault(key.key, {})
         stored_at = values.get(value)
-        if stored_at is not None and now > stored_at + self.ttl_minutes:
-            del values[value]  # expired: store afresh at the end
+        if stored_at is None or now > stored_at + self.ttl_minutes:
+            if stored_at is not None:
+                del values[value]  # expired: store afresh at the end
+            self._appends[key.key] = self._appends.get(key.key, 0) + 1
         values[value] = now  # a live duplicate is refreshed in place
 
     def get(self, key: DhtKey, now: int) -> list[Any]:
@@ -99,6 +105,20 @@ class SimulatedDht:
         """Whether `value` is in `get(key, now)`, without reading the others."""
         at = self._table.get(key.key, {}).get(value)
         return at is not None and now - self.ttl_minutes <= at <= now
+
+    def appended(self, key: DhtKey, cursor: int) -> tuple[list[Any], int]:
+        """Values stored at the end of `key` since `cursor`, newest first and
+        live or not, and the cursor for next time; start from 0.
+
+        Every value stored afresh since `cursor` is there. A value stored
+        afresh and then removed or stored afresh again leaves its slot to an
+        older one, so a reader may see a value twice, never miss one.
+        """
+        count = self._appends.get(key.key, 0)
+        if count == cursor:
+            return [], count
+        values = self._table.get(key.key, {})
+        return list(islice(reversed(values), count - cursor)), count
 
     def remove(self, key: DhtKey, value: Hashable) -> None:
         values = self._table.get(key.key)

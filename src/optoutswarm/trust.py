@@ -90,12 +90,21 @@ class PendingChallenge:
 
 @dataclass
 class TrustDb:
+    """My view of my peers: trust, verified keys, challenges in flight.
+
+    `verified` and `pending` change only through this module and `reset`,
+    which also note when a peer may fall due again (`take_maybe_due`).
+    """
+
     records: dict[bytes, int] = field(default_factory=dict)
     verified: set[bytes] = field(default_factory=set)
     pending: dict[bytes, PendingChallenge] = field(default_factory=dict)
     consecutive_failures: int = 0
     current_min_accumulated_trust: int = 0
     reset_count: int = 0
+    # peers due again at once: a wrong answer or a reset ended their challenge
+    released: list[bytes] = field(default_factory=list)
+    timeouts: dict[int, list[bytes]] = field(default_factory=dict)  # minute -> peers
 
     def trust(self, public_key: bytes) -> int:
         return self.records.get(public_key, 0)
@@ -106,7 +115,19 @@ class TrustDb:
         pending = self.pending.get(peer_public_key)
         return pending is None or pending.issued_at + timeout <= now
 
+    def take_maybe_due(self, now: int) -> set[bytes]:
+        """Take the peers that may have fallen due since the last call: the
+        released ones and those whose challenge timed out by `now`. `due`
+        has the last word on each."""
+        peers = set(self.released)
+        self.released.clear()
+        while self.timeouts and (minute := min(self.timeouts)) <= now:
+            peers.update(self.timeouts.pop(minute))
+        return peers
+
     def reset(self) -> None:
+        self.released += self.verified | self.pending.keys()
+        self.timeouts.clear()
         self.records.clear()
         self.verified.clear()
         self.pending.clear()
@@ -235,6 +256,7 @@ def initiate_verification(
     db.pending[peer_public_key] = PendingChallenge(
         expected_rand2=expected_rand2, issued_at=now
     )
+    db.timeouts.setdefault(now + cfg.rechallenge_timeout, []).append(peer_public_key)
     post(dht, peer_public_key, encode_challenge_payload(challenge), now)
     return challenge
 
@@ -294,6 +316,7 @@ def handle_response(
         log.debug("dropping response with no pending challenge")
         return False
     if solution.rand2 != pending.expected_rand2:
+        db.released.append(solution.solver_public_key)
         return False
     db.verified.add(solution.solver_public_key)
     db.records[solution.solver_public_key] = max(

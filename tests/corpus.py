@@ -8,7 +8,12 @@ client group, one site, spam to every client early in the run, 240 minutes)
 and changes one or two things: a poll interval and probe count, a join
 policy, several client groups, sites or injections, a confirm policy, usage
 windows with no feasible start, an answer budget of zero, one adversary or a
-pair of them. Run it with `pytest tests/test_golden.py -k corpus`.
+pair of them. Three variants pin what a schedule of due peers must get
+right: answers that come back wrong and free a peer at once
+(`stale_answer`), and two runs of 11,700 minutes, past the DHT's TTL, in
+which roster entries expire (`roster_expiry`) and expired ones are put
+again at the end of their roster (`expired_reput`). Run it with
+`pytest tests/test_golden.py -k corpus`.
 
 `generate(name)` draws the fleet size, seed and spam minute from a private
 `Random(f"corpus:{name}")`, so a variant never moves when another is added. `PINNED` holds the sha256 of each variant's NDJSON; the simulator
@@ -232,6 +237,38 @@ def _(s: dict) -> None:
     s["spam_injections"] = [spam(3, "all", "pills.example")]
 
 
+@variant("stale_answer")
+def _(s: dict) -> None:
+    # the first group re-challenges after 15 minutes and the second polls every
+    # 30, so answers to superseded challenges come back wrong and free the peer
+    count = s["clients"][0]["count"]
+    s["clients"] = [group(count, {"rechallenge_timeout": 15}), group(5, poll_interval=30)]
+
+
+@variant("roster_expiry")
+def _(s: dict) -> None:
+    # past the DHT TTL: the rosters' entries expire near minute 11,525 and are
+    # never put again, so the unanswered challenges stop a round before
+    s["clients"][0]["config"]["max_challenges_answered"] = 0
+    s["adversaries"] = [dict(SYBIL)]
+    s["duration"] = 11_700
+
+
+@variant("expired_reput")
+def _(s: dict) -> None:
+    # the second injector announces the first one's start again at minute 3,000,
+    # so that start outlives the sybils' entries on its roster: they expire at
+    # minute 11,521 and are put afresh at the end. Every client joins both
+    # injected starts, so each peer is on two rosters.
+    s["clients"][0]["config"]["max_wait"] = 10_080
+    s["duration"] = 11_700
+    s["adversaries"] = [
+        dict(SEPARATION, injection_period=20_000, lead_minutes=6_000),
+        dict(SEPARATION, injection_period=3_000, lead_minutes=3_000),
+        dict(SYBIL),
+    ]
+
+
 def generate(name: str) -> dict:
     """The scenario of corpus variant `name`."""
     rng = Random(f"corpus:{name}")
@@ -271,4 +308,7 @@ PINNED = {
     "trust_reset": "3c05ac17716304b6274026370c35b4bdef0ea82a75763299754949ac1f9a4efc",
     "late_join_unjudged": "164f193b11d1a62a70692492d03a4e18b9144739bb06675df5cea89e52660d91",
     "mixed_max_rand": "5cc1f483efecd36568958e41076e41d90b9aaedb6117a1a354d71215f90e8a3b",
+    "stale_answer": "0868a806f1afdfc35178d36035975756b72844a43eb7234537b79a44b9719bfa",
+    "roster_expiry": "346b0f1039db7c47b6bec3b2f9d4c8e633bcebd6eb5185905739f9058b2d6615",
+    "expired_reput": "b349e9d9a508b7f932cc0db0b20c8cfd2d8b2b054bcaa7232556ab3935311f8d",
 }

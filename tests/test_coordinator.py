@@ -486,6 +486,20 @@ class TestChallengeComrades:
         assert self.trust_db.due(self.peer, 5 + 120, 120) is True
         assert self.challenge(5 + 120) == [self.peer]
 
+    def test_wrong_answer_makes_the_peer_due_at_once(self):
+        assert self.challenge(0) == [self.peer]
+        wrong = self.trust_db.pending[self.peer].expected_rand2 + 1
+        assert not trust.handle_response(
+            self.trust_db, trust.ChallengeSolution(self.peer, wrong), self.cfg
+        )
+        assert self.challenge(10) == [self.peer]
+
+    def test_reset_makes_verified_peers_due(self):
+        self.trust_db.verified.add(self.peer)
+        assert self.challenge(0) == []
+        self.trust_db.reset()
+        assert self.challenge(10) == [self.peer]
+
     def test_key_on_no_joined_roster_is_never_challenged(self):
         stranger = identity("stranger").public_key
         register(self.dht, CampaignStart(url=URL, start=600), stranger, 0)  # not joined
@@ -511,6 +525,82 @@ class TestChallengeComrades:
             rosters[campaign] = sorted(keys)
         register(self.dht, later, self.peer, 0)  # on two rosters, challenged once
         assert self.challenge(0) == rosters[earlier] + [self.peer] + rosters[later]
+
+
+def _full_scan(now, dht, identity, db, trust_db, cfg, rng):
+    """The challenge rule as a full scan: every roster of every campaign I
+    joined, earliest first, each in key order."""
+    challenged = []
+    for campaign in db.entries:
+        for peer in sorted(read_comrades(dht, campaign, now)):
+            if peer == identity.public_key or peer in trust_db.verified:
+                continue
+            if not trust_db.due(peer, now, cfg.rechallenge_timeout):
+                continue
+            trust.initiate_verification(identity, peer, dht, trust_db, cfg, rng, now)
+            challenged.append(peer)
+    return challenged
+
+
+ME = identity("initiator")
+PEERS = [ME.public_key] + [bytes([i]) * 32 for i in range(1, 7)]
+CAMPAIGNS = [CampaignStart(url=URL, start=s) for s in (300, 200, 250)]
+CFG = TrustConfig(max_rand=50, rechallenge_timeout=30)
+STEPS = st.one_of(
+    st.tuples(st.just("register"), st.sampled_from(PEERS), st.sampled_from(CAMPAIGNS)),
+    st.tuples(st.just("join"), st.sampled_from(CAMPAIGNS)),
+    st.tuples(st.just("answer"), st.sampled_from(PEERS), st.booleans()),
+    st.tuples(st.just("reset")),
+    st.tuples(st.just("wait"), st.integers(0, 40)),
+    st.tuples(st.just("poll")),
+    st.tuples(st.just("poll")),
+)
+
+
+class _Client:
+    """One side of the comparison: its own DHT, tables and random stream."""
+
+    def __init__(self, ttl: int) -> None:
+        self.dht = SimulatedDht(ttl_minutes=ttl)
+        self.db = LocalCampaignDb()
+        self.trust_db = TrustDb()
+        self.rng = Random(7)
+
+    def step(self, step: tuple, now: int) -> None:
+        kind = step[0]
+        if kind == "register":
+            register(self.dht, step[2], step[1], now)
+        elif kind == "join":
+            self.db.join(step[1])
+        elif kind == "answer":
+            pending = self.trust_db.pending.get(step[1])
+            rand2 = (pending.expected_rand2 if pending else 0) + (0 if step[2] else 1)
+            trust.handle_response(self.trust_db, trust.ChallengeSolution(step[1], rand2), CFG)
+        elif kind == "reset":
+            self.trust_db.reset()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(STEPS, min_size=20, max_size=150), st.integers(20, 200))
+def test_incremental_challenges_equal_the_full_scan(steps, ttl):
+    # registrations (live and expired re-puts), joins, right and wrong
+    # answers, resets and TTL expiry, in any order: challenge_comrades must
+    # pick the peers a full scan picks, in the same order
+    watched, scanned = _Client(ttl), _Client(ttl)
+    now = 0
+    for step in steps:
+        if step[0] == "wait":
+            now += step[1]
+        elif step[0] == "poll":
+            got = challenge_comrades(
+                now, watched.dht, ME, watched.db, watched.trust_db, CFG, watched.rng
+            )
+            want = _full_scan(now, scanned.dht, ME, scanned.db, scanned.trust_db, CFG, scanned.rng)
+            assert got == want
+        else:
+            watched.step(step, now)
+            scanned.step(step, now)
+    assert watched.trust_db.pending == scanned.trust_db.pending
 
 
 class TestConfigValidation:

@@ -143,6 +143,52 @@ def test_contains_honours_ttl():
     assert not store.contains(k("b"), b"v", 10)
 
 
+def test_appended_reads_from_a_cursor():
+    store = fresh(ttl_minutes=60)
+    assert store.appended(k("a"), 0) == ([], 0)
+    store.put(k("a"), b"v1", 0)
+    store.put(k("a"), b"v2", 0)
+    new, cursor = store.appended(k("a"), 0)
+    assert sorted(new) == [b"v1", b"v2"]
+    store.put(k("a"), b"v1", 30)  # a live re-put stores nothing afresh
+    assert store.appended(k("a"), cursor) == ([], cursor)
+    store.put(k("a"), b"v3", 40)
+    assert store.appended(k("a"), cursor) == ([b"v3"], cursor + 1)
+
+
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["put", "remove", "read"]),
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=30),
+        ),
+        max_size=80,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_appended_never_misses_a_value_stored_afresh(ops):
+    # whatever was stored new, or again after expiring, since the last read
+    # is in the next read, however removes and expired re-puts reorder the list
+    store = fresh(ttl_minutes=20)
+    now, cursor, missed = 0, 0, set()
+    for action, val_i, wait in ops:
+        now += wait
+        value = f"v{val_i}".encode()
+        if action == "put":
+            fresh_put = not store.contains(k("a"), value, now)
+            store.put(k("a"), value, now)
+            if fresh_put:
+                missed.add(value)
+        elif action == "remove":
+            store.remove(k("a"), value)
+            missed.discard(value)
+        else:
+            new, cursor = store.appended(k("a"), cursor)
+            assert missed <= set(new)
+            missed.clear()
+
+
 def oracle_put(oracle: dict[bytes, dict[bytes, None]], key: dht.DhtKey, value: bytes) -> None:
     # without expiry every re-put is live, so it keeps its position
     oracle.setdefault(key.key, {})[value] = None

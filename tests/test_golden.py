@@ -6,6 +6,9 @@ beyond the narrower solver's range (281 `no_solution` drops). So is every
 scenario of the generated corpus in tests/corpus.py, which between them emit
 every event type and every drop reason.
 
+The same runs gate `ndjson_line`: its fixed templates for the hot event
+types must write, for every event, the bytes of the generic encoder.
+
 A change that moves any of these bytes changes what the simulator computes,
 or what a scenario file means. Such a change must update the digest here and
 say in CHANGES.md which bytes moved and why.
@@ -24,7 +27,7 @@ import pytest
 import corpus
 from optoutswarm.cli import main
 from optoutswarm.scenario import from_dict, load_file
-from optoutswarm.simulation import MetricsReport, Simulation, run
+from optoutswarm.simulation import _ENCODER, MetricsReport, Simulation, ndjson_line, run
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -62,13 +65,18 @@ def test_bundled_scenario_normalized_form_digest(name, capsys):
     assert _digest(capsys.readouterr().out) == NORMALIZED[name]
 
 
+@functools.cache
+def _file_report(path: Path) -> MetricsReport:
+    return run(load_file(str(path)))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_bundled_scenario_ndjson_digest(name):
-    assert _digest(run(load_file(str(SCENARIOS / name))).to_ndjson()) == GOLDEN[name]
+    assert _digest(_file_report(SCENARIOS / name).to_ndjson()) == GOLDEN[name]
 
 
 def test_edge_scenario_ndjson_digest():
-    assert _digest(run(load_file(str(EDGE))).to_ndjson()) == EDGE_DIGEST
+    assert _digest(_file_report(EDGE).to_ndjson()) == EDGE_DIGEST
 
 
 EVENT_KINDS = {
@@ -104,14 +112,28 @@ def test_corpus_emits_every_event_type_and_drop_reason():
     assert kinds == EVENT_KINDS
 
 
-@pytest.mark.parametrize(
-    "name", [*sorted(GOLDEN), EDGE.name, *(f"corpus:{name}" for name in corpus.VARIANTS)]
-)
-def test_events_add_up_to_the_summary(name):
+EVERY_RUN = [*sorted(GOLDEN), EDGE.name, *(f"corpus:{name}" for name in corpus.VARIANTS)]
+
+
+def _report(name: str) -> MetricsReport:
+    """The run of a bundled scenario, the edge scenario or a `corpus:` variant."""
     if name.startswith("corpus:"):
-        report = _corpus_report(name.removeprefix("corpus:"))
-    else:
-        report = run(load_file(str(EDGE if name == EDGE.name else SCENARIOS / name)))
+        return _corpus_report(name.removeprefix("corpus:"))
+    return _file_report(EDGE if name == EDGE.name else SCENARIOS / name)
+
+
+@pytest.mark.parametrize("name", EVERY_RUN)
+def test_templated_lines_equal_the_generic_encoder(name):
+    # the hot event types have fixed templates; a field added to one of those
+    # events without its template makes the two renderers differ here
+    report = _report(name)
+    for event in [*report.events, report.summary]:
+        assert ndjson_line(event) == _ENCODER.encode(event) + "\n", event
+
+
+@pytest.mark.parametrize("name", EVERY_RUN)
+def test_events_add_up_to_the_summary(name):
+    report = _report(name)
     counts = Counter()
     launches = Counter()
     joined = set()

@@ -5,10 +5,12 @@ import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from optoutswarm.cli import EXIT_INTERNAL, EXIT_OK, main
 from optoutswarm.scenario import load_file
-from optoutswarm.simulation import Simulation, run
+from optoutswarm.simulation import _ENCODER, Simulation, ndjson_line, run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BASELINE = str(SCENARIOS / "baseline.json")
@@ -65,3 +67,29 @@ def test_failed_run_leaves_earlier_file_and_no_partial_file(tmp_path, monkeypatc
     assert earlier.read_bytes() == b'{"earlier":"run"}\n'
     assert not fresh.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["earlier.ndjson"]
+
+
+KEYS = st.binary(min_size=32, max_size=32).map(bytes.hex)
+HOT_EVENTS = st.one_of(
+    st.fixed_dictionaries({"t": st.integers(), "type": st.just("challenge_sent"),
+                           "client": st.integers(), "peer": KEYS}),
+    st.fixed_dictionaries({"t": st.integers(), "type": st.just("challenge_dropped"),
+                           "client": st.integers(),
+                           "reason": st.sampled_from(["not_comrade", "budget", "no_solution"])}),
+    st.fixed_dictionaries({"t": st.integers(), "type": st.just("challenge_answered"),
+                           "client": st.integers(), "issuer": KEYS, "work": st.integers()}),
+    st.fixed_dictionaries({"t": st.integers(), "type": st.just("verification"),
+                           "client": st.integers(), "peer": KEYS, "ok": st.booleans()}),
+)
+
+
+@given(HOT_EVENTS)
+def test_templated_event_equals_the_generic_encoder(event):
+    assert ndjson_line(event) == _ENCODER.encode(event) + "\n"
+
+
+@given(HOT_EVENTS)
+def test_a_field_missing_from_a_template_is_caught(event):
+    # what tests/test_golden.py checks on every event of every pinned run
+    extra = {**event, "new_field": 0}
+    assert ndjson_line(extra) != _ENCODER.encode(extra) + "\n"
