@@ -213,16 +213,22 @@ class _MitmForwarderAdversary(_Adversary):
     hash still binds the original key, so victims burn a full scan and find
     nothing. Without rewriting, victims solve fine but their responses route
     to the key inside the challenge, which is never the forwarder's.
+
+    Each minute it reads every announced start and registers on each, then
+    drains its inbox. It reads those rosters for victims only in a minute
+    whose inbox holds a challenge, once, on the first one.
     """
 
     def step(self, sim: "Simulation", now: int) -> None:
-        victims = set()
-        for campaign in self._register_everywhere(sim, now, self.identity.public_key):
-            victims.update(coordinator.read_comrades(sim.dht, campaign, now))
-        victims.discard(self.identity.public_key)
+        campaigns = self._register_everywhere(sim, now, self.identity.public_key)
+        victims = None
         for message in coordinator.poll_inbox(now, sim.dht, self.identity):
             if not isinstance(message, crypto.Challenge):
                 continue
+            if victims is None:  # no roster is an inbox, so the drain moves no victim
+                victims = {
+                    pk for c in campaigns for pk in coordinator.read_comrades(sim.dht, c, now)
+                } - {self.identity.public_key}
             forwarded = message
             if self.spec.params["rewrite_issuer"]:
                 forwarded = crypto.Challenge(
@@ -236,7 +242,12 @@ class _MitmForwarderAdversary(_Adversary):
 
 
 class _SybilFloodAdversary(_Adversary):
-    """Registers a crowd of fresh, never-verified identities everywhere."""
+    """Registers a crowd of fresh, never-verified identities everywhere.
+
+    Each minute it reads every announced start. It reads a start's roster and
+    puts the keys missing there on first sight, then only once the keys it put
+    there expire: nobody else puts or removes them, and it puts them together.
+    """
 
     def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
         super().__init__(spec, index, sim)
@@ -244,9 +255,13 @@ class _SybilFloodAdversary(_Adversary):
         self.sybil_keys = [
             crypto.generate_identity(self.rng).public_key for _ in range(count)
         ]
+        self.put_at: dict[CampaignStart, int] = {}  # the minute of a roster's last visit
 
     def step(self, sim: "Simulation", now: int) -> None:
         for campaign in self._announced_campaigns(sim, now):
+            if campaign in self.put_at and now <= self.put_at[campaign] + sim.dht.ttl_minutes:
+                continue
+            self.put_at[campaign] = now
             # the keys are distinct, so putting one never changes another's presence
             live = set(coordinator.read_comrades(sim.dht, campaign, now))
             for pk in self.sybil_keys:

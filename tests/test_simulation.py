@@ -1,14 +1,18 @@
 """End-to-end simulation behavior: fleet runs, ordering, determinism."""
 
 import dataclasses
+import functools
 import json
+from collections import defaultdict
 
 import pytest
 
-from optoutswarm import trust, website
+import corpus
+from optoutswarm import coordinator, crypto, dht, trust, website
 from optoutswarm.scenario import ADVERSARIES, from_dict, load_file
 from optoutswarm.simulation import (
-    _ADVERSARY_CLASSES, MetricsReport, NoSuchCampaign, convergence, run,
+    _ADVERSARY_CLASSES, MetricsReport, NoSuchCampaign, Simulation, convergence, run,
+    _MitmForwarderAdversary, _SybilFloodAdversary,
 )
 
 URL = "http://pills.example/buy"
@@ -212,8 +216,6 @@ def test_every_validated_strategy_has_an_adversary_class():
 def test_module_level_run_matches_class(tmp_path):
     scenario = load_file("scenarios/baseline.json")
     small = dataclasses.replace(scenario, duration=260)
-    from optoutswarm.simulation import Simulation
-
     assert run(small).to_ndjson() == Simulation(small).run().to_ndjson()
 
 
@@ -261,3 +263,167 @@ def test_probe_schedule(monkeypatch, probe_count, waits):
     # a late joiner misses the first baseline probes, so it cannot judge
     early = start - 30 >= joined["t"]
     assert judged[0]["type"] == ("outcome_judged" if early else "outcome_unjudged")
+
+
+class _FullReadMitm(_MitmForwarderAdversary):
+    """The forwarder reading every roster every minute, before its drain."""
+
+    def step(self, sim, now):
+        victims = set()
+        for campaign in self._register_everywhere(sim, now, self.identity.public_key):
+            victims.update(coordinator.read_comrades(sim.dht, campaign, now))
+        victims.discard(self.identity.public_key)
+        for message in coordinator.poll_inbox(now, sim.dht, self.identity):
+            if not isinstance(message, crypto.Challenge):
+                continue
+            forwarded = message
+            if self.spec.params["rewrite_issuer"]:
+                forwarded = crypto.Challenge(
+                    issuer_public_key=self.identity.public_key,
+                    rand1=message.rand1,
+                    target_hash=message.target_hash,
+                )
+            for victim_pk in sorted(victims - {message.issuer_public_key}):
+                trust.post(sim.dht, victim_pk, trust.encode_challenge_payload(forwarded), now)
+                self.counters["forwarded"] += 1
+
+
+class _FullReadSybil(_SybilFloodAdversary):
+    """The sybil reading every roster every minute."""
+
+    def step(self, sim, now):
+        for campaign in self._announced_campaigns(sim, now):
+            live = set(coordinator.read_comrades(sim.dht, campaign, now))
+            for pk in self.sybil_keys:
+                if pk not in live:
+                    coordinator.register(sim.dht, campaign, pk, now)
+                    self.counters["registered"] += 1
+
+
+ATTACK_MIX = [
+    {"strategy": "sybil_flood", "identity_count": 200},
+    {"strategy": "mitm_forwarder", "rewrite_issuer": True},
+    {"strategy": "challenge_flood", "victim": 0, "count": 400, "at_minute": 60,
+     "max_rand": 10_000},
+    {"strategy": "separation", "injection_period": 30, "lead_minutes": 30},
+]
+
+
+def attack_mix() -> dict:
+    """The baseline at 8 clients for 250 minutes under the four-adversary mix."""
+    with open("scenarios/baseline.json", encoding="utf-8") as f:
+        raw = json.load(f)
+    raw["clients"][0]["count"] = 8
+    raw["duration"] = 250
+    raw["adversaries"] = ATTACK_MIX
+    return raw
+
+
+def reannounced() -> dict:
+    """Two injectors each announce the starts 100, 200, 300 and 400, the second
+    20 minutes after the first, so under a short TTL a start outlives the
+    sybil keys put on it at first sight by 20 minutes and they are put again."""
+    return fleet_scenario(adversaries=[
+        {"strategy": "separation", "injection_period": 100, "lead_minutes": 100},
+        {"strategy": "separation", "injection_period": 20, "lead_minutes": 80},
+        {"strategy": "mitm_forwarder", "rewrite_issuer": False},
+        {"strategy": "sybil_flood", "identity_count": 12},
+    ])
+
+
+SHAPES = {
+    "attack_mix": attack_mix,
+    "reannounced": reannounced,
+    **{name: functools.partial(corpus.generate, name) for name in (
+        "mitm_rewrite", "mitm_plain", "sybil_and_mitm_plain", "time_portal_and_sybil",
+        "expired_reput",
+    )},
+}
+
+
+def _ndjson(shape: str, ttl: int | None) -> str:
+    sim = Simulation(from_dict(SHAPES[shape]()))
+    if ttl is not None:
+        sim.dht.ttl_minutes = ttl
+    return sim.run().to_ndjson()
+
+
+@pytest.mark.parametrize("shape, ttl", [
+    *((shape, None) for shape in SHAPES if shape != "reannounced"),
+    ("attack_mix", 37), ("reannounced", 37), ("reannounced", 60),
+])
+def test_adversaries_write_what_full_reads_write(monkeypatch, shape, ttl):
+    # each adversary reads a roster only when it acts on it; reading every
+    # roster every minute, as these subclasses do, must write the same bytes
+    lazy = _ndjson(shape, ttl)
+    monkeypatch.setitem(_ADVERSARY_CLASSES, "mitm_forwarder", _FullReadMitm)
+    monkeypatch.setitem(_ADVERSARY_CLASSES, "sybil_flood", _FullReadSybil)
+    assert _ndjson(shape, ttl) == lazy
+
+
+def _reads_in_step(monkeypatch, cls) -> list[tuple[int, bytes, list]]:
+    """Every roster read made inside `cls.step`: (minute, DHT key, values).
+
+    A roster is any key but a campaign table or the adversary's own inbox.
+    """
+    reads, inside = [], []
+    step, get = cls.step, dht.SimulatedDht.get
+
+    def stepping(self, sim, now):
+        inside.append(self)
+        step(self, sim, now)
+        inside.pop()
+
+    def reading(store, key, now):
+        values = get(store, key, now)
+        if inside and key.key not in (
+            dht.campaign_table_key(URL).key, dht.inbox_key(inside[-1].identity.public_key).key,
+        ):
+            reads.append((now, key.key, values))
+        return values
+
+    monkeypatch.setattr(cls, "step", stepping)
+    monkeypatch.setattr(dht.SimulatedDht, "get", reading)
+    return reads
+
+
+def test_forwarder_reads_rosters_only_in_minutes_its_inbox_holds_a_challenge(monkeypatch):
+    reads = _reads_in_step(monkeypatch, _MitmForwarderAdversary)
+    sim = Simulation(from_dict(attack_mix()))
+    (forwarder,) = [a for a in sim.adversaries if isinstance(a, _MitmForwarderAdversary)]
+    challenged = set()
+    poll_inbox = coordinator.poll_inbox
+
+    def polled(now, store, identity):
+        messages = poll_inbox(now, store, identity)
+        if identity is forwarder.identity and any(
+            isinstance(m, crypto.Challenge) for m in messages
+        ):
+            challenged.add(now)
+        return messages
+
+    monkeypatch.setattr(coordinator, "poll_inbox", polled)
+    sim.run()
+    assert challenged and {now for now, _key, _values in reads} == challenged
+    # each roster at most once a minute, and only after registering on it
+    assert len(reads) == len({(now, key) for now, key, _values in reads})
+    assert all(forwarder.identity.public_key in values for _now, _key, values in reads)
+
+
+@pytest.mark.parametrize("ttl", [None, 37, 60])
+def test_sybil_reads_a_roster_on_first_sight_then_once_per_ttl(monkeypatch, ttl):
+    reads = _reads_in_step(monkeypatch, _SybilFloodAdversary)
+    sim = Simulation(from_dict(reannounced()))
+    if ttl is not None:
+        sim.dht.ttl_minutes = ttl
+    report = sim.run()
+    by_roster = defaultdict(list)
+    for now, key, _values in reads:
+        by_roster[key].append(now)
+    for minutes in by_roster.values():
+        assert all(later > earlier + sim.dht.ttl_minutes
+                   for earlier, later in zip(minutes, minutes[1:]))
+    # the short TTLs read some roster again, and every read puts every key
+    assert any(len(minutes) > 1 for minutes in by_roster.values()) == (ttl is not None)
+    (sybil,) = [a for a in report.summary["adversaries"] if a["strategy"] == "sybil_flood"]
+    assert sybil["counters"]["registered"] == 12 * len(reads)
