@@ -10,10 +10,15 @@ Within each simulated minute, phases run in a fixed order:
   6. latency probes and campaign judgments
   7. per-site settlement
 
-Each phase visits only the clients due that minute, in index order (polls
-at poll minutes, ticks at a joined start, bursts and probes inside their
-windows); settlement stays per minute. The contract is the phase order plus
-the index order within a phase.
+Polls run at each client's poll minutes and settlement runs every minute.
+Every other campaign action is booked on one agenda (minute -> phase ->
+client -> campaigns) for its exact minute, once it is known: a join books
+the launch decision at the start and, on a target site, the probe slots not
+yet past and the judgment; a launch books the first opt-out burst and each
+burst the next while the campaign runs. A phase acts on exactly what is
+booked for its minute, so an action booked twice runs once. The contract is
+the phase order, then client index order, then the order of the client's
+campaign table.
 
 Every stochastic choice comes from an entity-private stream seeded as
 "{seed}:{kind}:{index}", so adding an adversary never perturbs honest
@@ -23,7 +28,6 @@ the same scenario and the metrics serialization compares equal.
 
 from __future__ import annotations
 
-import bisect
 import json
 import statistics
 from collections import Counter
@@ -244,9 +248,9 @@ class _MitmForwarderAdversary(_Adversary):
 class _SybilFloodAdversary(_Adversary):
     """Registers a crowd of fresh, never-verified identities everywhere.
 
-    Each minute it reads every announced start. It reads a start's roster and
-    puts the keys missing there on first sight, then only once the keys it put
-    there expire: nobody else puts or removes them, and it puts them together.
+    Each minute it reads every announced start. It puts all its keys on a
+    start's roster on first sight and again once they expire there: nobody
+    else puts or removes them, so it never needs to read the roster.
     """
 
     def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
@@ -262,12 +266,9 @@ class _SybilFloodAdversary(_Adversary):
             if campaign in self.put_at and now <= self.put_at[campaign] + sim.dht.ttl_minutes:
                 continue
             self.put_at[campaign] = now
-            # the keys are distinct, so putting one never changes another's presence
-            live = set(coordinator.read_comrades(sim.dht, campaign, now))
             for pk in self.sybil_keys:
-                if pk not in live:
-                    coordinator.register(sim.dht, campaign, pk, now)
-                    self.counters["registered"] += 1
+                coordinator.register(sim.dht, campaign, pk, now)
+                self.counters["registered"] += 1
 
 
 _ADVERSARY_CLASSES = {
@@ -277,31 +278,6 @@ _ADVERSARY_CLASSES = {
     "mitm_forwarder": _MitmForwarderAdversary,
     "sybil_flood": _SybilFloodAdversary,
 }
-
-
-class _Windows:
-    """The clients a phase visits: those with an open window of minutes.
-
-    A too-wide window costs time, never bytes: the phase checks its own rule.
-    """
-
-    def __init__(self) -> None:
-        self._opening: list[tuple[int, int, int]] = []  # sorted (first, client, last)
-        self._open: dict[int, int] = {}  # client -> last minute of its open windows
-
-    def open(self, client: int, first: int, last: int) -> None:
-        bisect.insort(self._opening, (first, client, last))
-
-    def due(self, now: int) -> list[int]:
-        opened = bisect.bisect_left(self._opening, (now + 1,))
-        for _first, client, last in self._opening[:opened]:
-            self._open[client] = max(last, self._open.get(client, last))
-        del self._opening[:opened]
-        if not self._open:
-            return []
-        for client in [c for c, last in self._open.items() if last < now]:
-            del self._open[client]
-        return sorted(self._open)
 
 
 class Simulation:
@@ -352,7 +328,8 @@ class Simulation:
         self._pollers: dict[int, list[SimClient]] = {}
         for client in self.clients:
             self._pollers.setdefault(client.cfg.poll_interval, []).append(client)
-        self._ticking, self._bursting, self._probing = _Windows(), _Windows(), _Windows()
+        # minute -> phase -> client index -> campaign -> action
+        self._agenda: dict[int, dict[str, dict[int, dict[CampaignStart, str]]]] = {}
 
     def joined_campaigns(self) -> set[CampaignStart]:
         """Every campaign some honest client joined: the union of their tables."""
@@ -361,6 +338,40 @@ class Simulation:
     def known_urls(self) -> list[CanonicalUrl]:
         """URLs an adversary can see: advertised sites plus announced ones."""
         return sorted(self.sites.keys() | {c.url for c in self.joined_campaigns()})
+
+    def _book(
+        self, minute: int, phase: str, index: int, campaign: CampaignStart, action: str = ""
+    ) -> None:
+        bookings = self._agenda.setdefault(minute, {}).setdefault(phase, {})
+        bookings.setdefault(index, {})[campaign] = action
+
+    def _booked(self, now: int, phase: str) -> list[tuple[int, dict[CampaignStart, str]]]:
+        """Each client with actions booked for this minute and phase, by index."""
+        return sorted(self._agenda.get(now, {}).get(phase, {}).items())
+
+    def _book_join(self, client: SimClient, campaign: CampaignStart, now: int) -> None:
+        """Book a joined campaign's launch decision and, on a target site, its
+        probes and judgment. Probe k of a window falls `spacing * k` minutes
+        after it opens: the baseline window PROBE_WINDOW minutes before the
+        start, the during one at it. Baseline probes due before the join are
+        missed, so such a campaign is left unjudged."""
+        self._book(campaign.start, "tick", client.index, campaign)
+        if campaign.url not in self.sites:
+            return
+        spacing = PROBE_WINDOW // client.tcfg.probe_count
+        for k in range(client.tcfg.probe_count):
+            during = campaign.start + spacing * k
+            if during - PROBE_WINDOW >= now:
+                self._book(during - PROBE_WINDOW, "probe", client.index, campaign, "baseline")
+            self._book(during, "probe", client.index, campaign, "during")
+        self._book(campaign.start + PROBE_WINDOW, "probe", client.index, campaign, "judge")
+
+    def _book_burst(self, index: int, campaign: CampaignStart, minute: int) -> None:
+        """Book a launched campaign's opt-out burst for `minute` if the campaign
+        still runs then. Each burst books the next, so however long a campaign
+        runs, it holds one booking at a time."""
+        if minute < campaign.start + self.scenario.campaign_duration:
+            self._book(minute, "burst", index, campaign)
 
     # ------------------------------------------------------------------
     # phases
@@ -411,10 +422,7 @@ class Simulation:
                             }
                         )
                     for campaign in result.joined:
-                        self._ticking.open(index, campaign.start, campaign.start)
-                        self._probing.open(
-                            index, campaign.start - PROBE_WINDOW, campaign.start + PROBE_WINDOW
-                        )
+                        self._book_join(client, campaign, now)
                         if campaign in self.adversarial_starts:
                             self.honest_joins_on_adversarial += 1
                         self.emit(
@@ -502,16 +510,15 @@ class Simulation:
             )
 
     def _phase_ticks(self, now: int) -> None:
-        for index in self._ticking.due(now):
+        for index, _campaigns in self._booked(now, "tick"):
             client = self.clients[index]
             decisions = coordinator.tick(
                 now, self.dht, client.trust_db, client.cfg, client.campaign_db
             )
             for decision in decisions:
                 campaign = decision.campaign
-                if decision.launched:
-                    last = campaign.start + self.scenario.campaign_duration - 1
-                    self._bursting.open(index, campaign.start, last)
+                if decision.launched and campaign.url in self.sites:
+                    self._book_burst(index, campaign, now)
                 self.emit(
                     {
                         "t": now,
@@ -527,47 +534,27 @@ class Simulation:
                 )
 
     def _phase_bursts(self, now: int) -> None:
-        for index in self._bursting.due(now):
-            client = self.clients[index]
-            for campaign, record in client.campaign_db.entries.items():
-                if record.state is not CampaignState.LAUNCHED:
-                    continue
-                if not campaign.start <= now < campaign.start + self.scenario.campaign_duration:
-                    continue
-                entry = self.sites.get(campaign.url)
-                if entry is None:
-                    continue
-                site, ledger = entry
-                website.send_opt_out_burst(
-                    site, 1, self.scenario.opt_out_rate, now, ledger
-                )
+        for index, booked in self._booked(now, "burst"):
+            for campaign in self.clients[index].campaign_db.entries:
+                if campaign in booked:
+                    site, ledger = self.sites[campaign.url]
+                    website.send_opt_out_burst(
+                        site, 1, self.scenario.opt_out_rate, now, ledger
+                    )
+                    self._book_burst(index, campaign, now + 1)
 
     def _phase_probes(self, now: int) -> None:
-        # Probe k of a window falls `spacing * k` minutes after it opens: the
-        # baseline window PROBE_WINDOW minutes before the start, the during one
-        # at it. The windows do not overlap, so at most one is due per minute.
-        # Baseline probes due before the client joined are missed (the
-        # campaign was not in its table yet), so the campaign is left unjudged.
-        for index in self._probing.due(now):
+        # a campaign's probe slots and judgment fall on distinct minutes
+        for index, booked in self._booked(now, "probe"):
             client = self.clients[index]
-            count = client.tcfg.probe_count
-            spacing = PROBE_WINDOW // count
             for campaign, record in client.campaign_db.entries.items():
-                offset = now - campaign.start
-                if not -PROBE_WINDOW <= offset <= PROBE_WINDOW:
-                    continue
-                entry = self.sites.get(campaign.url)
-                if entry is None:
-                    continue
-                site, ledger = entry
-                for probes, since_open in (
-                    (record.baseline, offset + PROBE_WINDOW), (record.during, offset)
-                ):
-                    slot, rest = divmod(since_open, spacing)
-                    if rest == 0 and 0 <= slot < count:
-                        probes.append(website.probe(site, now, ledger))
-                if offset == PROBE_WINDOW:
+                action = booked.get(campaign)
+                if action == "judge":
                     self._judge(client, campaign, record, now)
+                elif action is not None:
+                    site, ledger = self.sites[campaign.url]
+                    probes = record.baseline if action == "baseline" else record.during
+                    probes.append(website.probe(site, now, ledger))
 
     def _judge(
         self, client: SimClient, campaign: CampaignStart, record: CampaignRecord, now: int
@@ -644,6 +631,7 @@ class Simulation:
             self._phase_bursts(now)
             self._phase_probes(now)
             self._phase_settle(now)
+            self._agenda.pop(now, None)
         return MetricsReport(events=self.events, summary=self._summary())
 
     def _summary(self) -> dict[str, Any]:

@@ -8,7 +8,8 @@ client group, one site, spam to every client early in the run, 240 minutes)
 and changes one or two things: a poll interval and probe count, a join
 policy, several client groups, sites or injections, a confirm policy, usage
 windows with no feasible start, an answer budget of zero, one adversary or a
-pair of them. Three variants pin what a schedule of due peers must get
+pair of them, the same mail twice so that clients join a campaign they
+already hold (`rejoin`). Three variants pin what a schedule of due peers must get
 right: answers that come back wrong and free a peer at once
 (`stale_answer`), and two runs of 11,700 minutes, past the DHT's TTL, in
 which roster entries expire (`roster_expiry`) and expired ones are put
@@ -245,6 +246,15 @@ def _(s: dict) -> None:
     s["clients"] = [group(count, {"rechallenge_timeout": 15}), group(5, poll_interval=30)]
 
 
+@variant("rejoin")
+def _(s: dict) -> None:
+    # the same mail again 10 minutes later, before the baseline probes: every
+    # client still finds the start suitable, so it joins a campaign it already
+    # holds, which must not probe, tick or burst twice
+    first = s["spam_injections"][0]["minute"]
+    s["spam_injections"].append(spam(first + 10, "all", "pills.example"))
+
+
 @variant("roster_expiry")
 def _(s: dict) -> None:
     # past the DHT TTL: the rosters' entries expire near minute 11,525 and are
@@ -309,6 +319,7 @@ PINNED = {
     "late_join_unjudged": "164f193b11d1a62a70692492d03a4e18b9144739bb06675df5cea89e52660d91",
     "mixed_max_rand": "5cc1f483efecd36568958e41076e41d90b9aaedb6117a1a354d71215f90e8a3b",
     "stale_answer": "0868a806f1afdfc35178d36035975756b72844a43eb7234537b79a44b9719bfa",
+    "rejoin": "74a82f76b367e969b3d67b20bc4a1f232f696c9343d3a36e60a201b07b09000d",
     "roster_expiry": "346b0f1039db7c47b6bec3b2f9d4c8e633bcebd6eb5185905739f9058b2d6615",
     "expired_reput": "b349e9d9a508b7f932cc0db0b20c8cfd2d8b2b054bcaa7232556ab3935311f8d",
 }

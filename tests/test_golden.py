@@ -26,7 +26,7 @@ import pytest
 
 import corpus
 from optoutswarm.cli import main
-from optoutswarm.scenario import from_dict, load_file
+from optoutswarm.scenario import Scenario, from_dict, load_file
 from optoutswarm.simulation import _ENCODER, MetricsReport, Simulation, ndjson_line, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -122,6 +122,13 @@ def _report(name: str) -> MetricsReport:
     return _file_report(EDGE if name == EDGE.name else SCENARIOS / name)
 
 
+def _scenario(name: str) -> Scenario:
+    """The scenario `_report(name)` runs."""
+    if name.startswith("corpus:"):
+        return from_dict(corpus.generate(name.removeprefix("corpus:")))
+    return load_file(str(EDGE if name == EDGE.name else SCENARIOS / name))
+
+
 @pytest.mark.parametrize("name", EVERY_RUN)
 def test_templated_lines_equal_the_generic_encoder(name):
     # the hot event types have fixed templates; a field added to one of those
@@ -159,6 +166,35 @@ def test_events_add_up_to_the_summary(name):
     totals = report.summary["totals"]
     assert totals["campaigns_launched"] == len(launches)
     assert totals["launch_decisions_true"] == launches.total()
+
+
+@pytest.mark.parametrize("name", EVERY_RUN)
+def test_bursts_add_up_to_the_site_traffic(name):
+    # every launched (client, campaign) on a site adds `opt_out_rate` requests
+    # to each minute of [start, start + campaign_duration), and nothing else does
+    scenario, report = _scenario(name), _report(name)
+    launched = Counter(
+        (e["url"], e["start"]) for e in report.events
+        if e["type"] == "launch_decision" and e["launched"]
+    )
+    sent = {(e["url"], e["t"]): e["opt_out_requests"]
+            for e in report.events if e["type"] == "site_minute"}
+    for site in scenario.target_sites:
+        for now in range(scenario.duration):
+            pairs = sum(
+                n for (url, start), n in launched.items()
+                if url == site.url and start <= now < start + scenario.campaign_duration
+            )
+            assert sent.get((site.url, now), 0) == scenario.opt_out_rate * pairs, (site.url, now)
+
+
+def test_rejoin_variant_joins_campaigns_already_held():
+    # its pin guards against doubled probes, ticks and bursts only if it re-joins
+    report = _corpus_report("rejoin")
+    joins = Counter(
+        (e["client"], e["url"], e["start"]) for e in report.events if e["type"] == "campaign_joined"
+    )
+    assert joins and set(joins.values()) == {2}
 
 
 def _digest(ndjson: str) -> str:

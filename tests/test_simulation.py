@@ -361,34 +361,35 @@ def test_adversaries_write_what_full_reads_write(monkeypatch, shape, ttl):
     assert _ndjson(shape, ttl) == lazy
 
 
-def _reads_in_step(monkeypatch, cls) -> list[tuple[int, bytes, list]]:
-    """Every roster read made inside `cls.step`: (minute, DHT key, values).
+def _roster_calls_in_step(monkeypatch, cls, verb="get") -> list[tuple[int, bytes, object]]:
+    """Every roster `get` or `put` made inside `cls.step`: (minute, DHT key,
+    the values read or the value put).
 
     A roster is any key but a campaign table or the adversary's own inbox.
     """
-    reads, inside = [], []
-    step, get = cls.step, dht.SimulatedDht.get
+    calls, inside = [], []
+    step, call = cls.step, getattr(dht.SimulatedDht, verb)
 
     def stepping(self, sim, now):
         inside.append(self)
         step(self, sim, now)
         inside.pop()
 
-    def reading(store, key, now):
-        values = get(store, key, now)
+    def calling(store, key, *args):  # get(key, now) or put(key, value, now)
+        result = call(store, key, *args)
         if inside and key.key not in (
             dht.campaign_table_key(URL).key, dht.inbox_key(inside[-1].identity.public_key).key,
         ):
-            reads.append((now, key.key, values))
-        return values
+            calls.append((args[-1], key.key, result if verb == "get" else args[0]))
+        return result
 
     monkeypatch.setattr(cls, "step", stepping)
-    monkeypatch.setattr(dht.SimulatedDht, "get", reading)
-    return reads
+    monkeypatch.setattr(dht.SimulatedDht, verb, calling)
+    return calls
 
 
 def test_forwarder_reads_rosters_only_in_minutes_its_inbox_holds_a_challenge(monkeypatch):
-    reads = _reads_in_step(monkeypatch, _MitmForwarderAdversary)
+    reads = _roster_calls_in_step(monkeypatch, _MitmForwarderAdversary)
     sim = Simulation(from_dict(attack_mix()))
     (forwarder,) = [a for a in sim.adversaries if isinstance(a, _MitmForwarderAdversary)]
     challenged = set()
@@ -411,19 +412,24 @@ def test_forwarder_reads_rosters_only_in_minutes_its_inbox_holds_a_challenge(mon
 
 
 @pytest.mark.parametrize("ttl", [None, 37, 60])
-def test_sybil_reads_a_roster_on_first_sight_then_once_per_ttl(monkeypatch, ttl):
-    reads = _reads_in_step(monkeypatch, _SybilFloodAdversary)
+def test_sybil_puts_on_a_roster_on_first_sight_then_once_per_ttl(monkeypatch, ttl):
+    reads = _roster_calls_in_step(monkeypatch, _SybilFloodAdversary)
+    puts = _roster_calls_in_step(monkeypatch, _SybilFloodAdversary, "put")
     sim = Simulation(from_dict(reannounced()))
     if ttl is not None:
         sim.dht.ttl_minutes = ttl
     report = sim.run()
-    by_roster = defaultdict(list)
-    for now, key, _values in reads:
-        by_roster[key].append(now)
-    for minutes in by_roster.values():
+    by_roster = defaultdict(lambda: defaultdict(list))  # roster -> minute -> keys put
+    for now, key, pk in puts:
+        by_roster[key][now].append(pk)
+    (sybil,) = [a for a in sim.adversaries if isinstance(a, _SybilFloodAdversary)]
+    for visits in by_roster.values():
+        minutes = list(visits)
         assert all(later > earlier + sim.dht.ttl_minutes
                    for earlier, later in zip(minutes, minutes[1:]))
-    # the short TTLs read some roster again, and every read puts every key
-    assert any(len(minutes) > 1 for minutes in by_roster.values()) == (ttl is not None)
-    (sybil,) = [a for a in report.summary["adversaries"] if a["strategy"] == "sybil_flood"]
-    assert sybil["counters"]["registered"] == 12 * len(reads)
+        assert all(keys == sybil.sybil_keys for keys in visits.values())
+    # the short TTLs visit some roster again, and no visit reads one
+    assert any(len(visits) > 1 for visits in by_roster.values()) == (ttl is not None)
+    assert reads == []
+    (counters,) = [a for a in report.summary["adversaries"] if a["strategy"] == "sybil_flood"]
+    assert counters["counters"]["registered"] == len(puts)
