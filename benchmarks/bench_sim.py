@@ -5,11 +5,14 @@ Each rung scales the baseline's one client group to a fleet size and, for
 one rung, raises `max_rand` from the baseline's 200 to the default 10,000.
 Two rungs run 40 clients for 4,000 minutes and for one week (10,080
 minutes) instead of 400: the events are the same as at 400 minutes, so the
-extra time is what idle minutes cost. One rung adds adversaries: 8 clients
-for 1,000 minutes under the attack_mix of perfbench (a sybil flood of 200
-keys, an issuer-rewriting MITM forwarder, a challenge flood and
-separation), where the adversaries' roster reads grow with minutes times
-campaigns times roster length.
+extra time is what idle minutes cost. Two rungs change more of the
+scenario, each by a named set of top-level fields (`VARIANTS`). attack_mix
+runs 8 clients for 1,000 minutes under the adversaries of perfbench's
+attack_mix (a sybil flood of 200 keys, an issuer-rewriting MITM forwarder,
+a challenge flood and separation), where the adversaries' roster reads grow
+with minutes times campaigns times roster length. week_campaign runs 40
+clients for one week with campaigns that last a week, so every launched
+campaign bursts until the run ends.
 Each run is a fresh `python -m optoutswarm run SCENARIO --out FILE` child.
 `os.wait4` reports that child's own CPU time (user + system) and peak RSS;
 its wall time runs from the spawn to the wait. Every rung runs `RUNS` times
@@ -53,7 +56,7 @@ ATTACK_MIX = [
      "max_rand": 10_000},
     {"strategy": "separation", "injection_period": 30, "lead_minutes": 30},
 ]
-# (clients, max_rand, minutes, sha256 of the NDJSON every run must write[, adversaries])
+# (clients, max_rand, minutes, sha256 of the NDJSON every run must write[, variant])
 LADDER = [
     (10, 200, 400, "9df61019bedeadaede8b9f5152de489119bdbe4a0b45884ff5d6d6842ef5c9d3"),
     (40, 200, 400, "8570a367ddc8c029f9dd48b536428a8d6b9d99a88f7ea2f8d4ddb0440c6b9f3f"),
@@ -64,8 +67,14 @@ LADDER = [
     (320, 200, 400, "830ad691694f39b9a53a264a848785ddfc09edf697c57cfa40881d280e76702e"),
     (8, 200, 1000, "3260c176067d897bd69d4222c81567b2ffe372d7bbedfa20d851341249131812",
      "attack_mix"),
+    (40, 200, 10_080, "80391028d8d7add238f7a19821a638d02702c30e85c8c0c0ba9ea8557a517098",
+     "week_campaign"),
 ]
-MIXES = {"attack_mix": ATTACK_MIX}
+# top-level scenario fields a variant rung sets on the scaled baseline
+VARIANTS = {
+    "attack_mix": {"adversaries": ATTACK_MIX},
+    "week_campaign": {"campaign_duration": 10_080},
+}
 MEASURED = ("wall_s", "cpu_s", "peak_rss_mib")
 
 
@@ -112,15 +121,15 @@ def one_run(src: Path, scenario: Path, out: Path) -> dict:
 
 def rung(
     trees: dict[str, Path], clients: int, max_rand: int, minutes: int, pinned: str,
-    workdir: Path, mix: str | None = None,
+    workdir: Path, variant: str | None = None,
 ) -> dict[str, dict]:
     """One rung's entry per tree, from `RUNS` runs of each, alternating."""
     raw = json.loads(BASELINE.read_text(encoding="utf-8"))
     raw["clients"][0]["count"] = clients
     raw["clients"][0]["trust"]["max_rand"] = max_rand
     raw["duration"] = minutes
-    raw["adversaries"] = MIXES.get(mix, [])
-    scenario = workdir / f"baseline-{clients}-{max_rand}-{minutes}-{mix}.json"
+    raw.update(VARIANTS.get(variant, {}))
+    scenario = workdir / f"baseline-{clients}-{max_rand}-{minutes}-{variant}.json"
     scenario.write_text(json.dumps(raw), encoding="utf-8")
     results: dict[str, list[dict]] = {name: [] for name in trees}
     names = list(trees)
@@ -136,8 +145,8 @@ def rung(
                 f"minutes wrote NDJSON sha256 {wrong}, pinned {pinned}"
             )
         entry = {"clients": clients, "max_rand": max_rand, "minutes": minutes, "runs": RUNS}
-        if mix is not None:
-            entry["adversaries"] = mix
+        if variant is not None:
+            entry["variant"] = variant
         for key in MEASURED:
             entry[key] = round(statistics.median(r[key] for r in done), 3)
             entry[f"{key}_runs"] = [round(r[key], 3) for r in done]
@@ -175,8 +184,8 @@ def main() -> int:
         trees = {"parent": args.parent.resolve(), "change": args.src.resolve()}
     ladders = {name: {"host": host_facts(src), "ladder": []} for name, src in trees.items()}
     with tempfile.TemporaryDirectory(prefix="bench_sim-") as tmp:
-        for clients, max_rand, minutes, pinned, *mix in LADDER:
-            entries = rung(trees, clients, max_rand, minutes, pinned, Path(tmp), *mix)
+        for clients, max_rand, minutes, pinned, *variant in LADDER:
+            entries = rung(trees, clients, max_rand, minutes, pinned, Path(tmp), *variant)
             for name, entry in entries.items():
                 ladders[name]["ladder"].append(entry)
                 print(json.dumps({"tree": name, **entry}), flush=True)

@@ -11,14 +11,14 @@ Within each simulated minute, phases run in a fixed order:
   7. per-site settlement
 
 Polls run at each client's poll minutes and settlement runs every minute.
-Every other campaign action is booked on one agenda (minute -> phase ->
+Every other campaign action is booked on one agenda ((minute, phase) ->
 client -> campaigns) for its exact minute, once it is known: a join books
 the launch decision at the start and, on a target site, the probe slots not
-yet past and the judgment; a launch books the first opt-out burst and each
-burst the next while the campaign runs. A phase acts on exactly what is
-booked for its minute, so an action booked twice runs once. The contract is
-the phase order, then client index order, then the order of the client's
-campaign table.
+yet past and the judgment; a launch books one burst at its minute, which
+writes the campaign's opt-out load into every minute it runs, up to the
+run's end. A phase acts on exactly what is booked for its minute, so an
+action booked twice runs once. The contract is the phase order, then client
+index order, then the order of the client's campaign table.
 
 Every stochastic choice comes from an entity-private stream seeded as
 "{seed}:{kind}:{index}", so adding an adversary never perturbs honest
@@ -292,7 +292,8 @@ class Simulation:
         self.scenario = scenario
         self.dht = SimulatedDht()
         self.sites: dict[CanonicalUrl, tuple[TargetSite, TrafficLedger]] = {
-            site.url: (site, TrafficLedger()) for site in scenario.target_sites
+            site.url: (site, TrafficLedger())
+            for site in sorted(scenario.target_sites, key=attrgetter("url"))
         }
         self.clients: list[SimClient] = []
         index = 0
@@ -328,8 +329,8 @@ class Simulation:
         self._pollers: dict[int, list[SimClient]] = {}
         for client in self.clients:
             self._pollers.setdefault(client.cfg.poll_interval, []).append(client)
-        # minute -> phase -> client index -> campaign -> action
-        self._agenda: dict[int, dict[str, dict[int, dict[CampaignStart, str]]]] = {}
+        # (minute, phase) -> client index -> campaign -> action
+        self._agenda: dict[tuple[int, str], dict[int, dict[CampaignStart, str]]] = {}
 
     def joined_campaigns(self) -> set[CampaignStart]:
         """Every campaign some honest client joined: the union of their tables."""
@@ -342,12 +343,11 @@ class Simulation:
     def _book(
         self, minute: int, phase: str, index: int, campaign: CampaignStart, action: str = ""
     ) -> None:
-        bookings = self._agenda.setdefault(minute, {}).setdefault(phase, {})
-        bookings.setdefault(index, {})[campaign] = action
+        self._agenda.setdefault((minute, phase), {}).setdefault(index, {})[campaign] = action
 
     def _booked(self, now: int, phase: str) -> list[tuple[int, dict[CampaignStart, str]]]:
-        """Each client with actions booked for this minute and phase, by index."""
-        return sorted(self._agenda.get(now, {}).get(phase, {}).items())
+        """Take each client's actions booked for this minute and phase, by index."""
+        return sorted(self._agenda.pop((now, phase), {}).items())
 
     def _book_join(self, client: SimClient, campaign: CampaignStart, now: int) -> None:
         """Book a joined campaign's launch decision and, on a target site, its
@@ -365,13 +365,6 @@ class Simulation:
                 self._book(during - PROBE_WINDOW, "probe", client.index, campaign, "baseline")
             self._book(during, "probe", client.index, campaign, "during")
         self._book(campaign.start + PROBE_WINDOW, "probe", client.index, campaign, "judge")
-
-    def _book_burst(self, index: int, campaign: CampaignStart, minute: int) -> None:
-        """Book a launched campaign's opt-out burst for `minute` if the campaign
-        still runs then. Each burst books the next, so however long a campaign
-        runs, it holds one booking at a time."""
-        if minute < campaign.start + self.scenario.campaign_duration:
-            self._book(minute, "burst", index, campaign)
 
     # ------------------------------------------------------------------
     # phases
@@ -518,7 +511,7 @@ class Simulation:
             for decision in decisions:
                 campaign = decision.campaign
                 if decision.launched and campaign.url in self.sites:
-                    self._book_burst(index, campaign, now)
+                    self._book(now, "burst", index, campaign)
                 self.emit(
                     {
                         "t": now,
@@ -534,14 +527,17 @@ class Simulation:
                 )
 
     def _phase_bursts(self, now: int) -> None:
-        for index, booked in self._booked(now, "burst"):
-            for campaign in self.clients[index].campaign_db.entries:
-                if campaign in booked:
-                    site, ledger = self.sites[campaign.url]
-                    website.send_opt_out_burst(
-                        site, 1, self.scenario.opt_out_rate, now, ledger
-                    )
-                    self._book_burst(index, campaign, now + 1)
+        # Each campaign launched this minute writes its load into every minute
+        # it runs at once. Requests are integers, so they add up the same in
+        # any order, and no minute's load is read before that minute's probes.
+        launched = Counter(c for _index, booked in self._booked(now, "burst") for c in booked)
+        for campaign, clients in launched.items():
+            site, ledger = self.sites[campaign.url]
+            end = min(campaign.start + self.scenario.campaign_duration, self.scenario.duration)
+            for minute in range(now, end):
+                website.send_opt_out_burst(
+                    site, clients, self.scenario.opt_out_rate, minute, ledger
+                )
 
     def _phase_probes(self, now: int) -> None:
         # a campaign's probe slots and judgment fall on distinct minutes
@@ -599,8 +595,7 @@ class Simulation:
             self.emit({"t": now, "type": "trust_reset", "client": client.index})
 
     def _phase_settle(self, now: int) -> None:
-        for url in sorted(self.sites):
-            site, ledger = self.sites[url]
+        for url, (site, ledger) in self.sites.items():
             website.settle_minute(site, now, ledger)
             record = ledger.minutes[now]
             if (
@@ -631,7 +626,6 @@ class Simulation:
             self._phase_bursts(now)
             self._phase_probes(now)
             self._phase_settle(now)
-            self._agenda.pop(now, None)
         return MetricsReport(events=self.events, summary=self._summary())
 
     def _summary(self) -> dict[str, Any]:
@@ -657,8 +651,7 @@ class Simulation:
                 }
             )
         sites = {}
-        for url in sorted(self.sites):
-            _site, ledger = self.sites[url]
+        for url, (_site, ledger) in self.sites.items():
             sites[url] = {
                 "opt_out_requests": ledger.total_opt_out_requests,
                 "probe_requests": ledger.total_probe_requests,

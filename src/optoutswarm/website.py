@@ -66,7 +66,10 @@ class TrafficLedger:
     lost_revenue: float = 0.0
 
     def minute(self, minute: int) -> MinuteTraffic:
-        return self.minutes.setdefault(minute, MinuteTraffic())
+        record = self.minutes.get(minute)
+        if record is None:
+            record = self.minutes[minute] = MinuteTraffic()
+        return record
 
 
 def response_time(site: TargetSite, load: float) -> float:
@@ -86,12 +89,11 @@ def send_opt_out_burst(
     rate: int,
     minute: int,
     ledger: TrafficLedger,
-) -> TrafficLedger:
+) -> None:
     """Register comrade_count * rate opt-out requests for this minute."""
     if comrade_count < 0 or rate < 0:
         raise ValueError("comrade_count and rate must be non-negative")
     ledger.minute(minute).opt_out_requests += comrade_count * rate
-    return ledger
 
 
 def probe(site: TargetSite, minute: int, ledger: TrafficLedger) -> float:

@@ -9,7 +9,8 @@ and changes one or two things: a poll interval and probe count, a join
 policy, several client groups, sites or injections, a confirm policy, usage
 windows with no feasible start, an answer budget of zero, one adversary or a
 pair of them, the same mail twice so that clients join a campaign they
-already hold (`rejoin`). Three variants pin what a schedule of due peers must get
+already hold (`rejoin`), campaigns that outlast the run and overlap on one
+site (`long_campaign`). Three variants pin what a schedule of due peers must get
 right: answers that come back wrong and free a peer at once
 (`stale_answer`), and two runs of 11,700 minutes, past the DHT's TTL, in
 which roster entries expire (`roster_expiry`) and expired ones are put
@@ -255,6 +256,14 @@ def _(s: dict) -> None:
     s["spam_injections"].append(spam(first + 10, "all", "pills.example"))
 
 
+@variant("long_campaign")
+def _(s: dict) -> None:
+    # campaigns outlast the run; the second group waits too long to reach the
+    # first group's start, so two starts on one site burst at once to the end
+    s["campaign_duration"] = 1_000_000
+    s["clients"].append(group(6, min_wait=150, max_wait=200))
+
+
 @variant("roster_expiry")
 def _(s: dict) -> None:
     # past the DHT TTL: the rosters' entries expire near minute 11,525 and are
@@ -320,6 +329,7 @@ PINNED = {
     "mixed_max_rand": "5cc1f483efecd36568958e41076e41d90b9aaedb6117a1a354d71215f90e8a3b",
     "stale_answer": "0868a806f1afdfc35178d36035975756b72844a43eb7234537b79a44b9719bfa",
     "rejoin": "74a82f76b367e969b3d67b20bc4a1f232f696c9343d3a36e60a201b07b09000d",
+    "long_campaign": "d23c90c065bfe62c65532aa950dd8e75dd56dd239621afd67d009484e13151e6",
     "roster_expiry": "346b0f1039db7c47b6bec3b2f9d4c8e633bcebd6eb5185905739f9058b2d6615",
     "expired_reput": "b349e9d9a508b7f932cc0db0b20c8cfd2d8b2b054bcaa7232556ab3935311f8d",
 }

@@ -197,6 +197,23 @@ def test_rejoin_variant_joins_campaigns_already_held():
     assert joins and set(joins.values()) == {2}
 
 
+def test_long_campaign_variant_overlaps_and_stops_at_the_end():
+    # its pin guards the bursts of concurrent campaigns only if two starts on
+    # one site overlap; campaigns that outlast the run write no minute past it
+    scenario = from_dict(corpus.generate("long_campaign"))
+    sim = Simulation(scenario)
+    report = sim.run()
+    starts: dict[str, set[int]] = {}
+    for e in report.events:
+        if e["type"] == "launch_decision" and e["launched"]:
+            starts.setdefault(e["url"], set()).add(e["start"])
+    assert any(
+        len(s) >= 2 and max(s) < min(s) + scenario.campaign_duration for s in starts.values()
+    )
+    for _site, ledger in sim.sites.values():
+        assert max(ledger.minutes) < scenario.duration
+
+
 def _digest(ndjson: str) -> str:
     return hashlib.sha256(ndjson.encode("utf-8")).hexdigest()
 
