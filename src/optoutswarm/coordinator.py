@@ -209,7 +209,10 @@ def read_comrades(
 
 def is_comrade(dht: SimulatedDht, db: LocalCampaignDb, public_key: bytes, now: int) -> bool:
     """Whether a key is registered for any campaign I joined."""
-    return any(dht.contains(_roster_key(c), public_key, now) for c in db.entries)
+    for campaign in db.entries:
+        if dht.contains(_roster_key(campaign), public_key, now):
+            return True
+    return False
 
 
 def challenge_comrades(
@@ -343,16 +346,19 @@ def poll_inbox(
 ) -> list[crypto.Challenge | trust.ChallengeSolution]:
     """Drain my inbox: open, decode, and delete everything addressed to me.
 
-    Undecodable or misaddressed values are deleted too; leaving them would
-    let junk accumulate forever under my key.
+    A record sealed in-process opens as itself; only payload bytes are
+    decoded. Undecodable or misaddressed values are deleted too; leaving them
+    would let junk accumulate forever under my key.
     """
     key = inbox_key(identity.public_key)
     payloads = []
     for sealed in dht.get(key, now):
         dht.remove(key, sealed)
         try:
-            plaintext = crypto.open_sealed(identity, sealed)
-            payloads.append(trust.decode_payload(plaintext))
+            message = crypto.open_sealed(identity, sealed)
+            if isinstance(message, bytes):
+                message = trust.decode_payload(message)
+            payloads.append(message)
         except (ValueError, crypto.NotAddressee, crypto.DecryptionFailure,
                 trust.MalformedPayload) as exc:
             log.debug("dropping inbox value: %s", exc)

@@ -12,11 +12,16 @@ is the one the scan would return.
 A sealed message is addressed by a 20-byte hash of the recipient key and can
 only be opened by the matching private key (X25519 + ChaCha20-Poly1305).
 `seal` does no crypto: it returns a `SealedMessage` holding the recipient
-key and the plaintext, and `to_bytes()` derives the wire bytes on demand.
-The ephemeral key is derived from those two fields, so two seals compare
-equal exactly when their wire bytes do. In-process, `open_sealed` checks the
-addressee of such a message and returns its plaintext; wire bytes go through
-the full X25519 exchange and the AEAD tag check.
+key and the plaintext, either raw bytes or a `Challenge` or
+`ChallengeSolution` record. A record's tagged inbox payload is
+`bytes(record)`, and `decode_payload` reads it back. `to_bytes()` derives
+the wire bytes on demand, from the plaintext's bytes. The ephemeral key is
+derived from the recipient key and those bytes, so two seals of records, or
+two of raw bytes, compare equal exactly when their wire bytes do; a record
+and its payload seal to the same wire bytes yet compare unequal. In-process,
+`open_sealed` checks the addressee of such a message and returns its
+plaintext as sealed; wire bytes go through the full X25519 exchange and the
+AEAD tag check, and open to payload bytes.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from random import Random
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -42,9 +48,19 @@ _EPHEMERAL_TAG = b"optoutswarm seal ephemeral v1"
 _BOX_KEY_TAG = b"optoutswarm seal key v1"
 _ZERO_NONCE = bytes(12)
 
+# the one-byte type tags that open the handshake records' inbox payloads
+TAG_CHALLENGE = b"\x01"
+TAG_RESPONSE = b"\x02"
+CHALLENGE_PAYLOAD_LEN = 1 + 32 + 8 + 32
+RESPONSE_PAYLOAD_LEN = 1 + 32 + 8
+
 
 class NoSolution(Exception):
     """No value in [0, max_rand] reproduces the challenge hash."""
+
+
+class MalformedPayload(Exception):
+    """Inbox payload does not decode to a known message type."""
 
 
 class NotAddressee(Exception):
@@ -89,30 +105,52 @@ def generate_identity(rng: Random) -> ClientIdentity:
     return ClientIdentity(rng.randbytes(PUBLIC_KEY_LEN))
 
 
-@dataclass(frozen=True)
-class Challenge:
+class Challenge(NamedTuple):
     issuer_public_key: bytes
     rand1: int
     target_hash: bytes
 
+    def __bytes__(self) -> bytes:
+        """Inbox payload: tag ‖ issuer key (32) ‖ rand1 (8, little-endian) ‖ target (32)."""
+        return (
+            TAG_CHALLENGE + self.issuer_public_key + self.rand1.to_bytes(8, "little")
+            + self.target_hash
+        )
 
-@dataclass(frozen=True)
-class ChallengeSolution:
+
+class ChallengeSolution(NamedTuple):
     solver_public_key: bytes
     rand2: int
 
+    def __bytes__(self) -> bytes:
+        """Inbox payload: tag ‖ solver key (32) ‖ rand2 (8, little-endian)."""
+        return TAG_RESPONSE + self.solver_public_key + self.rand2.to_bytes(8, "little")
 
-def _challenge_preimage(issuer_public_key: bytes, rand1: int, rand2: int) -> bytes:
-    return (
-        issuer_public_key
-        + rand1.to_bytes(8, "little")
-        + rand2.to_bytes(8, "little")
-    )
+
+Plaintext = bytes | Challenge | ChallengeSolution  # what a seal holds
+
+
+def decode_payload(data: bytes) -> Challenge | ChallengeSolution:
+    """Parse a tagged inbox payload back into its record."""
+    if not data:
+        raise MalformedPayload("empty payload")
+    tag = data[:1]
+    if tag == TAG_CHALLENGE:
+        if len(data) != CHALLENGE_PAYLOAD_LEN:
+            raise MalformedPayload(f"challenge payload of {len(data)} bytes")
+        return Challenge(data[1:33], int.from_bytes(data[33:41], "little"), data[41:73])
+    if tag == TAG_RESPONSE:
+        if len(data) != RESPONSE_PAYLOAD_LEN:
+            raise MalformedPayload(f"response payload of {len(data)} bytes")
+        return ChallengeSolution(data[1:33], int.from_bytes(data[33:41], "little"))
+    raise MalformedPayload(f"unknown payload tag {data[0]:#04x}")
 
 
 def challenge_target(issuer_public_key: bytes, rand1: int, rand2: int) -> bytes:
     """The 32-byte hash a solver must reproduce."""
-    return hash_bytes(_challenge_preimage(issuer_public_key, rand1, rand2))
+    return hashlib.sha256(
+        issuer_public_key + rand1.to_bytes(8, "little") + rand2.to_bytes(8, "little")
+    ).digest()
 
 
 def generate_challenge(
@@ -127,14 +165,17 @@ def generate_challenge(
     """
     if not 0 <= max_rand <= MAX_RAND_LIMIT:
         raise ValueError(f"max_rand must lie in [0, {MAX_RAND_LIMIT}]")
-    rand1 = rng.randint(0, max_rand)
-    rand2 = rng.randint(0, max_rand)
-    challenge = Challenge(
-        issuer_public_key=issuer.public_key,
-        rand1=rand1,
-        target_hash=challenge_target(issuer.public_key, rand1, rand2),
-    )
-    return challenge, rand2
+    # the draws of rng.randint(0, max_rand), without its two call layers
+    bound = max_rand + 1
+    bits = bound.bit_length()
+    rand1 = rng.getrandbits(bits)
+    while rand1 >= bound:
+        rand1 = rng.getrandbits(bits)
+    rand2 = rng.getrandbits(bits)
+    while rand2 >= bound:
+        rand2 = rng.getrandbits(bits)
+    target = challenge_target(issuer.public_key, rand1, rand2)
+    return Challenge(issuer.public_key, rand1, target), rand2
 
 
 def solve_challenge(
@@ -176,40 +217,38 @@ def _box_key(shared_secret: bytes) -> bytes:
     return hash_bytes(_BOX_KEY_TAG + shared_secret)
 
 
-@dataclass(frozen=True, slots=True)
-class SealedMessage:
+class SealedMessage(NamedTuple):
     """A message only the holder of `recipient_public_key` can open."""
 
     recipient_public_key: bytes
-    plaintext: bytes
+    plaintext: Plaintext
 
     def to_bytes(self) -> bytes:
         """Wire form: recipient key hash (20) ‖ ephemeral public key (32) ‖
-        AEAD ciphertext.
+        AEAD ciphertext of the plaintext's bytes.
 
-        The ephemeral key is derived from (recipient, plaintext), so sealing
-        is deterministic and replay in a seeded simulation is byte-stable.
-        Each distinct message gets a distinct AEAD key, which makes the fixed
-        nonce safe.
+        The ephemeral key is derived from the recipient and those bytes, so
+        sealing is deterministic and replay in a seeded simulation is
+        byte-stable. Each distinct message gets a distinct AEAD key, which
+        makes the fixed nonce safe.
         """
         recipient = self.recipient_public_key
-        scalar = hash_bytes(_EPHEMERAL_TAG + recipient + self.plaintext)
+        plaintext = bytes(self.plaintext)
+        scalar = hash_bytes(_EPHEMERAL_TAG + recipient + plaintext)
         ephemeral = X25519PrivateKey.from_private_bytes(scalar)
         shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient))
-        ct = ChaCha20Poly1305(_box_key(shared)).encrypt(
-            _ZERO_NONCE, self.plaintext, recipient
-        )
+        ct = ChaCha20Poly1305(_box_key(shared)).encrypt(_ZERO_NONCE, plaintext, recipient)
         return key_hash(recipient) + ephemeral.public_key().public_bytes_raw() + ct
 
 
-def seal(recipient_public_key: bytes, plaintext: bytes) -> SealedMessage:
+def seal(recipient_public_key: bytes, plaintext: Plaintext) -> SealedMessage:
     """Address a plaintext to a public key; the wire bytes wait for `to_bytes`."""
     if len(recipient_public_key) != PUBLIC_KEY_LEN:
         raise ValueError("recipient public key must be 32 bytes")
     return SealedMessage(recipient_public_key, plaintext)
 
 
-def open_sealed(identity: ClientIdentity, msg: SealedMessage | bytes) -> bytes:
+def open_sealed(identity: ClientIdentity, msg: SealedMessage | bytes) -> Plaintext:
     """Open a sealed message, or its wire bytes, addressed to this identity."""
     if isinstance(msg, SealedMessage):
         if msg.recipient_public_key != identity.public_key:

@@ -3,8 +3,8 @@
 The network stores three kinds of entries, all through the same two verbs:
 campaign start times under the hash of the target URL, participant public
 keys under the hash of "start|url", and sealed messages (`SealedMessage`
-objects, whose wire bytes no reader needs) under the hash of the
-recipient's public key. Only 20-byte hashed keys ever hit the store;
+records holding a handshake record; no reader needs their wire bytes) under
+the hash of the recipient's public key. Only 20-byte hashed keys ever hit the store;
 preimages stay with the clients.
 
 Each key maps to an insertion-ordered dict from value to the minute it was

@@ -147,6 +147,7 @@ class _Adversary:
         self.rng = Random(f"{sim.scenario.seed}:adversary:{index}")
         self.identity = crypto.generate_identity(self.rng)
         self.counters: Counter[str] = Counter()
+        self.put_at: dict[CampaignStart, int] = {}  # the minute of a roster's last put
 
     def step(self, sim: "Simulation", now: int) -> None:
         raise NotImplementedError
@@ -161,9 +162,16 @@ class _Adversary:
     def _register_everywhere(
         self, sim: "Simulation", now: int, pk: bytes
     ) -> list[CampaignStart]:
+        """Every announced campaign, with `pk` kept on its roster as a put each
+        minute would keep it. A put that stays live to the run's last minute
+        is not repeated: no reader could tell a refresh in place from it."""
         campaigns = self._announced_campaigns(sim, now)
+        # a put from this minute on stays live to the run's last minute
+        lasting = sim.scenario.duration - 1 - sim.dht.ttl_minutes
         for campaign in campaigns:
-            coordinator.register(sim.dht, campaign, pk, now)
+            if campaign not in self.put_at or self.put_at[campaign] < lasting:
+                self.put_at[campaign] = now
+                coordinator.register(sim.dht, campaign, pk, now)
         return campaigns
 
 
@@ -206,7 +214,7 @@ class _ChallengeFloodAdversary(_Adversary):
             challenge, _expected = crypto.generate_challenge(
                 self.identity, params["max_rand"], self.rng
             )
-            trust.post(sim.dht, victim_pk, trust.encode_challenge_payload(challenge), now)
+            trust.post(sim.dht, victim_pk, challenge, now)
             self.counters["challenges_sent"] += 1
 
 
@@ -218,9 +226,9 @@ class _MitmForwarderAdversary(_Adversary):
     nothing. Without rewriting, victims solve fine but their responses route
     to the key inside the challenge, which is never the forwarder's.
 
-    Each minute it reads every announced start and registers on each, then
-    drains its inbox. It reads those rosters for victims only in a minute
-    whose inbox holds a challenge, once, on the first one.
+    Each minute it reads every announced start and keeps its key on each
+    roster, then drains its inbox. It reads those rosters for victims only
+    in a minute whose inbox holds a challenge, once, on the first one.
     """
 
     def step(self, sim: "Simulation", now: int) -> None:
@@ -241,7 +249,7 @@ class _MitmForwarderAdversary(_Adversary):
                     target_hash=message.target_hash,
                 )
             for victim_pk in sorted(victims - {message.issuer_public_key}):
-                trust.post(sim.dht, victim_pk, trust.encode_challenge_payload(forwarded), now)
+                trust.post(sim.dht, victim_pk, forwarded, now)
                 self.counters["forwarded"] += 1
 
 
@@ -259,7 +267,6 @@ class _SybilFloodAdversary(_Adversary):
         self.sybil_keys = [
             crypto.generate_identity(self.rng).public_key for _ in range(count)
         ]
-        self.put_at: dict[CampaignStart, int] = {}  # the minute of a roster's last visit
 
     def step(self, sim: "Simulation", now: int) -> None:
         for campaign in self._announced_campaigns(sim, now):

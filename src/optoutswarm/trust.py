@@ -6,9 +6,10 @@ bumps every comrade who was registered for it. Nothing a peer merely claims
 moves the needle, and a streak of failed campaigns wipes the whole database
 on the theory that it was poisoned.
 
-The verification handshake runs over sealed inbox messages with one-byte
-type tags, and answering challenges is rate-limited per sliding hour so a
-flood of puzzles cannot eat a client's CPU.
+The verification handshake runs over sealed inbox messages: `Challenge` and
+`ChallengeSolution` records in-process, tagged payload bytes on the wire.
+Answering challenges is rate-limited per sliding hour so a flood of puzzles
+cannot eat a client's CPU.
 """
 
 from __future__ import annotations
@@ -18,26 +19,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from optoutswarm import crypto
 from optoutswarm.crypto import Challenge, ChallengeSolution, ClientIdentity
+from optoutswarm.crypto import MalformedPayload, decode_payload  # noqa: F401  re-exported
 from optoutswarm.dht import SimulatedDht, inbox_key
 
 log = logging.getLogger(__name__)
 
 PROBE_WINDOW = 30  # minutes of latency probes before a campaign's start, and from it on
 ANSWER_WINDOW = 60  # minutes of the sliding window the answer budget counts over
-
-TAG_CHALLENGE = 0x01
-TAG_RESPONSE = 0x02
-
-CHALLENGE_PAYLOAD_LEN = 1 + 32 + 8 + 32
-RESPONSE_PAYLOAD_LEN = 1 + 32 + 8
-
-
-class MalformedPayload(Exception):
-    """Inbox payload does not decode to a known message type."""
 
 
 class Verdict(Enum):
@@ -82,8 +74,7 @@ class CampaignOutcome:
     comrades: tuple[bytes, ...]  # registered keys, excluding the observer
 
 
-@dataclass
-class PendingChallenge:
+class PendingChallenge(NamedTuple):
     expected_rand2: int
     issued_at: int
 
@@ -174,8 +165,9 @@ def apply_outcome(
     records; the ratcheted threshold survives the reset.
     """
     if verdict is Verdict.SUCCESS:
+        records = db.records
         for comrade in outcome.comrades:
-            db.records[comrade] = db.trust(comrade) + cfg.success_trust
+            records[comrade] = records.get(comrade, 0) + cfg.success_trust
         db.consecutive_failures = 0
         if db.current_min_accumulated_trust < cfg.ramp_cap:
             db.current_min_accumulated_trust = min(
@@ -191,52 +183,22 @@ def apply_outcome(
 
 def accumulated_trust(db: TrustDb, comrades: list[bytes] | tuple[bytes, ...]) -> int:
     """Sum of trust over the given keys; unknown peers count zero."""
-    return sum(db.trust(pk) for pk in comrades)
+    records = db.records
+    return sum(records.get(pk, 0) for pk in comrades)
 
 
 def encode_challenge_payload(challenge: Challenge) -> bytes:
-    return (
-        bytes([TAG_CHALLENGE])
-        + challenge.issuer_public_key
-        + challenge.rand1.to_bytes(8, "little")
-        + challenge.target_hash
-    )
+    return bytes(challenge)
 
 
 def encode_response_payload(solution: ChallengeSolution) -> bytes:
-    return (
-        bytes([TAG_RESPONSE])
-        + solution.solver_public_key
-        + solution.rand2.to_bytes(8, "little")
-    )
+    return bytes(solution)
 
 
-def decode_payload(data: bytes) -> Challenge | ChallengeSolution:
-    """Parse a tagged inbox payload back into its message type."""
-    if not data:
-        raise MalformedPayload("empty payload")
-    tag = data[0]
-    if tag == TAG_CHALLENGE:
-        if len(data) != CHALLENGE_PAYLOAD_LEN:
-            raise MalformedPayload(f"challenge payload of {len(data)} bytes")
-        return Challenge(
-            issuer_public_key=data[1:33],
-            rand1=int.from_bytes(data[33:41], "little"),
-            target_hash=data[41:73],
-        )
-    if tag == TAG_RESPONSE:
-        if len(data) != RESPONSE_PAYLOAD_LEN:
-            raise MalformedPayload(f"response payload of {len(data)} bytes")
-        return ChallengeSolution(
-            solver_public_key=data[1:33],
-            rand2=int.from_bytes(data[33:41], "little"),
-        )
-    raise MalformedPayload(f"unknown payload tag {tag:#04x}")
-
-
-def post(dht: SimulatedDht, recipient: bytes, payload: bytes, now: int) -> None:
-    """Seal a payload to a public key and leave it in that key's inbox."""
-    dht.put(inbox_key(recipient), crypto.seal(recipient, payload), now)
+def post(dht: SimulatedDht, recipient: bytes, message: crypto.Plaintext, now: int) -> None:
+    """Seal a record, or payload bytes, to a public key and leave it in that
+    key's inbox."""
+    dht.put(inbox_key(recipient), crypto.seal(recipient, message), now)
 
 
 def initiate_verification(
@@ -253,16 +215,13 @@ def initiate_verification(
     Whom to challenge, and when, is decided by `coordinator.challenge_comrades`.
     """
     challenge, expected_rand2 = crypto.generate_challenge(me, cfg.max_rand, rng)
-    db.pending[peer_public_key] = PendingChallenge(
-        expected_rand2=expected_rand2, issued_at=now
-    )
+    db.pending[peer_public_key] = PendingChallenge(expected_rand2, now)
     db.timeouts.setdefault(now + cfg.rechallenge_timeout, []).append(peer_public_key)
-    post(dht, peer_public_key, encode_challenge_payload(challenge), now)
+    post(dht, peer_public_key, challenge, now)
     return challenge
 
 
-@dataclass(frozen=True)
-class ChallengeHandling:
+class ChallengeHandling(NamedTuple):
     attempted: bool  # budget was spent on a solve attempt
     answered: bool  # a response was sealed back to the issuer
     hash_evaluations: int
@@ -300,8 +259,7 @@ def handle_challenge(
         # challenges whose hash binds a different issuer key
         log.debug("dropping challenge with no solution in range")
         return ChallengeHandling(True, False, max_rand + 1, dropped="no_solution")
-    response = ChallengeSolution(solver_public_key=me.public_key, rand2=rand2)
-    post(dht, challenge.issuer_public_key, encode_response_payload(response), now)
+    post(dht, challenge.issuer_public_key, ChallengeSolution(me.public_key, rand2), now)
     return ChallengeHandling(True, True, work)
 
 

@@ -394,6 +394,19 @@ class TestPollInbox:
         assert kinds == {crypto.Challenge, crypto.ChallengeSolution}
         assert dht.get(key, 5) == []
 
+    def test_records_sealed_in_process_skip_the_codec(self, monkeypatch):
+        dht = SimulatedDht()
+        me = identity("inbox-owner-4")
+        issuer = identity("issuer-4")
+        challenge, _ = crypto.generate_challenge(issuer, 30, Random(2))
+        solution = crypto.ChallengeSolution(issuer.public_key, 17)
+        trust.post(dht, me.public_key, challenge, 0)
+        trust.post(dht, me.public_key, solution, 0)
+        monkeypatch.setattr(trust, "decode_payload", None)  # any call fails
+        got = poll_inbox(5, dht, me)
+        assert got == [challenge, solution]
+        assert got[0] is challenge and got[1] is solution
+
     def test_junk_is_deleted_not_fatal(self):
         dht = SimulatedDht()
         me = identity("inbox-owner-2")

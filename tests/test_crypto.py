@@ -188,6 +188,22 @@ class TestKnownAnswer:
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "max_rand", [0, 1, 199, 200, 255, 256, 10_000, 2**32, crypto.MAX_RAND_LIMIT]
+)
+def test_challenge_draws_are_those_of_randint(max_rand):
+    # generate_challenge draws with getrandbits as randint does; a Python
+    # whose randint draws otherwise fails here before any pinned digest moves
+    issuer = identity("draws")
+    for seed in range(5):
+        rng, twin = Random(seed), Random(seed)
+        for _ in range(20):
+            challenge, rand2 = crypto.generate_challenge(issuer, max_rand, rng)
+            assert challenge.rand1 == twin.randint(0, max_rand)
+            assert rand2 == twin.randint(0, max_rand)
+        assert rng.getstate() == twin.getstate()
+
+
 def test_mean_work_tracks_interval_size():
     # linear hardness: uniform answers make the average scan half the interval
     rng = Random(5)
@@ -295,7 +311,14 @@ class TestSealedMessages:
         # the DHT collapses equal values and keeps insertion order, so equal
         # objects must stand for equal wire bytes and unequal ones for unequal
         keys = [identity(tag).public_key for tag in ("bob", "eve", "carol")]
-        plaintexts = [b"", b"a", b"b", b"meet at dawn", b"\x01" * 73]
+        issuer, target = keys[0], bytes(range(32))
+        plaintexts = [
+            b"", b"a", b"b", b"meet at dawn", b"\x01" * 73,
+            crypto.Challenge(issuer, 7, target), crypto.Challenge(issuer, 8, target),
+            crypto.Challenge(keys[1], 7, target), crypto.Challenge(issuer, 7, bytes(32)),
+            crypto.ChallengeSolution(issuer, 7), crypto.ChallengeSolution(issuer, 8),
+            crypto.ChallengeSolution(keys[2], 7),
+        ]
         sealed = [crypto.seal(k, p) for k in keys for p in plaintexts]
         wires = [m.to_bytes() for m in sealed]
         for a, wire_a in zip(sealed, wires):

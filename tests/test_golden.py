@@ -228,6 +228,31 @@ def test_live_simulations_do_not_interfere(name):
     assert _digest(second.run().to_ndjson()) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_runs_write_the_pinned_bytes_under_any_hash_seed(tmp_path, hash_seed):
+    # DHT values, campaigns and sealed records hash by their contents, whose
+    # hashes vary with PYTHONHASHSEED; no output may depend on that order
+    pinned = {**{SCENARIOS / name: digest for name, digest in GOLDEN.items()},
+              EDGE: EDGE_DIGEST}
+    code = (
+        "import contextlib, hashlib, io, sys\n"
+        "from optoutswarm.cli import main\n"
+        "for path in sys.argv[2:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(['run', path, '--out', sys.argv[1]]) == 0\n"
+        "    with open(sys.argv[1], 'rb') as f:\n"
+        "        print(hashlib.sha256(f.read()).hexdigest())\n"
+    )
+    out = tmp_path / "run.ndjson"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed)
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(out), *map(str, pinned)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == list(pinned.values())
+
+
 def test_benchmark_trace_hooks_still_attach(tmp_path):
     # perfbench/spans.py wraps the entry points of every layer by name. A
     # refactor that drops or renames one breaks the traced benchmark, so a

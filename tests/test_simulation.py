@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import json
 from collections import defaultdict
 
@@ -12,7 +13,7 @@ from optoutswarm import coordinator, crypto, dht, trust, website
 from optoutswarm.scenario import ADVERSARIES, from_dict, load_file
 from optoutswarm.simulation import (
     _ADVERSARY_CLASSES, MetricsReport, NoSuchCampaign, Simulation, convergence, run,
-    _MitmForwarderAdversary, _SybilFloodAdversary,
+    _Adversary, _ChallengeFloodAdversary, _MitmForwarderAdversary, _SybilFloodAdversary,
 )
 
 URL = "http://pills.example/buy"
@@ -433,3 +434,50 @@ def test_sybil_puts_on_a_roster_on_first_sight_then_once_per_ttl(monkeypatch, tt
     assert reads == []
     (counters,) = [a for a in report.summary["adversaries"] if a["strategy"] == "sybil_flood"]
     assert counters["counters"]["registered"] == len(puts)
+
+
+def _register_every_minute(self, sim, now, pk):
+    """The registration of the forwarder and the flood as a put on every
+    announced roster every minute."""
+    campaigns = self._announced_campaigns(sim, now)
+    for campaign in campaigns:
+        coordinator.register(sim.dht, campaign, pk, now)
+    return campaigns
+
+
+@pytest.mark.parametrize("shape, ttl", [
+    *((shape, ttl) for shape in ("attack_mix", "mitm_rewrite", "sybil_and_mitm_plain")
+      for ttl in (None, 37, 60)),
+    ("reannounced", 37), ("reannounced", 60),
+])
+def test_registration_writes_what_a_put_every_minute_writes(monkeypatch, shape, ttl):
+    # the short TTLs make the runs outlast a put, so some rosters are put
+    # again; the default one makes the first put on each roster last
+    # digests: a diff of two long streams would take minutes to print
+    lazy = hashlib.sha256(_ndjson(shape, ttl).encode()).hexdigest()
+    monkeypatch.setattr(_Adversary, "_register_everywhere", _register_every_minute)
+    assert hashlib.sha256(_ndjson(shape, ttl).encode()).hexdigest() == lazy
+
+
+@pytest.mark.parametrize("ttl", [None, 37])
+def test_forwarder_and_flood_put_a_roster_again_only_until_a_put_lasts(monkeypatch, ttl):
+    puts = {cls: _roster_calls_in_step(monkeypatch, cls, "put")
+            for cls in (_MitmForwarderAdversary, _ChallengeFloodAdversary)}
+    sim = Simulation(from_dict(attack_mix()))
+    if ttl is not None:
+        sim.dht.ttl_minutes = ttl
+    sim.run()
+    lasting = sim.scenario.duration - 1 - sim.dht.ttl_minutes
+    for cls, calls in puts.items():
+        (adversary,) = [a for a in sim.adversaries if isinstance(a, cls)]
+        by_roster = defaultdict(list)  # roster -> minutes of the key's puts
+        for now, key, value in calls:
+            if value == adversary.identity.public_key:  # not a forwarded challenge
+                by_roster[key].append(now)
+        assert by_roster
+        for minutes in by_roster.values():
+            assert [m for m in minutes[:-1] if m >= lasting] == []
+        if ttl is None:  # the run is shorter than the TTL: one put per roster
+            assert sum(map(len, by_roster.values())) == len(by_roster) == 10
+        else:
+            assert any(len(minutes) > 1 for minutes in by_roster.values())

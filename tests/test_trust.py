@@ -126,6 +126,20 @@ class TestPayloads:
         assert len(data) == 41
         assert decode_payload(data) == solution
 
+    def test_sealed_records_open_as_themselves_and_decode_from_the_wire(self):
+        bob = identity("payload-bob")
+        challenge, rand2 = crypto.generate_challenge(identity("payload-issuer"), 100, Random(7))
+        solution = crypto.ChallengeSolution(solver_public_key=b"s" * 32, rand2=rand2)
+        for record, encode in (
+            (challenge, encode_challenge_payload), (solution, encode_response_payload)
+        ):
+            sealed = crypto.seal(bob.public_key, record)
+            assert crypto.open_sealed(bob, sealed) is record
+            wire = sealed.to_bytes()
+            assert decode_payload(crypto.open_sealed(bob, wire)) == record
+            # the same wire bytes as a seal of the encoded payload
+            assert wire == crypto.seal(bob.public_key, encode(record)).to_bytes()
+
     @pytest.mark.parametrize(
         "data",
         [b"", b"\x01short", b"\x02short", b"\x03" + b"x" * 72],
@@ -146,9 +160,10 @@ class TestInitiate:
         )
         values = dht.get(inbox_key(peer.public_key), 0)
         assert len(values) == 1
-        payload = crypto.open_sealed(peer, values[0])
-        challenge = decode_payload(payload)
+        # sealed in-process, the challenge opens as the record itself
+        challenge = crypto.open_sealed(peer, values[0])
         assert isinstance(challenge, crypto.Challenge)
+        assert challenge == sent
         assert challenge.issuer_public_key == me.public_key
         assert challenge.rand1 == sent.rand1
         assert db.pending[peer.public_key].issued_at == 0
@@ -186,7 +201,8 @@ class TestHandleChallenge:
         assert got.answered and got.attempted and got.dropped is None
         assert got.hash_evaluations == self.expected + 1
         values = self.dht.get(inbox_key(self.issuer.public_key), 0)
-        solution = decode_payload(crypto.open_sealed(self.issuer, values[0]))
+        solution = crypto.open_sealed(self.issuer, values[0])
+        assert isinstance(solution, crypto.ChallengeSolution)
         assert solution == crypto.ChallengeSolution(self.me.public_key, self.expected)
 
     def test_without_a_hint_the_kernel_solves(self, monkeypatch):
@@ -295,14 +311,14 @@ def test_full_handshake_end_to_end():
 
     initiate_verification(alice, bob.public_key, dht, alice_db, cfg, Random(9), 0)
     sealed = dht.get(inbox_key(bob.public_key), 0)[0]
-    challenge = decode_payload(crypto.open_sealed(bob, sealed))
+    challenge = crypto.open_sealed(bob, sealed)
     handled = handle_challenge(
         bob, challenge, dht, AnswerBudget(cap=5),
         issuer_is_comrade=lambda pk: True, max_rand=40, now=1,
     )
     assert handled.answered
     sealed_back = dht.get(inbox_key(alice.public_key), 1)[0]
-    solution = decode_payload(crypto.open_sealed(alice, sealed_back))
+    solution = crypto.open_sealed(alice, sealed_back)
     assert handle_response(alice_db, solution, cfg) is True
     assert bob.public_key in alice_db.verified
     assert alice_db.trust(bob.public_key) == 1
