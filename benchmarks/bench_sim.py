@@ -26,12 +26,16 @@ both alike. Both ladders are written, as entries `parent` and `change`, and
 each change rung gets a `vs_parent` block: the ratio of the medians and how
 many of the paired runs the change won, for wall and CPU time.
 
+`--rungs` runs only the rungs it names, by their index in `LADDER` (0 is
+the 10-client rung); each of them still checks its pin.
+
 The results are merged into `BENCH_<label>.json` at the repository root,
 beside the host facts: nproc, the Python version and the kernel backend
 (`pow_backend.BACKEND`). From the repository root:
 
     python3 benchmarks/bench_sim.py --label schedule --parent ../parent/src
     python3 benchmarks/bench_sim.py --label lazy --entry change
+    python3 benchmarks/bench_sim.py --label view --parent ../parent/src --rungs 1 4 7
 """
 
 import argparse
@@ -176,6 +180,8 @@ def main() -> int:
     side.add_argument("--parent", type=Path,
                       help="a second source tree to alternate with --src, run by run; "
                            "writes entries parent and change")
+    parser.add_argument("--rungs", type=int, nargs="+", choices=range(len(LADDER)),
+                        metavar="INDEX", help="run only these rungs of LADDER (default: all)")
     args = parser.parse_args()
 
     if args.parent is None:
@@ -184,7 +190,8 @@ def main() -> int:
         trees = {"parent": args.parent.resolve(), "change": args.src.resolve()}
     ladders = {name: {"host": host_facts(src), "ladder": []} for name, src in trees.items()}
     with tempfile.TemporaryDirectory(prefix="bench_sim-") as tmp:
-        for clients, max_rand, minutes, pinned, *variant in LADDER:
+        for index in args.rungs or range(len(LADDER)):
+            clients, max_rand, minutes, pinned, *variant = LADDER[index]
             entries = rung(trees, clients, max_rand, minutes, pinned, Path(tmp), *variant)
             for name, entry in entries.items():
                 ladders[name]["ladder"].append(entry)

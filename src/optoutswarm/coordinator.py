@@ -19,6 +19,7 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
+from typing import NamedTuple
 
 from optoutswarm import crypto, trust
 from optoutswarm.crypto import ClientIdentity
@@ -85,14 +86,21 @@ class CoordinatorConfig:
                 raise ValueError("usage windows must lie within one week")
 
 
-@dataclass(frozen=True)
-class CampaignStart:
+class _Campaign(NamedTuple):
     url: CanonicalUrl
     start: int  # absolute sim-minute
 
-    def __post_init__(self) -> None:
-        if self.start <= 0:
+
+class CampaignStart(_Campaign):
+    """A record, so that hashing and equality run in C: it keys the campaign
+    tables, the agenda and the adversaries' put minutes."""
+
+    __slots__ = ()
+
+    def __new__(cls, url: CanonicalUrl, start: int) -> CampaignStart:
+        if start <= 0:
             raise ValueError("start must be positive")
+        return super().__new__(cls, url, start)
 
     @property
     def order(self) -> tuple[int, str]:
@@ -228,8 +236,11 @@ def challenge_comrades(
     by key, so a replay draws the same challenges.
     """
     peers = trust_db.take_maybe_due(now)
+    rosters = []  # in the table's order, so a roster's place ranks as its campaign's order
     for campaign, record in db.entries.items():
-        fresh, record.roster_read = dht.appended(_roster_key(campaign), record.roster_read)
+        key = _roster_key(campaign)
+        rosters.append(key)
+        fresh, record.roster_read = dht.appended(key, record.roster_read)
         peers.update(fresh)
     peers.discard(identity.public_key)
     if not peers:
@@ -238,9 +249,9 @@ def challenge_comrades(
     for peer in peers:
         if peer in trust_db.verified or not trust_db.due(peer, now, cfg.rechallenge_timeout):
             continue
-        first = next((c for c in db.entries if dht.contains(_roster_key(c), peer, now)), None)
+        first = next((i for i, key in enumerate(rosters) if dht.contains(key, peer, now)), None)
         if first is not None:
-            due.append((first.order, peer))
+            due.append((first, peer))
     challenged = [peer for _order, peer in sorted(due)]
     for peer in challenged:
         trust.initiate_verification(identity, peer, dht, trust_db, cfg, rng, now)

@@ -152,20 +152,13 @@ class _Adversary:
     def step(self, sim: "Simulation", now: int) -> None:
         raise NotImplementedError
 
-    def _announced_campaigns(self, sim: "Simulation", now: int) -> list[CampaignStart]:
-        return [
-            CampaignStart(url=url, start=start)
-            for url in sim.known_urls()
-            for start in coordinator.read_starts(sim.dht, url, now)
-        ]
-
     def _register_everywhere(
         self, sim: "Simulation", now: int, pk: bytes
     ) -> list[CampaignStart]:
         """Every announced campaign, with `pk` kept on its roster as a put each
         minute would keep it. A put that stays live to the run's last minute
         is not repeated: no reader could tell a refresh in place from it."""
-        campaigns = self._announced_campaigns(sim, now)
+        campaigns = sim.announced_campaigns(now)
         # a put from this minute on stays live to the run's last minute
         lasting = sim.scenario.duration - 1 - sim.dht.ttl_minutes
         for campaign in campaigns:
@@ -199,6 +192,7 @@ class _StartInjector(_Adversary):
             coordinator.announce_start(sim.dht, url, campaign.start, now)
             sim.adversarial_starts.add(campaign)
             self.counters["injected"] += 1
+        sim.announced.clear()
 
 
 class _ChallengeFloodAdversary(_Adversary):
@@ -269,7 +263,7 @@ class _SybilFloodAdversary(_Adversary):
         ]
 
     def step(self, sim: "Simulation", now: int) -> None:
-        for campaign in self._announced_campaigns(sim, now):
+        for campaign in sim.announced_campaigns(now):
             if campaign in self.put_at and now <= self.put_at[campaign] + sim.dht.ttl_minutes:
                 continue
             self.put_at[campaign] = now
@@ -338,6 +332,7 @@ class Simulation:
             self._pollers.setdefault(client.cfg.poll_interval, []).append(client)
         # (minute, phase) -> client index -> campaign -> action
         self._agenda: dict[tuple[int, str], dict[int, dict[CampaignStart, str]]] = {}
+        self.announced: dict[int, list[CampaignStart]] = {}  # minute -> its shared view
 
     def joined_campaigns(self) -> set[CampaignStart]:
         """Every campaign some honest client joined: the union of their tables."""
@@ -346,6 +341,24 @@ class Simulation:
     def known_urls(self) -> list[CanonicalUrl]:
         """URLs an adversary can see: advertised sites plus announced ones."""
         return sorted(self.sites.keys() | {c.url for c in self.joined_campaigns()})
+
+    def announced_campaigns(self, now: int) -> list[CampaignStart]:
+        """Every announced start of every known URL: what adversaries act on.
+
+        Read once a minute and shared by the adversaries. Exact, because in
+        the adversary phase only an injector's announcement changes a
+        campaign table, and it drops the view; known URLs change only with
+        joins, in the spam phase.
+        """
+        view = self.announced.get(now)
+        if view is None:
+            view = [
+                CampaignStart(url, start)
+                for url in self.known_urls()
+                for start in coordinator.read_starts(self.dht, url, now)
+            ]
+            self.announced = {now: view}
+        return view
 
     def _book(
         self, minute: int, phase: str, index: int, campaign: CampaignStart, action: str = ""
@@ -537,7 +550,10 @@ class Simulation:
         # Each campaign launched this minute writes its load into every minute
         # it runs at once. Requests are integers, so they add up the same in
         # any order, and no minute's load is read before that minute's probes.
-        launched = Counter(c for _index, booked in self._booked(now, "burst") for c in booked)
+        booked = self._booked(now, "burst")
+        if not booked:  # most minutes: spare the Counter
+            return
+        launched = Counter(c for _index, campaigns in booked for c in campaigns)
         for campaign, clients in launched.items():
             site, ledger = self.sites[campaign.url]
             end = min(campaign.start + self.scenario.campaign_duration, self.scenario.duration)

@@ -616,6 +616,42 @@ def test_incremental_challenges_equal_the_full_scan(steps, ttl):
     assert watched.trust_db.pending == scanned.trust_db.pending
 
 
+class TestCampaignStart:
+    def test_keyword_and_positional_construction_agree(self):
+        campaign = CampaignStart(url=URL, start=300)
+        assert campaign == CampaignStart(URL, 300) == CampaignStart(URL, start=300)
+        assert (campaign.url, campaign.start) == (URL, 300)
+
+    @pytest.mark.parametrize("start", [0, -1, -MINUTES_PER_WEEK])
+    def test_a_start_not_after_minute_zero_is_rejected(self, start):
+        with pytest.raises(ValueError, match="start must be positive"):
+            CampaignStart(url=URL, start=start)
+        with pytest.raises(ValueError, match="start must be positive"):
+            CampaignStart(URL, start)
+
+    def test_equal_fields_make_equal_values_with_one_dict_slot(self):
+        first, second = CampaignStart(URL, 300), CampaignStart(url=URL, start=300)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        table = {first: "first"}
+        table[second] = "second"
+        assert table == {first: "second"} and next(iter(table)) is first
+        assert first != CampaignStart(URL, 301)
+        assert first != CampaignStart("http://other.example/buy", 300)
+        assert len({first, second, CampaignStart(URL, 301)}) == 2
+
+    def test_repr_and_order(self):
+        campaign = CampaignStart(url=URL, start=300)
+        assert repr(campaign) == "CampaignStart(url='http://pills.example/buy', start=300)"
+        assert campaign.order == (300, URL)
+
+    def test_is_read_only(self):
+        campaign = CampaignStart(url=URL, start=300)
+        with pytest.raises(AttributeError):
+            campaign.start = 1
+        assert not hasattr(campaign, "__dict__")
+
+
 class TestConfigValidation:
     def test_min_wait_must_be_below_max_wait(self):
         with pytest.raises(ValueError):

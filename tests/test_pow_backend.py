@@ -1,8 +1,10 @@
 """Kernel-level checks for the brute-force search, both backends."""
 
 import hashlib
+import os
 import shlex
 import shutil
+import subprocess
 import sys
 import sysconfig
 from pathlib import Path
@@ -116,6 +118,22 @@ def test_build_is_named_by_source_digest_and_reused(tmp_path, monkeypatch):
     # a second load finds the build and never calls the compiler
     assert pow_backend.load(cache=tmp_path, cc="false").BACKEND == "c"
     assert list(tmp_path.iterdir()) == built
+
+
+@pytest.mark.skipif(_compiled is _pow_python, reason="compiled kernel not built")
+def test_a_cached_build_loads_without_the_toolchain():
+    # the module's import built the kernel into its cache, so a fresh
+    # interpreter finds the build and imports no compiler driver
+    code = (
+        "import sys; from optoutswarm import pow_backend; "
+        "print(pow_backend.BACKEND, 'subprocess' in sys.modules, 'shlex' in sys.modules)"
+    )
+    src = str(Path(pow_backend.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == ["c", "False", "False"]
 
 
 def test_failing_compiler_falls_back_and_leaves_no_partial_build(tmp_path, caplog):

@@ -10,10 +10,12 @@ import pytest
 
 import corpus
 from optoutswarm import coordinator, crypto, dht, trust, website
+from optoutswarm.coordinator import CampaignStart
 from optoutswarm.scenario import ADVERSARIES, from_dict, load_file
 from optoutswarm.simulation import (
     _ADVERSARY_CLASSES, MetricsReport, NoSuchCampaign, Simulation, convergence, run,
-    _Adversary, _ChallengeFloodAdversary, _MitmForwarderAdversary, _SybilFloodAdversary,
+    _Adversary, _ChallengeFloodAdversary, _MitmForwarderAdversary, _StartInjector,
+    _SybilFloodAdversary,
 )
 
 URL = "http://pills.example/buy"
@@ -266,12 +268,23 @@ def test_probe_schedule(monkeypatch, probe_count, waits):
     assert judged[0]["type"] == ("outcome_judged" if early else "outcome_unjudged")
 
 
+def _fresh_announced(sim, now):
+    """Every announced campaign, read afresh from the campaign tables."""
+    return [
+        CampaignStart(url, start)
+        for url in sim.known_urls()
+        for start in coordinator.read_starts(sim.dht, url, now)
+    ]
+
+
 class _FullReadMitm(_MitmForwarderAdversary):
-    """The forwarder reading every roster every minute, before its drain."""
+    """The forwarder putting its key on and reading every announced roster,
+    read afresh, every minute before its drain."""
 
     def step(self, sim, now):
         victims = set()
-        for campaign in self._register_everywhere(sim, now, self.identity.public_key):
+        for campaign in _fresh_announced(sim, now):
+            coordinator.register(sim.dht, campaign, self.identity.public_key, now)
             victims.update(coordinator.read_comrades(sim.dht, campaign, now))
         victims.discard(self.identity.public_key)
         for message in coordinator.poll_inbox(now, sim.dht, self.identity):
@@ -290,10 +303,10 @@ class _FullReadMitm(_MitmForwarderAdversary):
 
 
 class _FullReadSybil(_SybilFloodAdversary):
-    """The sybil reading every roster every minute."""
+    """The sybil reading every announced roster, read afresh, every minute."""
 
     def step(self, sim, now):
-        for campaign in self._announced_campaigns(sim, now):
+        for campaign in _fresh_announced(sim, now):
             live = set(coordinator.read_comrades(sim.dht, campaign, now))
             for pk in self.sybil_keys:
                 if pk not in live:
@@ -332,9 +345,20 @@ def reannounced() -> dict:
     ])
 
 
+def interleaved() -> dict:
+    """An injector between two adversaries that take the announced campaigns,
+    so that in its minutes the second one must see the starts it announced."""
+    return fleet_scenario(adversaries=[
+        {"strategy": "sybil_flood", "identity_count": 12},
+        {"strategy": "separation", "injection_period": 20, "lead_minutes": 80},
+        {"strategy": "mitm_forwarder", "rewrite_issuer": False},
+    ])
+
+
 SHAPES = {
     "attack_mix": attack_mix,
     "reannounced": reannounced,
+    "interleaved": interleaved,
     **{name: functools.partial(corpus.generate, name) for name in (
         "mitm_rewrite", "mitm_plain", "sybil_and_mitm_plain", "time_portal_and_sybil",
         "expired_reput",
@@ -360,6 +384,56 @@ def test_adversaries_write_what_full_reads_write(monkeypatch, shape, ttl):
     monkeypatch.setitem(_ADVERSARY_CLASSES, "mitm_forwarder", _FullReadMitm)
     monkeypatch.setitem(_ADVERSARY_CLASSES, "sybil_flood", _FullReadSybil)
     assert _ndjson(shape, ttl) == lazy
+
+
+@pytest.mark.parametrize("shape, ttl", [
+    *((shape, None) for shape in SHAPES),
+    ("attack_mix", 37), ("reannounced", 37), ("reannounced", 60), ("interleaved", 37),
+])
+def test_the_shared_view_of_announced_campaigns_is_a_fresh_read(monkeypatch, shape, ttl):
+    # the view is read once a minute and shared; whenever an adversary takes
+    # it, it must equal the campaign tables as they stand
+    shared = Simulation.announced_campaigns
+    seen = []
+
+    def checked(sim, now):
+        view = shared(sim, now)
+        assert view == _fresh_announced(sim, now), now
+        seen.append(view)
+        return view
+
+    monkeypatch.setattr(Simulation, "announced_campaigns", checked)
+    _ndjson(shape, ttl)
+    assert any(seen)
+
+
+def test_adversaries_share_one_view_a_minute_until_an_injector_announces(monkeypatch):
+    shared, inject = Simulation.announced_campaigns, _StartInjector.step
+    built, taken = [], []  # (minute, view) for each view built and each one taken
+
+    def counted(sim, now):
+        fresh = now not in sim.announced
+        view = shared(sim, now)
+        (built if fresh else taken).append((now, id(view)))
+        return view
+
+    def injecting(self, sim, now):
+        before = dict(sim.announced)
+        inject(self, sim, now)
+        if now % self.period == 0:
+            assert sim.announced == {}
+        else:
+            assert sim.announced == before
+
+    monkeypatch.setattr(Simulation, "announced_campaigns", counted)
+    monkeypatch.setattr(_StartInjector, "step", injecting)
+    sim = Simulation(from_dict(interleaved()))
+    sim.run()
+    # the sybil builds the view; the forwarder takes it, unless the
+    # separation adversary announced in between, every 20 minutes
+    minutes = range(sim.scenario.duration)
+    assert [now for now, _view in built] == sorted([*minutes, *minutes[::20]])
+    assert [now for now, _view in taken] == [now for now in minutes if now % 20]
 
 
 def _roster_calls_in_step(monkeypatch, cls, verb="get") -> list[tuple[int, bytes, object]]:
@@ -439,7 +513,7 @@ def test_sybil_puts_on_a_roster_on_first_sight_then_once_per_ttl(monkeypatch, tt
 def _register_every_minute(self, sim, now, pk):
     """The registration of the forwarder and the flood as a put on every
     announced roster every minute."""
-    campaigns = self._announced_campaigns(sim, now)
+    campaigns = _fresh_announced(sim, now)
     for campaign in campaigns:
         coordinator.register(sim.dht, campaign, pk, now)
     return campaigns
