@@ -139,9 +139,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     seeds = list(args.sweep) if args.sweep is not None else [
         args.seed if args.seed is not None else base.seed
     ]
+    # an overriding seed gets the same checks as the file's, as each is built
     runs = [dataclasses.replace(base, seed=seed) for seed in seeds]
-    for scn in runs:  # an overriding seed gets the same checks as the file's
-        scenario_mod.validate(scn)
     multiple = len(runs) > 1
     if args.out:
         try:

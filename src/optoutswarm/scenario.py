@@ -2,9 +2,9 @@
 
 Field names in the JSON map 1:1 onto the dataclasses here. A scenario fixes
 the seed, the client fleet, the advertised websites, when spam arrives and
-to whom, redirector mappings, the whitelist, and any adversaries. Loading
-validates everything up front so a bad file fails with a named field before
-any simulation work starts.
+to whom, redirector mappings, the whitelist, and any adversaries. Every
+record checks itself when built, so a bad file, or a copy of a scenario
+with a bad seed, fails with a named field before any simulation work starts.
 
 The dataclasses are the schema: `from_dict` reads each record by its fields'
 annotations, and `to_dict` writes the same fields back. Adversary params,
@@ -79,6 +79,41 @@ class Scenario:
     campaign_duration: int = DEFAULT_CAMPAIGN_DURATION
     # the user's per-URL decision, modeled as a policy
     confirm_policy: Literal["accept_all", "reject_all"] = "accept_all"
+
+    def __post_init__(self) -> None:
+        """Range and cross-field checks; raises InvalidScenario naming the field."""
+        _check("int", self.seed, self, "seed")
+        _check("int", self.duration, self, "duration", low=1)
+        _require(len(self.clients) > 0, "clients: at least one group required")
+        for i, group in enumerate(self.clients):
+            _check("int", group.count, self, f"clients[{i}].count", low=1)
+        max_wait = max(g.config.max_wait for g in self.clients)
+        _require(
+            self.duration >= max_wait,
+            f"duration: must be at least the largest max_wait ({max_wait})",
+        )
+        urls = set()
+        for i, site in enumerate(self.target_sites):
+            _require(site.url not in urls, f"target_sites[{i}].url: {site.url} is listed twice")
+            urls.add(site.url)
+        for i, entry in enumerate(self.whitelist):  # matched against lowercased hosts
+            _require(
+                entry != "" and entry == entry.strip().lower(),
+                f"whitelist[{i}]: must be a lowercase host without spaces around it, got {entry!r}",
+            )
+        for i, injection in enumerate(self.spam_injections):
+            _check("minute", injection.minute, self, f"spam_injections[{i}].minute")
+            if injection.clients != "all":
+                where = f"spam_injections[{i}].clients"
+                for j, idx in enumerate(injection.clients):  # a repeat gets the spam twice
+                    _check("client", idx, self, where)
+                    _require(idx not in injection.clients[:j], f"{where}: {idx} is listed twice")
+        _check("int", self.opt_out_rate, self, "opt_out_rate")
+        _check("int", self.campaign_duration, self, "campaign_duration", low=1)
+        for i, adversary in enumerate(self.adversaries):
+            for name, param in ADVERSARIES[adversary.strategy].items():
+                where = f"adversaries[{i}].{name}"
+                _check(param.kind, adversary.params[name], self, where, param.low, param.high)
 
     @property
     def client_count(self) -> int:
@@ -227,45 +262,7 @@ def _read_adversary(raw: Any, path: str) -> AdversarySpec:
 
 def from_dict(raw: dict[str, Any]) -> Scenario:
     """Build and validate a Scenario from parsed JSON."""
-    scenario = _read(Scenario, raw, "")
-    validate(scenario)
-    return scenario
-
-
-def validate(scenario: Scenario) -> None:
-    """Range and cross-field checks; raises InvalidScenario naming the field."""
-    _check("int", scenario.seed, scenario, "seed")
-    _check("int", scenario.duration, scenario, "duration", low=1)
-    _require(len(scenario.clients) > 0, "clients: at least one group required")
-    for i, group in enumerate(scenario.clients):
-        _check("int", group.count, scenario, f"clients[{i}].count", low=1)
-    max_wait = max(g.config.max_wait for g in scenario.clients)
-    _require(
-        scenario.duration >= max_wait,
-        f"duration: must be at least the largest max_wait ({max_wait})",
-    )
-    urls = set()
-    for i, site in enumerate(scenario.target_sites):
-        _require(site.url not in urls, f"target_sites[{i}].url: {site.url} is listed twice")
-        urls.add(site.url)
-    for i, entry in enumerate(scenario.whitelist):  # matched against lowercased hosts
-        _require(
-            entry != "" and entry == entry.strip().lower(),
-            f"whitelist[{i}]: must be a lowercase host without spaces around it, got {entry!r}",
-        )
-    for i, injection in enumerate(scenario.spam_injections):
-        _check("minute", injection.minute, scenario, f"spam_injections[{i}].minute")
-        if injection.clients != "all":
-            where = f"spam_injections[{i}].clients"
-            for j, idx in enumerate(injection.clients):  # a repeat gets the spam twice
-                _check("client", idx, scenario, where)
-                _require(idx not in injection.clients[:j], f"{where}: {idx} is listed twice")
-    _check("int", scenario.opt_out_rate, scenario, "opt_out_rate")
-    _check("int", scenario.campaign_duration, scenario, "campaign_duration", low=1)
-    for i, adversary in enumerate(scenario.adversaries):
-        for name, param in ADVERSARIES[adversary.strategy].items():
-            where = f"adversaries[{i}].{name}"
-            _check(param.kind, adversary.params[name], scenario, where, param.low, param.high)
+    return _read(Scenario, raw, "")
 
 
 def _check(

@@ -492,9 +492,7 @@ class Simulation:
                             }
                         )
                 else:
-                    ok = trust.handle_response(
-                        client.trust_db, payload, client.tcfg
-                    )
+                    ok = trust.handle_response(client.trust_db, payload)
                     self.emit(
                         {
                             "t": now,

@@ -1,10 +1,11 @@
 """Paranoid trust: believe only what you can verify or measure yourself.
 
-Trust in a peer grows from exactly two sources. Solving my challenge proves
-the peer spent CPU time (floor of 1). A campaign I measured as successful
-bumps every comrade who was registered for it. Nothing a peer merely claims
-moves the needle, and a streak of failed campaigns wipes the whole database
-on the theory that it was poisoned.
+Trust in a peer grows from exactly two sources, in fixed units. Solving my
+challenge proves the peer spent CPU time and lifts its trust to at least 1.
+A campaign I measured as successful adds 1 to every comrade who was
+registered for it, and raises my participation threshold by 1, up to
+`RAMP_CAP`. Nothing a peer merely claims moves the needle, and a streak of
+failed campaigns wipes the whole database on the theory that it was poisoned.
 
 The verification handshake runs over sealed inbox messages: `Challenge` and
 `ChallengeSolution` records in-process, tagged payload bytes on the wire.
@@ -30,6 +31,7 @@ log = logging.getLogger(__name__)
 
 PROBE_WINDOW = 30  # minutes of latency probes before a campaign's start, and from it on
 ANSWER_WINDOW = 60  # minutes of the sliding window the answer budget counts over
+RAMP_CAP = 10  # the participation threshold that successes ratchet up to
 
 
 class Verdict(Enum):
@@ -40,11 +42,7 @@ class Verdict(Enum):
 @dataclass(frozen=True)
 class TrustConfig:
     alpha: float = 2.0  # during/baseline latency ratio that counts as success
-    success_trust: int = 1
-    challenge_trust: int = 1
     failures_before_reset: int = 3
-    ramp_step: int = 1
-    ramp_cap: int = 10
     rechallenge_timeout: int = 120  # minutes before a silent peer is re-asked
     max_rand: int = 10_000
     probe_count: int = 5  # per window; probes are PROBE_WINDOW // probe_count minutes apart
@@ -60,9 +58,6 @@ class TrustConfig:
             raise ValueError("rechallenge_timeout must be at least 1")
         if self.failures_before_reset < 1:
             raise ValueError("failures_before_reset must be at least 1")
-        for name in ("ramp_step", "ramp_cap", "success_trust", "challenge_trust"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -160,19 +155,17 @@ def apply_outcome(
     """Fold one measured campaign into the database; True when it reset it.
 
     Success rewards every registered comrade and ratchets the participation
-    threshold one step (campaigns should keep earning their size). A run of
-    failures_before_reset failures with no success in between clears all
-    records; the ratcheted threshold survives the reset.
+    threshold one step, up to RAMP_CAP (campaigns should keep earning their
+    size). A run of failures_before_reset failures with no success in between
+    clears all records; the ratcheted threshold survives the reset.
     """
     if verdict is Verdict.SUCCESS:
         records = db.records
         for comrade in outcome.comrades:
-            records[comrade] = records.get(comrade, 0) + cfg.success_trust
+            records[comrade] = records.get(comrade, 0) + 1
         db.consecutive_failures = 0
-        if db.current_min_accumulated_trust < cfg.ramp_cap:
-            db.current_min_accumulated_trust = min(
-                cfg.ramp_cap, db.current_min_accumulated_trust + cfg.ramp_step
-            )
+        if db.current_min_accumulated_trust < RAMP_CAP:
+            db.current_min_accumulated_trust += 1
     else:
         db.consecutive_failures += 1
         if db.consecutive_failures >= cfg.failures_before_reset:
@@ -263,11 +256,7 @@ def handle_challenge(
     return ChallengeHandling(True, True, work)
 
 
-def handle_response(
-    db: TrustDb,
-    solution: ChallengeSolution,
-    cfg: TrustConfig,
-) -> bool:
+def handle_response(db: TrustDb, solution: ChallengeSolution) -> bool:
     """Match a response against the stored expectation for that peer."""
     pending = db.pending.pop(solution.solver_public_key, None)
     if pending is None:
@@ -277,7 +266,5 @@ def handle_response(
         db.released.append(solution.solver_public_key)
         return False
     db.verified.add(solution.solver_public_key)
-    db.records[solution.solver_public_key] = max(
-        db.trust(solution.solver_public_key), cfg.challenge_trust
-    )
+    db.records[solution.solver_public_key] = max(db.trust(solution.solver_public_key), 1)
     return True

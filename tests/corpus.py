@@ -14,7 +14,9 @@ site (`long_campaign`). Three variants pin what a schedule of due peers must get
 right: answers that come back wrong and free a peer at once
 (`stale_answer`), and two runs of 11,700 minutes, past the DHT's TTL, in
 which roster entries expire (`roster_expiry`) and expired ones are put
-again at the end of their roster (`expired_reput`). Run it with
+again at the end of their roster (`expired_reput`). One pins that the
+adversaries' shared view of the announced starts is read afresh after an
+injector announces one (`interleaved_spam`). Run it with
 `pytest tests/test_golden.py -k corpus`.
 
 `generate(name)` draws the fleet size, seed and spam minute from a private
@@ -288,6 +290,17 @@ def _(s: dict) -> None:
     ]
 
 
+@variant("interleaved_spam")
+def _(s: dict) -> None:
+    # the sybil reads the announced starts before the injector adds one in the
+    # same minute and the forwarder after it. The spam comes at two injection
+    # minutes, which are poll minutes too: clients first join an injected start
+    # in the minute it is announced and read its roster, where the forwarder
+    # must already be, so it must not act on the view the sybil took
+    s["adversaries"] = [dict(SYBIL), dict(SEPARATION), dict(MITM_PLAIN)]
+    s["spam_injections"] = [spam(minute, "all", "pills.example") for minute in (20, 40)]
+
+
 def generate(name: str) -> dict:
     """The scenario of corpus variant `name`."""
     rng = Random(f"corpus:{name}")
@@ -332,4 +345,5 @@ PINNED = {
     "long_campaign": "d23c90c065bfe62c65532aa950dd8e75dd56dd239621afd67d009484e13151e6",
     "roster_expiry": "346b0f1039db7c47b6bec3b2f9d4c8e633bcebd6eb5185905739f9058b2d6615",
     "expired_reput": "b349e9d9a508b7f932cc0db0b20c8cfd2d8b2b054bcaa7232556ab3935311f8d",
+    "interleaved_spam": "df084f8827c40024bf89570f6f075e58c5fcef0360759e824df7e0c4110a48da",
 }

@@ -131,16 +131,11 @@ class TestRun:
         # was: ran to exit 0
         {"rechallenge_timeout": 0},  # re-challenged every peer on every poll
         {"failures_before_reset": 0},  # reset on every failed campaign
-        {"ramp_step": -1},  # ratcheted the launch threshold down
-        {"ramp_cap": -1},
-        {"success_trust": -1},  # a successful campaign cost its comrades trust
-        {"challenge_trust": -1},
         # was: validate 0, run 1 ("int too big to convert" in the C kernel)
         {"max_rand": 2**63},
         {"max_rand": 2**70},
     ], ids=["max_rand=-1", "probe_count=0", "probe_count=31", "alpha=1",
-            "rechallenge_timeout=0", "failures_before_reset=0", "ramp_step=-1",
-            "ramp_cap=-1", "success_trust=-1", "challenge_trust=-1",
+            "rechallenge_timeout=0", "failures_before_reset=0",
             "max_rand=2**63", "max_rand=2**70"])
     def test_bad_trust_field_exits_2_before_running(self, scenario_path, bad, capsys):
         raw = json.loads(scenario_path.read_text())
@@ -150,6 +145,25 @@ class TestRun:
             assert main([command, str(scenario_path)]) == EXIT_INVALID
             captured = capsys.readouterr()
             assert "clients[0].trust" in captured.err
+            assert captured.out == ""
+
+    # the trust model's units are fixed, not settings: a file that sets one,
+    # even to the value it has, is rejected by name
+    @pytest.mark.parametrize("removed", [
+        {"success_trust": 1},
+        {"challenge_trust": 1},
+        {"ramp_step": 1},
+        {"ramp_cap": 10},
+    ], ids=["success_trust=1", "challenge_trust=1", "ramp_step=1", "ramp_cap=10"])
+    def test_removed_trust_field_exits_2(self, scenario_path, removed, capsys):
+        raw = json.loads(scenario_path.read_text())
+        raw["clients"][0]["trust"].update(removed)
+        scenario_path.write_text(json.dumps(raw))
+        [name] = removed
+        for command in ("validate", "run"):
+            assert main([command, str(scenario_path)]) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert f"clients[0].trust.{name}: unknown field" in captured.err
             assert captured.out == ""
 
     @pytest.mark.parametrize("bad", [

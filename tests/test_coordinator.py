@@ -502,9 +502,7 @@ class TestChallengeComrades:
     def test_wrong_answer_makes_the_peer_due_at_once(self):
         assert self.challenge(0) == [self.peer]
         wrong = self.trust_db.pending[self.peer].expected_rand2 + 1
-        assert not trust.handle_response(
-            self.trust_db, trust.ChallengeSolution(self.peer, wrong), self.cfg
-        )
+        assert not trust.handle_response(self.trust_db, trust.ChallengeSolution(self.peer, wrong))
         assert self.challenge(10) == [self.peer]
 
     def test_reset_makes_verified_peers_due(self):
@@ -588,7 +586,7 @@ class _Client:
         elif kind == "answer":
             pending = self.trust_db.pending.get(step[1])
             rand2 = (pending.expected_rand2 if pending else 0) + (0 if step[2] else 1)
-            trust.handle_response(self.trust_db, trust.ChallengeSolution(step[1], rand2), CFG)
+            trust.handle_response(self.trust_db, trust.ChallengeSolution(step[1], rand2))
         elif kind == "reset":
             self.trust_db.reset()
 

@@ -45,12 +45,12 @@ GOLDEN = {
 
 # sha256 of `optoutswarm validate` standard output for each bundled scenario
 NORMALIZED = {
-    "baseline.json": "0d811fc867f2f9903edd811614ed381837c123430785b3090335ef771b5b39c3",
-    "challenge_flood.json": "43e56ae25e332e8d8a029d99ddaa20c8048b88d65b42655fc530df3848ff6a42",
-    "mitm_forwarder.json": "39779b288386a447a46475979c93008b8fdad06d2e2688e246b5bb6bf876d43a",
-    "separation.json": "46f7212da776948a15f2dc9ff5743a35a788ca488803fd354bd247318bdac83e",
-    "sybil_flood.json": "2eb9e3e85299478a9c0290ed04fa6b5a20f2641f1ca1ed18477133a08b3f098b",
-    "time_portal.json": "4690a91a2cead3250f74dbe001f84596b8c33769b498ec2b1215303ee9dee81d",
+    "baseline.json": "29ba0a3ff3b84543fd0419b8331a1c5498d706104edac30adc957ca4f92ada78",
+    "challenge_flood.json": "f2d8a0df316f573fbec552e95c3a7a9cd2a573c2248787bd2bd956f11c5e77f1",
+    "mitm_forwarder.json": "c137d723939a37559c75e80d62ac54bbf9d11b45ceb9a224df03e952fa5d08bf",
+    "separation.json": "b54d66cf3692a8daf46044f94eb362708f952811d73aa01474e66b3f06cb83d7",
+    "sybil_flood.json": "8e8365eacf005a2e6ec0675f97349b3c53907153b27bfa65c5272f058812fb89",
+    "time_portal.json": "d1c5beab3383c3dec540391e9b665ee3437ca8825b7336b39798f7afc67bc9d4",
 }
 
 

@@ -1,6 +1,8 @@
 """Scenario parsing, validation diagnostics, and round-tripping."""
 
+import dataclasses
 import json
+import re
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from optoutswarm.coordinator import JoinPolicy
+from optoutswarm.coordinator import CoordinatorConfig, JoinPolicy
 from optoutswarm.scenario import (
     InvalidScenario,
     Scenario,
@@ -18,8 +20,11 @@ from optoutswarm.scenario import (
     to_dict,
 )
 from optoutswarm.simulation import run
+from optoutswarm.trust import TrustConfig
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+README = ROOT / "README.md"
 
 
 def minimal(**overrides) -> dict:
@@ -109,6 +114,11 @@ class TestValidation:
     def test_field_violations_are_named(self, overrides, fragment):
         with pytest.raises(InvalidScenario, match=fragment):
             from_dict(minimal(**overrides))
+
+    def test_a_copy_with_a_bad_seed_is_rejected_as_it_is_built(self):
+        scenario = from_dict(minimal())
+        with pytest.raises(InvalidScenario, match=r"^seed: must be an integer in \[0, inf\]"):
+            dataclasses.replace(scenario, seed=-1)
 
     def test_min_wait_not_below_max_wait_rejected(self):
         raw = minimal(clients=[{"count": 1, "config": {"min_wait": 240, "max_wait": 240}}])
@@ -224,6 +234,15 @@ class TestLoadFile:
         path.write_text("[1, 2]")
         with pytest.raises(InvalidScenario, match="top level"):
             load_file(str(path))
+
+
+@pytest.mark.parametrize("record", [CoordinatorConfig, TrustConfig])
+def test_readme_lists_every_field_of_a_client_record(record):
+    # "Client `config` mirrors `CoordinatorConfig`: `min_wait`, ..., `launch_grace`."
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = re.search(rf"mirrors `{record.__name__}`: (.*?`)\.", text).group(1)
+    listed = re.sub(r"\([^)]*\)", "", listed)  # values such as (`join_all` or ...)
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(record)]
 
 
 def test_bundled_scenarios_all_validate():

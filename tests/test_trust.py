@@ -10,6 +10,7 @@ from optoutswarm.trust import (
     AnswerBudget,
     CampaignOutcome,
     MalformedPayload,
+    RAMP_CAP,
     TrustConfig,
     TrustDb,
     Verdict,
@@ -70,11 +71,10 @@ class TestApplyOutcome:
 
     def test_success_ratchets_participation_threshold(self):
         db = TrustDb()
-        cfg = TrustConfig(ramp_step=2, ramp_cap=5)
-        for _ in range(4):
+        cfg = TrustConfig()
+        for successes in range(1, RAMP_CAP + 3):
             apply_outcome(db, Verdict.SUCCESS, outcome(100, 300), cfg)
-        # 0 -> 2 -> 4 -> 5 (capped) -> 5
-        assert db.current_min_accumulated_trust == 5
+            assert db.current_min_accumulated_trust == min(successes, RAMP_CAP)
 
     def test_failures_below_streak_keep_records(self):
         db = TrustDb(records={b"a" * 32: 4})
@@ -251,7 +251,7 @@ class TestHandleResponse:
         from optoutswarm.trust import PendingChallenge
 
         db.pending[peer] = PendingChallenge(expected_rand2=9, issued_at=0)
-        ok = handle_response(db, crypto.ChallengeSolution(peer, 9), TrustConfig())
+        ok = handle_response(db, crypto.ChallengeSolution(peer, 9))
         assert ok is True
         assert peer in db.verified
         assert db.trust(peer) == 1
@@ -262,7 +262,7 @@ class TestHandleResponse:
         from optoutswarm.trust import PendingChallenge
 
         db.pending[b"p" * 32] = PendingChallenge(expected_rand2=9, issued_at=0)
-        handle_response(db, crypto.ChallengeSolution(b"p" * 32, 9), TrustConfig())
+        handle_response(db, crypto.ChallengeSolution(b"p" * 32, 9))
         assert db.trust(b"p" * 32) == 5
 
     def test_wrong_answer_clears_pending(self):
@@ -270,7 +270,7 @@ class TestHandleResponse:
         from optoutswarm.trust import PendingChallenge
 
         db.pending[b"p" * 32] = PendingChallenge(expected_rand2=9, issued_at=0)
-        ok = handle_response(db, crypto.ChallengeSolution(b"p" * 32, 8), TrustConfig())
+        ok = handle_response(db, crypto.ChallengeSolution(b"p" * 32, 8))
         assert ok is False
         assert b"p" * 32 not in db.verified
         # cleared, so the peer can be re-challenged immediately
@@ -278,7 +278,7 @@ class TestHandleResponse:
 
     def test_unsolicited_response_ignored(self):
         db = TrustDb()
-        assert handle_response(db, crypto.ChallengeSolution(b"p" * 32, 9), TrustConfig()) is False
+        assert handle_response(db, crypto.ChallengeSolution(b"p" * 32, 9)) is False
 
 
 class TestAnswerBudget:
@@ -319,6 +319,6 @@ def test_full_handshake_end_to_end():
     assert handled.answered
     sealed_back = dht.get(inbox_key(alice.public_key), 1)[0]
     solution = crypto.open_sealed(alice, sealed_back)
-    assert handle_response(alice_db, solution, cfg) is True
+    assert handle_response(alice_db, solution) is True
     assert bob.public_key in alice_db.verified
     assert alice_db.trust(bob.public_key) == 1
