@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fleet ladder: `optoutswarm run` on scenarios/baseline.json at 8 to 320 clients.
+"""Fleet ladder: `optoutswarm run` on scenarios/baseline.json at 8 to 1,000 clients.
 
 Each rung scales the baseline's one client group to a fleet size and, for
 one rung, raises `max_rand` from the baseline's 200 to the default 10,000.
@@ -12,7 +12,9 @@ attack_mix (a sybil flood of 200 keys, an issuer-rewriting MITM forwarder,
 a challenge flood and separation), where the adversaries' roster reads grow
 with minutes times campaigns times roster length. week_campaign runs 40
 clients for one week with campaigns that last a week, so every launched
-campaign bursts until the run ends.
+campaign bursts until the run ends. The 1,000-client rung writes about
+7.5 M events (770 MB of NDJSON) per run, so a full ladder spends most of its
+time there.
 Each run is a fresh `python -m optoutswarm run SCENARIO --out FILE` child.
 `os.wait4` reports that child's own CPU time (user + system) and peak RSS;
 its wall time runs from the spawn to the wait. Every rung runs `RUNS` times
@@ -73,6 +75,7 @@ LADDER = [
      "attack_mix"),
     (40, 200, 10_080, "80391028d8d7add238f7a19821a638d02702c30e85c8c0c0ba9ea8557a517098",
      "week_campaign"),
+    (1000, 200, 400, "11ac8c55a715518997d5b959db00b164527939006f49cd0f096715e96415b91c"),
 ]
 # top-level scenario fields a variant rung sets on the scaled baseline
 VARIANTS = {

@@ -103,9 +103,8 @@ def _run_to_file(scn: scenario_mod.Scenario, path: Path) -> simulation.MetricsRe
     tmp = _tmp_path(path)
     try:
         with open(tmp, "w", encoding="utf-8") as out:
-            write, line = out.write, simulation.ndjson_line
-            report = simulation.run(scn, lambda event: write(line(event)))
-            write(line(report.summary))
+            report = simulation.run(scn, out.write)
+            out.write(simulation.ndjson_line(report.summary))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -153,7 +152,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.out:
             report = _run_to_file(scn, _out_path(args.out, seed, multiple))
         else:
-            report = simulation.run(scn, lambda _event: None)
+            report = simulation.run(scn, lambda _line: None)
         if args.summary == "json-lines":
             print(json.dumps({"seed": seed, **report.summary}, sort_keys=True))
         else:

@@ -45,7 +45,8 @@ class EmailDocument:
 
 
 # Parameter-free URL identity shared by all clients: "scheme://host/path",
-# where host keeps an explicit ":port" only for non-default ports.
+# where host keeps an explicit ":port" only for non-default ports, and an
+# IPv6 address keeps its brackets.
 CanonicalUrl = NewType("CanonicalUrl", str)
 
 
@@ -78,7 +79,10 @@ def unwrap_redirects(url: str, redirects: dict[str, str]) -> str:
 def canonicalize(url: str) -> CanonicalUrl:
     """Strip everything that varies per recipient: query, fragment, userinfo,
     default port, trailing slash, and letter case in scheme/host."""
-    parts = urlsplit(url)
+    try:
+        parts = urlsplit(url)
+    except ValueError as exc:  # an unbalanced or invalid bracketed host
+        raise InvalidUrl(f"bad host in {url!r}") from exc
     scheme = parts.scheme.lower()
     if scheme not in ("http", "https"):
         raise InvalidUrl(f"unsupported scheme in {url!r}")
@@ -91,6 +95,8 @@ def canonicalize(url: str) -> CanonicalUrl:
         port = parts.port
     except ValueError as exc:
         raise InvalidUrl(f"bad port in {url!r}") from exc
+    if ":" in host:  # an IPv6 address, which urlsplit unbracketed
+        host = f"[{host}]"
     if port is not None and port != _DEFAULT_PORTS[scheme]:
         host = f"{host}:{port}"
     path = parts.path.rstrip("/") or "/"
@@ -98,9 +104,11 @@ def canonicalize(url: str) -> CanonicalUrl:
 
 
 def hostname(url: CanonicalUrl) -> str:
-    """The host of a canonical URL, without its port."""
+    """The host of a canonical URL, without its port or an IPv6 address's brackets."""
     host = url.split("://", 1)[1].split("/", 1)[0]
-    return host.rsplit(":", 1)[0] if ":" in host else host
+    if host.startswith("["):
+        return host[1:].split("]", 1)[0]
+    return host.split(":", 1)[0]
 
 
 def is_whitelisted(url: CanonicalUrl, whitelist: set[str]) -> bool:

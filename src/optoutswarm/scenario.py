@@ -111,9 +111,15 @@ class Scenario:
         _check("int", self.opt_out_rate, self, "opt_out_rate")
         _check("int", self.campaign_duration, self, "campaign_duration", low=1)
         for i, adversary in enumerate(self.adversaries):
-            for name, param in ADVERSARIES[adversary.strategy].items():
-                where = f"adversaries[{i}].{name}"
-                _check(param.kind, adversary.params[name], self, where, param.low, param.high)
+            where = f"adversaries[{i}]"
+            spec = _strategy(adversary.strategy)
+            _require(spec is not None, f"{where}.strategy: unknown strategy {adversary.strategy!r}")
+            if unknown := sorted(adversary.params.keys() - spec.keys()):
+                raise InvalidScenario(f"{where}.{unknown[0]}: unknown field")
+            for name, param in spec.items():
+                _require(name in adversary.params, f"{where}.{name}: required")
+                _check(param.kind, adversary.params[name], self, f"{where}.{name}",
+                       param.low, param.high)
 
     @property
     def client_count(self) -> int:
@@ -221,7 +227,7 @@ def _read(tp: Any, value: Any, path: str) -> Any:
     if tp is CanonicalUrl:
         try:
             return canonicalize(_read(str, value, path))
-        except (InvalidUrl, ValueError) as exc:
+        except InvalidUrl as exc:
             raise InvalidScenario(f"{path}: {exc}") from None
     if tp is float:  # an int stays an int, so the normalized form keeps it
         finite = type(value) is int or (type(value) is float and math.isfinite(value))
@@ -248,16 +254,22 @@ def _read_record(cls: type, raw: Any, path: str) -> Any:
         raise InvalidScenario(f"{path}: {exc}") from None
 
 
+def _strategy(name: Any) -> dict[str, Param] | None:
+    return ADVERSARIES.get(name) if type(name) is str else None
+
+
 def _read_adversary(raw: Any, path: str) -> AdversarySpec:
+    """The spec as written, with its strategy's defaults filled in; the
+    Scenario checks it when built."""
     _expect(type(raw) is dict, path, "an object", raw)
-    strategy = raw.get("strategy")
-    spec = ADVERSARIES.get(strategy) if type(strategy) is str else None
-    _require(spec is not None, f"{path}.strategy: unknown strategy {strategy!r}")
-    if unknown := sorted(raw.keys() - spec.keys() - {"strategy"}):
-        raise InvalidScenario(f"{path}.{unknown[0]}: unknown field")
-    for name, param in spec.items():
-        _require(name in raw or param.default is not REQUIRED, f"{path}.{name}: required")
-    return AdversarySpec(strategy, {name: raw.get(name, p.default) for name, p in spec.items()})
+    params = dict(raw)
+    strategy = params.pop("strategy", None)
+    defaults = {
+        name: p.default
+        for name, p in (_strategy(strategy) or {}).items()
+        if p.default is not REQUIRED
+    }
+    return AdversarySpec(strategy, {**defaults, **params})
 
 
 def from_dict(raw: dict[str, Any]) -> Scenario:

@@ -33,7 +33,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from random import Random
 from typing import Any, Callable
 
@@ -82,51 +82,35 @@ class SimClient:
         return coordinator.is_comrade(dht, self.campaign_db, issuer_pk, now)
 
 
-Sink = Callable[[dict[str, Any]], object]
+Sink = Callable[[str], object]
 
 # json.dumps with keyword arguments builds a new encoder on every call
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-# Nearly all of a large fleet's stream; fixed templates write `_ENCODER`'s
-# bytes several times faster. A new field needs its template (tests compare).
-_TEMPLATES: dict[str, tuple[str, Callable[[dict[str, Any]], tuple]]] = {
-    "challenge_sent": (
-        '{"client":%d,"peer":"%s","t":%d,"type":"challenge_sent"}\n',
-        itemgetter("client", "peer", "t"),
-    ),
-    "challenge_dropped": (
-        '{"client":%d,"reason":"%s","t":%d,"type":"challenge_dropped"}\n',
-        itemgetter("client", "reason", "t"),
-    ),
-    "challenge_answered": (
-        '{"client":%d,"issuer":"%s","t":%d,"type":"challenge_answered","work":%d}\n',
-        itemgetter("client", "issuer", "t", "work"),
-    ),
-    "verification": (
-        '{"client":%d,"ok":%s,"peer":"%s","t":%d,"type":"verification"}\n',
-        lambda r: (r["client"], "true" if r["ok"] else "false", r["peer"], r["t"]),
-    ),
-}
+# The handshake's events, nearly all of a large fleet's stream, each formatted
+# at its one emit site: `_ENCODER`'s bytes, fields in key order, without a dict.
+_CHALLENGE_SENT = '{"client":%d,"peer":"%s","t":%d,"type":"challenge_sent"}\n'
+_CHALLENGE_DROPPED = '{"client":%d,"reason":"%s","t":%d,"type":"challenge_dropped"}\n'
+_CHALLENGE_ANSWERED = (
+    '{"client":%d,"issuer":"%s","t":%d,"type":"challenge_answered","work":%d}\n'
+)
+_VERIFICATION = '{"client":%d,"ok":%s,"peer":"%s","t":%d,"type":"verification"}\n'
 
 
 def ndjson_line(record: dict[str, Any]) -> str:
     """One line of the metrics stream: compact JSON, sorted keys, newline."""
-    template = _TEMPLATES.get(record.get("type"))
-    if template is None:
-        return _ENCODER.encode(record) + "\n"
-    line, fields = template
-    return line % fields(record)
+    return _ENCODER.encode(record) + "\n"
 
 
 @dataclass
 class MetricsReport:
-    """The summary of a run, plus its events when no sink took them."""
+    """The summary of a run, plus its NDJSON lines when no sink took them."""
 
-    events: list[dict[str, Any]]
+    events: list[str]
     summary: dict[str, Any]
 
     def to_ndjson(self) -> str:
-        return "".join(map(ndjson_line, self.events)) + ndjson_line(self.summary)
+        return "".join(self.events) + ndjson_line(self.summary)
 
 
 def convergence(report: MetricsReport, url: str) -> float:
@@ -284,9 +268,10 @@ _ADVERSARY_CLASSES = {
 class Simulation:
     """One run of a scenario.
 
-    Every event goes to `sink` as it is emitted. The default sink appends to
-    `self.events`, so the report of `run()` holds the whole stream; with any
-    other sink, no layer keeps the events and `events` stays empty.
+    Every event goes to `sink` as its NDJSON line, when it is emitted. The
+    default sink appends to `self.events`, so the report of `run()` holds the
+    whole stream; with any other sink, no layer keeps the lines and `events`
+    stays empty.
     """
 
     def __init__(self, scenario: Scenario, sink: Sink | None = None) -> None:
@@ -316,7 +301,7 @@ class Simulation:
             _ADVERSARY_CLASSES[spec.strategy](spec, i, self)
             for i, spec in enumerate(scenario.adversaries)
         ]
-        self.events: list[dict[str, Any]] = []
+        self.events: list[str] = []
         self.emit = self.events.append if sink is None else sink
         self.adversarial_starts: set[CampaignStart] = set()
         self.honest_joins_on_adversarial = 0
@@ -414,40 +399,31 @@ class Simulation:
                             client.rng,
                         )
                     except coordinator.NoFeasibleStart:
-                        self.emit(
-                            {
-                                "t": now,
-                                "type": "no_feasible_start",
-                                "client": index,
-                                "url": url,
-                            }
-                        )
+                        self.emit(ndjson_line(
+                            {"t": now, "type": "no_feasible_start", "client": index, "url": url}
+                        ))
                         continue
                     client.joins_rejected_unsuitable += result.rejected_unsuitable
                     if result.proposed is not None:  # joined below
-                        self.emit(
-                            {
-                                "t": now,
-                                "type": "campaign_proposed",
-                                "client": index,
-                                "url": url,
-                                "start": result.proposed.start,
-                            }
-                        )
+                        self.emit(ndjson_line({
+                            "t": now,
+                            "type": "campaign_proposed",
+                            "client": index,
+                            "url": url,
+                            "start": result.proposed.start,
+                        }))
                     for campaign in result.joined:
                         self._book_join(client, campaign, now)
                         if campaign in self.adversarial_starts:
                             self.honest_joins_on_adversarial += 1
-                        self.emit(
-                            {
-                                "t": now,
-                                "type": "campaign_joined",
-                                "client": index,
-                                "url": campaign.url,
-                                "start": campaign.start,
-                                "rejected_unsuitable": result.rejected_unsuitable,
-                            }
-                        )
+                        self.emit(ndjson_line({
+                            "t": now,
+                            "type": "campaign_joined",
+                            "client": index,
+                            "url": campaign.url,
+                            "start": campaign.start,
+                            "rejected_unsuitable": result.rejected_unsuitable,
+                        }))
 
     def _phase_polls(self, now: int) -> None:
         due = [group for interval, group in self._pollers.items() if now % interval == 0]
@@ -473,35 +449,18 @@ class Simulation:
                         client.hash_evaluations += handling.hash_evaluations
                     if handling.answered:
                         client.challenges_answered += 1
-                        self.emit(
-                            {
-                                "t": now,
-                                "type": "challenge_answered",
-                                "client": client.index,
-                                "issuer": payload.issuer_public_key.hex(),
-                                "work": handling.hash_evaluations,
-                            }
-                        )
+                        self.emit(_CHALLENGE_ANSWERED % (
+                            client.index, payload.issuer_public_key.hex(), now,
+                            handling.hash_evaluations,
+                        ))
                     else:
-                        self.emit(
-                            {
-                                "t": now,
-                                "type": "challenge_dropped",
-                                "client": client.index,
-                                "reason": handling.dropped,
-                            }
-                        )
+                        self.emit(_CHALLENGE_DROPPED % (client.index, handling.dropped, now))
                 else:
                     ok = trust.handle_response(client.trust_db, payload)
-                    self.emit(
-                        {
-                            "t": now,
-                            "type": "verification",
-                            "client": client.index,
-                            "peer": payload.solver_public_key.hex(),
-                            "ok": ok,
-                        }
-                    )
+                    self.emit(_VERIFICATION % (
+                        client.index, "true" if ok else "false",
+                        payload.solver_public_key.hex(), now,
+                    ))
             self._initiate_verifications(client, now)
 
     def _initiate_verifications(self, client: SimClient, now: int) -> None:
@@ -511,14 +470,7 @@ class Simulation:
         )
         for peer_pk in challenged:
             client.challenges_sent += 1
-            self.emit(
-                {
-                    "t": now,
-                    "type": "challenge_sent",
-                    "client": client.index,
-                    "peer": peer_pk.hex(),
-                }
-            )
+            self.emit(_CHALLENGE_SENT % (client.index, peer_pk.hex(), now))
 
     def _phase_ticks(self, now: int) -> None:
         for index, _campaigns in self._booked(now, "tick"):
@@ -530,19 +482,17 @@ class Simulation:
                 campaign = decision.campaign
                 if decision.launched and campaign.url in self.sites:
                     self._book(now, "burst", index, campaign)
-                self.emit(
-                    {
-                        "t": now,
-                        "type": "launch_decision",
-                        "client": client.index,
-                        "url": campaign.url,
-                        "start": campaign.start,
-                        "launched": decision.launched,
-                        "comrades": decision.comrade_count,
-                        "trust_sum": decision.trust_sum,
-                        "threshold": decision.trust_threshold,
-                    }
-                )
+                self.emit(ndjson_line({
+                    "t": now,
+                    "type": "launch_decision",
+                    "client": client.index,
+                    "url": campaign.url,
+                    "start": campaign.start,
+                    "launched": decision.launched,
+                    "comrades": decision.comrade_count,
+                    "trust_sum": decision.trust_sum,
+                    "threshold": decision.trust_threshold,
+                }))
 
     def _phase_bursts(self, now: int) -> None:
         # Each campaign launched this minute writes its load into every minute
@@ -577,16 +527,14 @@ class Simulation:
         self, client: SimClient, campaign: CampaignStart, record: CampaignRecord, now: int
     ) -> None:
         if min(len(record.baseline), len(record.during)) < client.tcfg.probe_count:
-            self.emit(
-                {
-                    "t": now,
-                    "type": "outcome_unjudged",
-                    "client": client.index,
-                    "url": campaign.url,
-                    "start": campaign.start,
-                    "reason": "insufficient_probes",
-                }
-            )
+            self.emit(ndjson_line({
+                "t": now,
+                "type": "outcome_unjudged",
+                "client": client.index,
+                "url": campaign.url,
+                "start": campaign.start,
+                "reason": "insufficient_probes",
+            }))
             return
         comrades = tuple(
             pk
@@ -600,20 +548,18 @@ class Simulation:
         )
         verdict = trust.judge_outcome(outcome, client.tcfg.alpha)
         reset = trust.apply_outcome(client.trust_db, verdict, outcome, client.tcfg)
-        self.emit(
-            {
-                "t": now,
-                "type": "outcome_judged",
-                "client": client.index,
-                "url": campaign.url,
-                "start": campaign.start,
-                "verdict": verdict.value,
-                "baseline_ms": outcome.baseline_latency,
-                "during_ms": outcome.during_latency,
-            }
-        )
+        self.emit(ndjson_line({
+            "t": now,
+            "type": "outcome_judged",
+            "client": client.index,
+            "url": campaign.url,
+            "start": campaign.start,
+            "verdict": verdict.value,
+            "baseline_ms": outcome.baseline_latency,
+            "during_ms": outcome.during_latency,
+        }))
         if reset:
-            self.emit({"t": now, "type": "trust_reset", "client": client.index})
+            self.emit(ndjson_line({"t": now, "type": "trust_reset", "client": client.index}))
 
     def _phase_settle(self, now: int) -> None:
         for url, (site, ledger) in self.sites.items():
@@ -624,17 +570,15 @@ class Simulation:
                 or record.probe_requests
                 or record.visitors_lost
             ):
-                self.emit(
-                    {
-                        "t": now,
-                        "type": "site_minute",
-                        "url": url,
-                        "opt_out_requests": record.opt_out_requests,
-                        "probe_requests": record.probe_requests,
-                        "response_ms": record.response_ms,
-                        "visitors_lost": record.visitors_lost,
-                    }
-                )
+                self.emit(ndjson_line({
+                    "t": now,
+                    "type": "site_minute",
+                    "url": url,
+                    "opt_out_requests": record.opt_out_requests,
+                    "probe_requests": record.probe_requests,
+                    "response_ms": record.response_ms,
+                    "visitors_lost": record.visitors_lost,
+                }))
 
     # ------------------------------------------------------------------
 
@@ -737,7 +681,7 @@ class Simulation:
 def run(scenario: Scenario, sink: Sink | None = None) -> MetricsReport:
     """Run one scenario to completion. Deterministic in the scenario alone.
 
-    Without a sink the report holds every event; with one, each event goes
-    to the sink as it is emitted and the report's `events` is empty.
+    Without a sink the report holds every event's line; with one, each line
+    goes to the sink as it is emitted and the report's `events` is empty.
     """
     return Simulation(scenario, sink).run()

@@ -89,6 +89,11 @@ class TestCanonicalize:
     def test_userinfo_dropped(self):
         assert canonicalize("http://user:pw@a.example/x") == "http://a.example/x"
 
+    @pytest.mark.parametrize("url", ["http://[oops/x", "http://[a.example]/x"])
+    def test_bad_bracketed_host_rejected(self, url):
+        with pytest.raises(InvalidUrl):
+            canonicalize(url)
+
     def test_render_round_trip(self):
         url = canonicalize("http://a.example/shop/item")
         assert url == "http://a.example/shop/item"
@@ -105,11 +110,15 @@ _paths = st.lists(
     st.text(alphabet="abcdefABCDEF0123456789-_", min_size=1, max_size=6),
     max_size=4,
 ).map(lambda segs: "/" + "/".join(segs) if segs else "/")
+# bracketed IPv6 hosts, with a default, another or no port
+_ipv6_hosts = st.builds(
+    "[{}]{}".format, st.ip_addresses(v=6), st.sampled_from(["", ":80", ":443", ":8080"])
+)
 
 
 @given(
     scheme=st.sampled_from(["http", "https", "HTTP", "Https"]),
-    host=_hosts,
+    host=st.one_of(_hosts, _ipv6_hosts),
     path=_paths,
     query=st.sampled_from(["", "?a=1", "?uid=xyz&b=2"]),
     fragment=st.sampled_from(["", "#top"]),
@@ -129,9 +138,16 @@ class TestWhitelist:
         assert is_whitelisted(canonicalize("http://www.gmx.de/"), wl)
         assert not is_whitelisted(canonicalize("http://notgmx.de/"), wl)
 
+    def test_ipv6_host_match(self):
+        wl = {"2001:db8::1"}
+        assert is_whitelisted(canonicalize("http://[2001:DB8::1]/promo"), wl)
+        assert is_whitelisted(canonicalize("https://[2001:db8::1]:8443/x"), wl)
+        assert not is_whitelisted(canonicalize("http://[2001:db8::2]/promo"), wl)
+
     def test_hostname_cuts_only_the_port(self):
         assert hostname(canonicalize("https://a.example:8443/x:y")) == "a.example"
         assert hostname(canonicalize("http://[::1]:8080/x")) == "::1"
+        assert hostname(canonicalize("http://[::1]/x")) == "::1"
         assert hostname(canonicalize("http://a.example/")) == "a.example"
 
 

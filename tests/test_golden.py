@@ -6,8 +6,11 @@ beyond the narrower solver's range (281 `no_solution` drops). So is every
 scenario of the generated corpus in tests/corpus.py, which between them emit
 every event type and every drop reason.
 
-The same runs gate `ndjson_line`: its fixed templates for the hot event
-types must write, for every event, the bytes of the generic encoder.
+The same runs gate the stream's lines. The simulation hands its sink one
+NDJSON line per event: the handshake's events are written by fixed format
+strings at their emit sites, every other event and the summary by
+`ndjson_line`. Every line must be the generic encoder's bytes for the
+record it parses to.
 
 A change that moves any of these bytes changes what the simulator computes,
 or what a scenario file means. Such a change must update the digest here and
@@ -16,6 +19,7 @@ say in CHANGES.md which bytes moved and why.
 
 import functools
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -27,7 +31,7 @@ import pytest
 import corpus
 from optoutswarm.cli import main
 from optoutswarm.scenario import Scenario, from_dict, load_file
-from optoutswarm.simulation import _ENCODER, MetricsReport, Simulation, ndjson_line, run
+from optoutswarm.simulation import _ENCODER, MetricsReport, Simulation, run
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -87,6 +91,10 @@ EVENT_KINDS = {
 }
 
 
+def _events(report: MetricsReport) -> list[dict]:
+    return [json.loads(line) for line in report.events]
+
+
 def _kind(event: dict) -> str:
     if event["type"] == "challenge_dropped":
         return f"dropped_{event['reason']}"
@@ -108,7 +116,7 @@ def test_corpus_ndjson_digest(name):
 
 
 def test_corpus_emits_every_event_type_and_drop_reason():
-    kinds = {_kind(e) for name in corpus.VARIANTS for e in _corpus_report(name).events}
+    kinds = {_kind(e) for name in corpus.VARIANTS for e in _events(_corpus_report(name))}
     assert kinds == EVENT_KINDS
 
 
@@ -131,11 +139,9 @@ def _scenario(name: str) -> Scenario:
 
 @pytest.mark.parametrize("name", EVERY_RUN)
 def test_templated_lines_equal_the_generic_encoder(name):
-    # the hot event types have fixed templates; a field added to one of those
-    # events without its template makes the two renderers differ here
-    report = _report(name)
-    for event in [*report.events, report.summary]:
-        assert ndjson_line(event) == _ENCODER.encode(event) + "\n", event
+    # the handshake's lines come from fixed format strings, not the encoder
+    for line in _report(name).to_ndjson().splitlines(keepends=True):
+        assert line == _ENCODER.encode(json.loads(line)) + "\n", line
 
 
 @pytest.mark.parametrize("name", EVERY_RUN)
@@ -144,7 +150,7 @@ def test_events_add_up_to_the_summary(name):
     counts = Counter()
     launches = Counter()
     joined = set()
-    for event in report.events:
+    for event in _events(report):
         kind = _kind(event)
         counts[kind, event.get("client")] += 1
         if kind == "launch_decision" and event["launched"]:
@@ -172,13 +178,13 @@ def test_events_add_up_to_the_summary(name):
 def test_bursts_add_up_to_the_site_traffic(name):
     # every launched (client, campaign) on a site adds `opt_out_rate` requests
     # to each minute of [start, start + campaign_duration), and nothing else does
-    scenario, report = _scenario(name), _report(name)
+    scenario, events = _scenario(name), _events(_report(name))
     launched = Counter(
-        (e["url"], e["start"]) for e in report.events
+        (e["url"], e["start"]) for e in events
         if e["type"] == "launch_decision" and e["launched"]
     )
     sent = {(e["url"], e["t"]): e["opt_out_requests"]
-            for e in report.events if e["type"] == "site_minute"}
+            for e in events if e["type"] == "site_minute"}
     for site in scenario.target_sites:
         for now in range(scenario.duration):
             pairs = sum(
@@ -192,7 +198,8 @@ def test_rejoin_variant_joins_campaigns_already_held():
     # its pin guards against doubled probes, ticks and bursts only if it re-joins
     report = _corpus_report("rejoin")
     joins = Counter(
-        (e["client"], e["url"], e["start"]) for e in report.events if e["type"] == "campaign_joined"
+        (e["client"], e["url"], e["start"])
+        for e in _events(report) if e["type"] == "campaign_joined"
     )
     assert joins and set(joins.values()) == {2}
 
@@ -204,7 +211,7 @@ def test_long_campaign_variant_overlaps_and_stops_at_the_end():
     sim = Simulation(scenario)
     report = sim.run()
     starts: dict[str, set[int]] = {}
-    for e in report.events:
+    for e in _events(report):
         if e["type"] == "launch_decision" and e["launched"]:
             starts.setdefault(e["url"], set()).add(e["start"])
     assert any(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from optoutswarm.coordinator import CoordinatorConfig, JoinPolicy
 from optoutswarm.scenario import (
+    AdversarySpec,
     InvalidScenario,
     Scenario,
     from_dict,
@@ -158,6 +159,22 @@ class TestValidation:
     def test_adversary_params_validated(self, adversary, fragment):
         with pytest.raises(InvalidScenario, match=fragment):
             from_dict(minimal(adversaries=[adversary]))
+
+    @pytest.mark.parametrize(
+        ("adversary", "message"),
+        [
+            (AdversarySpec("ddos"), "adversaries[0].strategy: unknown strategy 'ddos'"),
+            (AdversarySpec("sybil_flood"), "adversaries[0].identity_count: required"),
+            (AdversarySpec("sybil_flood", {"identity_count": 5, "bogus": 1}),
+             "adversaries[0].bogus: unknown field"),
+        ],
+        ids=["unknown_strategy", "missing_param", "unknown_param"],
+    )
+    def test_an_adversary_built_in_code_is_checked_as_a_file_is(self, adversary, message):
+        base = from_dict(minimal())
+        with pytest.raises(InvalidScenario) as raised:
+            dataclasses.replace(base, adversaries=(adversary,))
+        assert str(raised.value) == message
 
     def test_mitm_forwarder_needs_no_params(self):
         scenario = from_dict(minimal(adversaries=[{"strategy": "mitm_forwarder"}]))

@@ -21,6 +21,10 @@ from optoutswarm.simulation import (
 URL = "http://pills.example/buy"
 
 
+def _events(report: MetricsReport) -> list[dict]:
+    return [json.loads(line) for line in report.events]
+
+
 def fleet_scenario(**overrides) -> dict:
     """Small fast fleet: one site, one spam wave, verification-friendly."""
     raw = {
@@ -97,7 +101,7 @@ class TestFleetRun:
         assert site["traffic_cost"] > 0
 
     def test_everyone_judged_success(self, report):
-        judged = [e for e in report.events if e["type"] == "outcome_judged"]
+        judged = [e for e in _events(report) if e["type"] == "outcome_judged"]
         assert len(judged) == 8
         assert all(e["verdict"] == "success" for e in judged)
         assert all(e["during_ms"] >= 2 * e["baseline_ms"] for e in judged)
@@ -126,7 +130,7 @@ PHASE_RANK = {
 def test_phases_keep_fixed_order_within_each_minute(report):
     assert report.events, "expected a non-trivial event stream"
     by_minute: dict[int, list[int]] = {}
-    for event in report.events:
+    for event in _events(report):
         by_minute.setdefault(event["t"], []).append(PHASE_RANK[event["type"]])
     for minute, ranks in by_minute.items():
         assert ranks == sorted(ranks), f"phase order violated at minute {minute}"
@@ -159,7 +163,7 @@ class TestPolicies:
         report = run(from_dict(fleet_scenario(confirm_policy="reject_all")))
         assert report.summary["campaigns"] == []
         assert report.summary["convergence"] == {}
-        assert not any(e["type"] == "campaign_joined" for e in report.events)
+        assert not any(e["type"] == "campaign_joined" for e in _events(report))
         with pytest.raises(NoSuchCampaign):
             convergence(report, URL)
 
@@ -170,14 +174,14 @@ class TestPolicies:
         site = report.summary["sites"][URL]
         assert site["opt_out_requests"] == 0
         assert report.summary["totals"]["campaigns_launched"] == 0
-        decisions = [e for e in report.events if e["type"] == "launch_decision"]
+        decisions = [e for e in _events(report) if e["type"] == "launch_decision"]
         assert decisions and all(not e["launched"] for e in decisions)
 
     def test_infeasible_usage_windows_yield_zero_convergence(self):
         raw = fleet_scenario(duration=240)
         raw["clients"][0]["config"]["usage_windows"] = [[0, 1]]
         report = run(from_dict(raw))
-        assert any(e["type"] == "no_feasible_start" for e in report.events)
+        assert any(e["type"] == "no_feasible_start" for e in _events(report))
         assert convergence(report, URL) == 0.0
 
 
@@ -193,7 +197,7 @@ class TestForwardedChallenges:
         forwarded = report.summary["adversaries"][0]["counters"].get("forwarded", 0)
         assert forwarded > 0
         burned = [
-            e for e in report.events
+            e for e in _events(report)
             if e["type"] == "challenge_dropped" and e["reason"] == "no_solution"
         ]
         assert burned, "rewritten challenges should be unsolvable"
@@ -235,7 +239,7 @@ def test_only_due_peers_reach_initiate_verification(monkeypatch):
 
     monkeypatch.setattr(trust, "initiate_verification", counted)
     report = run(load_file("scenarios/sybil_flood.json"))
-    sent = sum(e["type"] == "challenge_sent" for e in report.events)
+    sent = sum(e["type"] == "challenge_sent" for e in _events(report))
     assert calls == sent == 3256
 
 
@@ -255,13 +259,13 @@ def test_probe_schedule(monkeypatch, probe_count, waits):
     raw["clients"][0].update(count=1, trust={"probe_count": probe_count})
     raw["clients"][0]["config"].update(min_wait=waits[0], max_wait=waits[1])
     report = run(from_dict(raw))
-    (joined,) = [e for e in report.events if e["type"] == "campaign_joined"]
+    (joined,) = [e for e in _events(report) if e["type"] == "campaign_joined"]
     start = joined["start"]
     spacing = 30 // probe_count
     baseline = [start - 30 + spacing * k for k in range(probe_count)]
     during = [start + spacing * k for k in range(probe_count)]
     assert probed == [t for t in baseline if t >= joined["t"]] + during
-    judged = [e for e in report.events if e["type"] in ("outcome_judged", "outcome_unjudged")]
+    judged = [e for e in _events(report) if e["type"] in ("outcome_judged", "outcome_unjudged")]
     assert [e["t"] for e in judged] == [start + 30]
     # a late joiner misses the first baseline probes, so it cannot judge
     early = start - 30 >= joined["t"]
