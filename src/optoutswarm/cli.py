@@ -88,23 +88,39 @@ def _tmp_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
 
+def _in_place(path: Path) -> bool:
+    """Whether `path` is written as it is: a FIFO or a device, no file to replace."""
+    return path.exists() and not path.is_file()
+
+
 def _check_writable(path: Path) -> None:
     """Raise OSError unless a run could write `path`; creates nothing that stays."""
+    path = Path(os.path.realpath(path))
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-    tmp = _tmp_path(path)
-    tmp.touch()
-    tmp.unlink()
+    if not _in_place(path):
+        tmp = _tmp_path(path)
+        tmp.touch()
+        tmp.unlink()
+
+
+def _write_run(scn: scenario_mod.Scenario, path: Path) -> simulation.MetricsReport:
+    with open(path, "w", encoding="utf-8") as out:
+        report = simulation.run(scn, out.write)
+        out.write(simulation.ndjson_line(report.summary))
+    return report
 
 
 def _run_to_file(scn: scenario_mod.Scenario, path: Path) -> simulation.MetricsReport:
-    """Stream the run's NDJSON to a sibling temporary file, then rename it
-    into place, so a failed run leaves whatever was at `path` untouched."""
+    """Stream the run's NDJSON to a temporary file beside the file `path`
+    names, through any symlink, then rename it into place, so a failed run
+    leaves that file untouched. A FIFO or a device is written directly."""
+    path = Path(os.path.realpath(path))
+    if _in_place(path):
+        return _write_run(scn, path)
     tmp = _tmp_path(path)
     try:
-        with open(tmp, "w", encoding="utf-8") as out:
-            report = simulation.run(scn, out.write)
-            out.write(simulation.ndjson_line(report.summary))
+        report = _write_run(scn, tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -150,7 +166,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             return EXIT_INVALID
     for seed, scn in zip(seeds, runs):
         if args.out:
-            report = _run_to_file(scn, _out_path(args.out, seed, multiple))
+            path = _out_path(args.out, seed, multiple)
+            try:
+                report = _run_to_file(scn, path)
+            except OSError as exc:  # a run does no I/O but its output's
+                print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+                return EXIT_INVALID
         else:
             report = simulation.run(scn, lambda _line: None)
         if args.summary == "json-lines":

@@ -215,8 +215,9 @@ def read_comrades(
     return dht.get(_roster_key(campaign), now)
 
 
-def is_comrade(dht: SimulatedDht, db: LocalCampaignDb, public_key: bytes, now: int) -> bool:
-    """Whether a key is registered for any campaign I joined."""
+def is_comrade(dht: SimulatedDht, db: LocalCampaignDb, now: int, public_key: bytes) -> bool:
+    """Whether a key is registered for any campaign I joined; the key comes
+    last, so a `partial` over the rest is a one-argument check."""
     for campaign in db.entries:
         if dht.contains(_roster_key(campaign), public_key, now):
             return True
@@ -249,9 +250,10 @@ def challenge_comrades(
     for peer in peers:
         if peer in trust_db.verified or not trust_db.due(peer, now, cfg.rechallenge_timeout):
             continue
-        first = next((i for i, key in enumerate(rosters) if dht.contains(key, peer, now)), None)
-        if first is not None:
-            due.append((first, peer))
+        for first, key in enumerate(rosters):
+            if dht.contains(key, peer, now):
+                due.append((first, peer))
+                break
     challenged = [peer for _order, peer in sorted(due)]
     for peer in challenged:
         trust.initiate_verification(identity, peer, dht, trust_db, cfg, rng, now)
@@ -355,22 +357,23 @@ def poll_inbox(
     dht: SimulatedDht,
     identity: ClientIdentity,
 ) -> list[crypto.Challenge | trust.ChallengeSolution]:
-    """Drain my inbox: open, decode, and delete everything addressed to me.
+    """Drain my inbox: records as they are, wire bytes opened and decoded.
 
-    A record sealed in-process opens as itself; only payload bytes are
-    decoded. Undecodable or misaddressed values are deleted too; leaving them
-    would let junk accumulate forever under my key.
+    Undecodable or misaddressed values are deleted too; leaving them would
+    let junk accumulate forever under my key. Only a key whose mail is kept
+    may poll, so no reader can lose mail silently.
     """
-    key = inbox_key(identity.public_key)
+    readers = dht.inbox_readers
+    if readers is not None and identity.public_key not in readers:
+        raise ValueError(f"{identity!r} polls an inbox whose mail is not kept")
     payloads = []
-    for sealed in dht.get(key, now):
-        dht.remove(key, sealed)
-        try:
-            message = crypto.open_sealed(identity, sealed)
-            if isinstance(message, bytes):
-                message = trust.decode_payload(message)
-            payloads.append(message)
-        except (ValueError, crypto.NotAddressee, crypto.DecryptionFailure,
-                trust.MalformedPayload) as exc:
-            log.debug("dropping inbox value: %s", exc)
+    for message in dht.drain(inbox_key(identity.public_key), now):
+        if isinstance(message, bytes):
+            try:
+                message = trust.decode_payload(crypto.open_sealed(identity, message))
+            except (ValueError, crypto.NotAddressee, crypto.DecryptionFailure,
+                    trust.MalformedPayload) as exc:
+                log.debug("dropping inbox value: %s", exc)
+                continue
+        payloads.append(message)
     return payloads

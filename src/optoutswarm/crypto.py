@@ -9,19 +9,12 @@ original issuer, never for the relay. A solver that is handed a candidate
 answer checks it with one hash and skips the scan when it holds; the result
 is the one the scan would return.
 
-A sealed message is addressed by a 20-byte hash of the recipient key and can
-only be opened by the matching private key (X25519 + ChaCha20-Poly1305).
-`seal` does no crypto: it returns a `SealedMessage` holding the recipient
-key and the plaintext, either raw bytes or a `Challenge` or
-`ChallengeSolution` record. A record's tagged inbox payload is
-`bytes(record)`, and `decode_payload` reads it back. `to_bytes()` derives
-the wire bytes on demand, from the plaintext's bytes. The ephemeral key is
-derived from the recipient key and those bytes, so two seals of records, or
-two of raw bytes, compare equal exactly when their wire bytes do; a record
-and its payload seal to the same wire bytes yet compare unequal. In-process,
-`open_sealed` checks the addressee of such a message and returns its
-plaintext as sealed; wire bytes go through the full X25519 exchange and the
-AEAD tag check, and open to payload bytes.
+A handshake record's tagged inbox payload is `bytes(record)`, and
+`decode_payload` reads it back. `seal` turns payload bytes into the wire
+form of a message: addressed by a 20-byte hash of the recipient key, and
+opened by `open_sealed` only with the matching private key (X25519 +
+ChaCha20-Poly1305). In-process senders leave the records themselves in an
+inbox; the seal is the form a message takes on the wire.
 """
 
 from __future__ import annotations
@@ -127,9 +120,6 @@ class ChallengeSolution(NamedTuple):
         return TAG_RESPONSE + self.solver_public_key + self.rand2.to_bytes(8, "little")
 
 
-Plaintext = bytes | Challenge | ChallengeSolution  # what a seal holds
-
-
 def decode_payload(data: bytes) -> Challenge | ChallengeSolution:
     """Parse a tagged inbox payload back into its record."""
     if not data:
@@ -217,43 +207,27 @@ def _box_key(shared_secret: bytes) -> bytes:
     return hash_bytes(_BOX_KEY_TAG + shared_secret)
 
 
-class SealedMessage(NamedTuple):
-    """A message only the holder of `recipient_public_key` can open."""
+def seal(recipient_public_key: bytes, plaintext: bytes) -> bytes:
+    """Wire form of a message to a public key: recipient key hash (20) ‖
+    ephemeral public key (32) ‖ AEAD ciphertext of the plaintext.
 
-    recipient_public_key: bytes
-    plaintext: Plaintext
-
-    def to_bytes(self) -> bytes:
-        """Wire form: recipient key hash (20) ‖ ephemeral public key (32) ‖
-        AEAD ciphertext of the plaintext's bytes.
-
-        The ephemeral key is derived from the recipient and those bytes, so
-        sealing is deterministic and replay in a seeded simulation is
-        byte-stable. Each distinct message gets a distinct AEAD key, which
-        makes the fixed nonce safe.
-        """
-        recipient = self.recipient_public_key
-        plaintext = bytes(self.plaintext)
-        scalar = hash_bytes(_EPHEMERAL_TAG + recipient + plaintext)
-        ephemeral = X25519PrivateKey.from_private_bytes(scalar)
-        shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient))
-        ct = ChaCha20Poly1305(_box_key(shared)).encrypt(_ZERO_NONCE, plaintext, recipient)
-        return key_hash(recipient) + ephemeral.public_key().public_bytes_raw() + ct
-
-
-def seal(recipient_public_key: bytes, plaintext: Plaintext) -> SealedMessage:
-    """Address a plaintext to a public key; the wire bytes wait for `to_bytes`."""
-    if len(recipient_public_key) != PUBLIC_KEY_LEN:
+    The ephemeral key is derived from the recipient and the plaintext, so
+    sealing is deterministic and replay in a seeded simulation is
+    byte-stable. Each distinct message gets a distinct AEAD key, which makes
+    the fixed nonce safe.
+    """
+    recipient = recipient_public_key
+    if len(recipient) != PUBLIC_KEY_LEN:
         raise ValueError("recipient public key must be 32 bytes")
-    return SealedMessage(recipient_public_key, plaintext)
+    scalar = hash_bytes(_EPHEMERAL_TAG + recipient + plaintext)
+    ephemeral = X25519PrivateKey.from_private_bytes(scalar)
+    shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient))
+    ct = ChaCha20Poly1305(_box_key(shared)).encrypt(_ZERO_NONCE, plaintext, recipient)
+    return key_hash(recipient) + ephemeral.public_key().public_bytes_raw() + ct
 
 
-def open_sealed(identity: ClientIdentity, msg: SealedMessage | bytes) -> Plaintext:
-    """Open a sealed message, or its wire bytes, addressed to this identity."""
-    if isinstance(msg, SealedMessage):
-        if msg.recipient_public_key != identity.public_key:
-            raise NotAddressee("message addressed to a different key")
-        return msg.plaintext
+def open_sealed(identity: ClientIdentity, msg: bytes) -> bytes:
+    """Open the wire bytes of a message sealed to this identity."""
     if len(msg) < KEY_HASH_LEN + PUBLIC_KEY_LEN:
         raise ValueError("sealed message too short")
     if msg[:KEY_HASH_LEN] != key_hash(identity.public_key):

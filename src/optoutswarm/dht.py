@@ -2,14 +2,13 @@
 
 The network stores three kinds of entries, all through the same two verbs:
 campaign start times under the hash of the target URL, participant public
-keys under the hash of "start|url", and sealed messages (`SealedMessage`
-records holding a handshake record; no reader needs their wire bytes) under
-the hash of the recipient's public key. Only 20-byte hashed keys ever hit the store;
-preimages stay with the clients.
+keys under the hash of "start|url", and inbox messages (handshake records,
+or sealed wire bytes) under the hash of the recipient's public key. Only
+20-byte hashed keys ever hit the store; preimages stay with the clients.
 
 Each key maps to an insertion-ordered dict from value to the minute it was
 stored, so `contains` answers roster membership in O(1) and `remove` is a
-single pop. `get` returns the live values in insertion order.
+single pop. `get` returns the live values in insertion order; `drain` also removes them.
 
 Values expire after a TTL so abandoned campaigns clean themselves up, and
 equal values collapse to one (re-registering for a campaign is idempotent).
@@ -83,13 +82,16 @@ class SimulatedDht:
     """Single authoritative store; real-DHT churn and routing are out of scope."""
 
     ttl_minutes: int = DEFAULT_TTL_MINUTES
+    inbox_readers: frozenset[bytes] | None = None  # keys whose inbox is polled; None: every key
     _table: dict[bytes, dict[Hashable, int]] = field(default_factory=dict)
     _appends: dict[bytes, int] = field(default_factory=dict)  # values ever stored at the end
 
     def put(self, key: DhtKey, value: Hashable, now: int) -> None:
         if not value:
             raise ValueError("value must be non-empty")
-        values = self._table.setdefault(key.key, {})
+        values = self._table.get(key.key)
+        if values is None:
+            values = self._table[key.key] = {}
         stored_at = values.get(value)
         if stored_at is None or now > stored_at + self.ttl_minutes:
             if stored_at is not None:
@@ -100,6 +102,19 @@ class SimulatedDht:
     def get(self, key: DhtKey, now: int) -> list[Any]:
         oldest = now - self.ttl_minutes
         return [v for v, at in self._table.get(key.key, {}).items() if oldest <= at <= now]
+
+    def drain(self, key: DhtKey, now: int) -> list[Any]:
+        """`get(key, now)`, then a `remove` of each value it returned, in one call."""
+        values = self._table.get(key.key)
+        if values is None:
+            return []
+        oldest = now - self.ttl_minutes
+        live = [v for v, at in values.items() if oldest <= at <= now]
+        for value in live:
+            del values[value]
+        if not values:
+            del self._table[key.key]
+        return live
 
     def contains(self, key: DhtKey, value: Hashable, now: int) -> bool:
         """Whether `value` is in `get(key, now)`, without reading the others."""

@@ -32,6 +32,7 @@ import json
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from operator import attrgetter
 from random import Random
@@ -79,7 +80,7 @@ class SimClient:
         self.budget = AnswerBudget(cap=self.cfg.max_challenges_answered)
 
     def issuer_is_comrade(self, dht: SimulatedDht, issuer_pk: bytes, now: int) -> bool:
-        return coordinator.is_comrade(dht, self.campaign_db, issuer_pk, now)
+        return coordinator.is_comrade(dht, self.campaign_db, now, issuer_pk)
 
 
 Sink = Callable[[str], object]
@@ -123,6 +124,8 @@ def convergence(report: MetricsReport, url: str) -> float:
 
 class _Adversary:
     """Base: full DHT read/write access, own identity and RNG, no honest keys."""
+
+    reads_inbox = False  # whether `step` polls its inbox; the DHT keeps mail only for readers
 
     def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
         self.spec = spec
@@ -208,6 +211,8 @@ class _MitmForwarderAdversary(_Adversary):
     roster, then drains its inbox. It reads those rosters for victims only
     in a minute whose inbox holds a challenge, once, on the first one.
     """
+
+    reads_inbox = True
 
     def step(self, sim: "Simulation", now: int) -> None:
         campaigns = self._register_everywhere(sim, now, self.identity.public_key)
@@ -301,6 +306,9 @@ class Simulation:
             _ADVERSARY_CLASSES[spec.strategy](spec, i, self)
             for i, spec in enumerate(scenario.adversaries)
         ]
+        self.dht.inbox_readers = frozenset(self.by_key).union(
+            a.identity.public_key for a in self.adversaries if a.reads_inbox
+        )
         self.events: list[str] = []
         self.emit = self.events.append if sink is None else sink
         self.adversarial_starts: set[CampaignStart] = set()
@@ -439,7 +447,7 @@ class Simulation:
                         payload,
                         self.dht,
                         client.budget,
-                        lambda pk: client.issuer_is_comrade(self.dht, pk, now),
+                        partial(coordinator.is_comrade, self.dht, client.campaign_db, now),
                         client.tcfg.max_rand,
                         now,
                         known=pending.expected_rand2 if pending else None,

@@ -7,8 +7,9 @@ registered for it, and raises my participation threshold by 1, up to
 `RAMP_CAP`. Nothing a peer merely claims moves the needle, and a streak of
 failed campaigns wipes the whole database on the theory that it was poisoned.
 
-The verification handshake runs over sealed inbox messages: `Challenge` and
-`ChallengeSolution` records in-process, tagged payload bytes on the wire.
+The verification handshake runs over DHT inboxes: `post` leaves the
+`Challenge` or `ChallengeSolution` record itself in the recipient's inbox,
+and on the wire a message is the seal of its tagged payload bytes.
 Answering challenges is rate-limited per sliding hour so a flood of puzzles
 cannot eat a client's CPU.
 """
@@ -184,14 +185,15 @@ def encode_challenge_payload(challenge: Challenge) -> bytes:
     return bytes(challenge)
 
 
-def encode_response_payload(solution: ChallengeSolution) -> bytes:
-    return bytes(solution)
-
-
-def post(dht: SimulatedDht, recipient: bytes, message: crypto.Plaintext, now: int) -> None:
-    """Seal a record, or payload bytes, to a public key and leave it in that
-    key's inbox."""
-    dht.put(inbox_key(recipient), crypto.seal(recipient, message), now)
+def post(
+    dht: SimulatedDht, recipient: bytes, message: Challenge | ChallengeSolution, now: int
+) -> None:
+    """Leave a record in a public key's inbox, unless nobody polls it: no
+    reader could see that mail. Under one inbox key two records are equal
+    exactly when their seals are, so the DHT collapses the same messages."""
+    readers = dht.inbox_readers
+    if readers is None or recipient in readers:
+        dht.put(inbox_key(recipient), message, now)
 
 
 def initiate_verification(
@@ -240,10 +242,8 @@ def handle_challenge(
     with or without it.
     """
     if not issuer_is_comrade(challenge.issuer_public_key):
-        log.debug("dropping challenge from non-comrade")
         return ChallengeHandling(False, False, 0, dropped="not_comrade")
     if not budget.try_consume(now):
-        log.debug("dropping challenge: answer budget exhausted")
         return ChallengeHandling(False, False, 0, dropped="budget")
     try:
         rand2, work = crypto.solve_challenge(challenge, max_rand, known)

@@ -412,6 +412,107 @@ class TestRun:
         assert "empty" in capsys.readouterr().err
 
 
+def _pinned_bytes(scenario_path, tmp_path, capsys, *args) -> bytes:
+    """What `run --out` writes to a fresh regular file."""
+    ref = tmp_path / "reference" / "run.ndjson"
+    ref.parent.mkdir()
+    assert main(["run", str(scenario_path), "--out", str(ref), *args]) == EXIT_OK
+    capsys.readouterr()
+    return ref.read_bytes()
+
+
+class TestOutPath:
+    """`--out` writes the file PATH names, whatever PATH is, and a failed
+    write is a bad path, not an internal failure."""
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "4..5"]], ids=["single", "sweep"])
+    def test_symlink_stays_a_link_to_the_written_file(
+        self, scenario_path, tmp_path, sweep, capsys
+    ):
+        # was: the link was replaced by a regular file and its target kept its bytes
+        seed_args = sweep or ["--seed", "4"]
+        pinned = _pinned_bytes(scenario_path, tmp_path, capsys, "--seed", "4")
+        target = tmp_path / "elsewhere" / "real.ndjson"
+        target.parent.mkdir()
+        target.write_bytes(b"old bytes\n")
+        link = tmp_path / ("runs-seed4.ndjson" if sweep else "runs.ndjson")
+        link.symlink_to(target)
+        out = tmp_path / "runs.ndjson"
+        assert main(["run", str(scenario_path), "--out", str(out), *seed_args]) == EXIT_OK
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == pinned
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_fifo_is_written_not_replaced(self, scenario_path, tmp_path, capsys):
+        # was: the FIFO was replaced by a regular file, and its reader got nothing
+        import stat
+        import threading
+        import time
+
+        pinned = _pinned_bytes(scenario_path, tmp_path, capsys)
+        fifo = tmp_path / "metrics.fifo"
+        os.mkfifo(fifo)
+        # opened before the run, so the writer's open does not wait for it
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        received, finished = bytearray(), threading.Event()
+
+        def drain():
+            while True:
+                try:
+                    chunk = os.read(fd, 1 << 16)
+                except BlockingIOError:  # the writer is open and has nothing new
+                    chunk = None
+                if chunk:
+                    received.extend(chunk)
+                elif chunk == b"" and finished.is_set():  # the run is over, read to the end
+                    return
+                else:
+                    time.sleep(0.005)
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        try:
+            assert main(["run", str(scenario_path), "--out", str(fifo)]) == EXIT_OK
+        finally:
+            finished.set()
+            reader.join(timeout=30)
+            os.close(fd)
+        assert not reader.is_alive()
+        assert bytes(received) == pinned
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert not list(tmp_path.glob(".*.tmp"))
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "4..5"]], ids=["single", "sweep"])
+    def test_failed_write_exits_2_and_keeps_the_old_file(
+        self, scenario_path, tmp_path, sweep
+    ):
+        # was: exit 1, "internal failure: [Errno 27] File too large"
+        import resource
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        limit = 4096  # bytes any one file may grow to; a run writes far more
+        out = tmp_path / "runs.ndjson"
+        failing = tmp_path / ("runs-seed4.ndjson" if sweep else "runs.ndjson")
+        failing.write_bytes(b"old bytes\n")
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "optoutswarm", "run", str(scenario_path),
+             "--out", str(out), *sweep],
+            capture_output=True, text=True, timeout=120, preexec_fn=limit_file_size,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert proc.returncode == EXIT_INVALID, proc.stderr
+        assert proc.stderr == f"cannot write {failing}: File too large\n"
+        assert failing.read_bytes() == b"old bytes\n"
+        assert not list(tmp_path.glob(".*.tmp"))
+        assert not (tmp_path / "runs-seed5.ndjson").exists()
+
 def _console_script_target():
     """What `[project.scripts]` in pyproject.toml installs as `optoutswarm`."""
     import importlib

@@ -385,13 +385,11 @@ class TestPollInbox:
         challenge, _ = crypto.generate_challenge(issuer, 30, Random(2))
         solution = crypto.ChallengeSolution(issuer.public_key, 17)
         key = inbox_key(me.public_key)
-        trust.post(dht, me.public_key, trust.encode_challenge_payload(challenge), 0)
-        trust.post(dht, me.public_key, trust.encode_response_payload(solution), 0)
+        trust.post(dht, me.public_key, challenge, 0)
+        dht.put(key, crypto.seal(me.public_key, bytes(solution)), 0)
         assert len(dht.get(key, 5)) == 2
         got = poll_inbox(5, dht, me)
-        assert len(got) == 2
-        kinds = {type(p) for p in got}
-        assert kinds == {crypto.Challenge, crypto.ChallengeSolution}
+        assert got == [challenge, solution]
         assert dht.get(key, 5) == []
 
     def test_records_sealed_in_process_skip_the_codec(self, monkeypatch):
@@ -403,6 +401,7 @@ class TestPollInbox:
         trust.post(dht, me.public_key, challenge, 0)
         trust.post(dht, me.public_key, solution, 0)
         monkeypatch.setattr(trust, "decode_payload", None)  # any call fails
+        monkeypatch.setattr(crypto, "open_sealed", None)
         got = poll_inbox(5, dht, me)
         assert got == [challenge, solution]
         assert got[0] is challenge and got[1] is solution
@@ -414,9 +413,16 @@ class TestPollInbox:
         key = inbox_key(me.public_key)
         dht.put(key, b"not even a sealed message but long enough" + bytes(52), 0)
         # sealed to someone else entirely
-        dht.put(key, crypto.seal(other.public_key, b"\x02" + bytes(40)).to_bytes(), 0)
+        dht.put(key, crypto.seal(other.public_key, b"\x02" + bytes(40)), 0)
         assert poll_inbox(0, dht, me) == []
         assert dht.get(key, 0) == []
+
+    def test_an_identity_whose_mail_is_not_kept_may_not_poll(self):
+        reader, other = identity("inbox-reader"), identity("inbox-nonreader")
+        dht = SimulatedDht(inbox_readers=frozenset({reader.public_key}))
+        assert poll_inbox(0, dht, reader) == []
+        with pytest.raises(ValueError, match="not kept"):
+            poll_inbox(0, dht, other)
 
     def test_decoded_challenge_equals_the_sent_one(self):
         dht = SimulatedDht()
@@ -425,7 +431,7 @@ class TestPollInbox:
         challenge, _ = crypto.generate_challenge(issuer, 30, Random(2))
         dht.put(
             inbox_key(me.public_key),
-            crypto.seal(me.public_key, trust.encode_challenge_payload(challenge)).to_bytes(),
+            crypto.seal(me.public_key, trust.encode_challenge_payload(challenge)),
             0,
         )
         assert poll_inbox(40, dht, me) == [challenge]
@@ -449,11 +455,11 @@ class TestRoster:
     def test_is_comrade_on_any_joined_roster(self):
         peer, stranger = identity("peer").public_key, identity("stranger").public_key
         register(self.dht, self.other, peer, 0)
-        assert not is_comrade(self.dht, self.db, peer, 0)  # a roster I did not join
+        assert not is_comrade(self.dht, self.db, 0, peer)  # a roster I did not join
         self.db.join(self.other)
-        assert is_comrade(self.dht, self.db, peer, 0)
-        assert not is_comrade(self.dht, self.db, stranger, 0)
-        assert not is_comrade(self.dht, self.db, peer, self.dht.ttl_minutes + 1)  # expired
+        assert is_comrade(self.dht, self.db, 0, peer)
+        assert not is_comrade(self.dht, self.db, 0, stranger)
+        assert not is_comrade(self.dht, self.db, self.dht.ttl_minutes + 1, peer)  # expired
 
 
 class TestChallengeComrades:

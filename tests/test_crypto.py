@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optoutswarm import crypto, pow_backend
@@ -219,17 +219,9 @@ def test_mean_work_tracks_interval_size():
     assert 0.4 * (max_rand + 1) <= mean <= 0.6 * (max_rand + 1)
 
 
-# sha256 over the wire bytes of 16 sealed messages, as sealed when `seal`
-# still encrypted eagerly: lazy sealing must not move a ciphertext byte
+# sha256 over the wire bytes of 16 sealed messages, as sealed since `seal`
+# first encrypted: a change to sealing must not move a ciphertext byte
 SEALED_WIRE_DIGEST = "16918fc817ea24f4622b776249359750b893ea28bde36358f600ffdc6a04296a"
-
-OPEN_FORMS = ("lazy", "wire")
-
-
-def open_as(form: str, recipient: crypto.ClientIdentity, msg: crypto.SealedMessage) -> bytes:
-    """Open `msg` as the object `seal` returned, or through its wire bytes,
-    which run the X25519 exchange and the AEAD tag check."""
-    return crypto.open_sealed(recipient, msg if form == "lazy" else msg.to_bytes())
 
 
 def flip_bit(wire: bytes, index: int) -> bytes:
@@ -239,43 +231,36 @@ def flip_bit(wire: bytes, index: int) -> bytes:
 
 
 class TestSealedMessages:
-    # The round-trip tests below open every message in both forms, so both
-    # must return the same plaintext.
-
     def test_round_trip(self):
         bob = identity("bob")
-        msg = crypto.seal(bob.public_key, b"meet at dawn")
-        for form in OPEN_FORMS:
-            assert open_as(form, bob, msg) == b"meet at dawn"
+        wire = crypto.seal(bob.public_key, b"meet at dawn")
+        assert crypto.open_sealed(bob, wire) == b"meet at dawn"
 
     def test_wrong_identity_is_not_addressee(self):
         bob, eve = identity("bob"), identity("eve")
-        msg = crypto.seal(bob.public_key, b"secret")
-        for form in OPEN_FORMS:
-            with pytest.raises(crypto.NotAddressee):
-                open_as(form, eve, msg)
+        wire = crypto.seal(bob.public_key, b"secret")
+        with pytest.raises(crypto.NotAddressee):
+            crypto.open_sealed(eve, wire)
 
     def test_empty_plaintext_round_trips(self):
         bob = identity("bob")
-        msg = crypto.seal(bob.public_key, b"")
-        for form in OPEN_FORMS:
-            assert open_as(form, bob, msg) == b""
+        assert crypto.open_sealed(bob, crypto.seal(bob.public_key, b"")) == b""
 
     def test_tampered_ciphertext_fails_authentication(self):
         bob = identity("bob")
-        wire = crypto.seal(bob.public_key, b"payload").to_bytes()
+        wire = crypto.seal(bob.public_key, b"payload")
         with pytest.raises(crypto.DecryptionFailure):
             crypto.open_sealed(bob, flip_bit(wire, -1))
 
     def test_tampered_ephemeral_key_fails_authentication(self):
         bob = identity("bob")
-        wire = crypto.seal(bob.public_key, b"payload").to_bytes()
+        wire = crypto.seal(bob.public_key, b"payload")
         with pytest.raises(crypto.DecryptionFailure):
             crypto.open_sealed(bob, flip_bit(wire, crypto.KEY_HASH_LEN))
 
     def test_tampered_recipient_hash_is_not_addressee(self):
         bob = identity("bob")
-        wire = crypto.seal(bob.public_key, b"payload").to_bytes()
+        wire = crypto.seal(bob.public_key, b"payload")
         with pytest.raises(crypto.NotAddressee):
             crypto.open_sealed(bob, flip_bit(wire, 0))
 
@@ -287,44 +272,41 @@ class TestSealedMessages:
         bob = identity("bob")
         digest = hashlib.sha256()
         for i in range(16):
-            digest.update(crypto.seal(bob.public_key, b"meet at dawn %d" % i).to_bytes())
+            digest.update(crypto.seal(bob.public_key, b"meet at dawn %d" % i))
         assert digest.hexdigest() == SEALED_WIRE_DIGEST
 
     def test_wire_round_trip(self):
         bob = identity("bob")
-        msg = crypto.seal(bob.public_key, b"x" * 100)
-        wire = msg.to_bytes()
+        wire = crypto.seal(bob.public_key, b"x" * 100)
         assert wire[: crypto.KEY_HASH_LEN] == crypto.key_hash(bob.public_key)
-        assert crypto.open_sealed(bob, wire) == msg.plaintext
+        assert len(wire) == crypto.KEY_HASH_LEN + crypto.PUBLIC_KEY_LEN + 100 + 16
+        assert crypto.open_sealed(bob, wire) == b"x" * 100
         with pytest.raises(ValueError):
             crypto.open_sealed(bob, b"too short")
 
     def test_sealing_is_deterministic(self):
         bob = identity("bob")
         assert crypto.seal(bob.public_key, b"same") == crypto.seal(bob.public_key, b"same")
-        assert (
-            crypto.seal(bob.public_key, b"same").to_bytes()
-            == crypto.seal(bob.public_key, b"same").to_bytes()
-        )
+        assert crypto.seal(bob.public_key, b"same") != crypto.seal(bob.public_key, b"same!")
 
     def test_seals_are_equal_exactly_when_their_wire_bytes_are(self):
-        # the DHT collapses equal values and keeps insertion order, so equal
-        # objects must stand for equal wire bytes and unequal ones for unequal
+        # an inbox holds records, and the DHT collapses equal values and keeps
+        # insertion order: under one recipient, records must be equal exactly
+        # when the wire bytes they seal to are
         keys = [identity(tag).public_key for tag in ("bob", "eve", "carol")]
         issuer, target = keys[0], bytes(range(32))
-        plaintexts = [
-            b"", b"a", b"b", b"meet at dawn", b"\x01" * 73,
+        records = [
             crypto.Challenge(issuer, 7, target), crypto.Challenge(issuer, 8, target),
             crypto.Challenge(keys[1], 7, target), crypto.Challenge(issuer, 7, bytes(32)),
             crypto.ChallengeSolution(issuer, 7), crypto.ChallengeSolution(issuer, 8),
             crypto.ChallengeSolution(keys[2], 7),
         ]
-        sealed = [crypto.seal(k, p) for k in keys for p in plaintexts]
-        wires = [m.to_bytes() for m in sealed]
-        for a, wire_a in zip(sealed, wires):
-            for b, wire_b in zip(sealed, wires):
-                assert (a == b) == (wire_a == wire_b)
-                assert (a == b) <= (hash(a) == hash(b))
+        for key in keys:
+            wires = [crypto.seal(key, bytes(r)) for r in records]
+            for a, wire_a in zip(records, wires):
+                for b, wire_b in zip(records, wires):
+                    assert (a == b) == (wire_a == wire_b)
+                    assert (a == b) <= (hash(a) == hash(b))
 
     def test_equal_seals_collapse_to_one_dht_value(self):
         bob = identity("bob")
@@ -342,6 +324,31 @@ class TestSealedMessages:
     @settings(max_examples=30, deadline=None)
     def test_any_plaintext_round_trips(self, plaintext):
         bob = identity("prop-bob")
-        msg = crypto.seal(bob.public_key, plaintext)
-        for form in OPEN_FORMS:
-            assert open_as(form, bob, msg) == plaintext
+        assert crypto.open_sealed(bob, crypto.seal(bob.public_key, plaintext)) == plaintext
+
+
+public_keys = st.binary(min_size=crypto.PUBLIC_KEY_LEN, max_size=crypto.PUBLIC_KEY_LEN)
+rands = st.integers(min_value=0, max_value=crypto.MAX_RAND_LIMIT)
+records = st.one_of(
+    st.builds(crypto.Challenge, public_keys, rands, st.binary(min_size=32, max_size=32)),
+    st.builds(crypto.ChallengeSolution, public_keys, rands),
+)
+
+
+class TestPayloadCodec:
+    # every pinned run draws rand1 and rand2 far below 2^56, so only the full
+    # range shows a decoder that reads a number's top byte wrong
+
+    @given(record=records)
+    @example(record=crypto.Challenge(b"i" * 32, crypto.MAX_RAND_LIMIT, b"t" * 32))
+    @example(record=crypto.ChallengeSolution(b"s" * 32, crypto.MAX_RAND_LIMIT))
+    @settings(max_examples=200, deadline=None)
+    def test_payload_round_trips(self, record):
+        assert crypto.decode_payload(bytes(record)) == record
+
+    @given(record=records)
+    @settings(max_examples=30, deadline=None)
+    def test_sealed_payload_round_trips(self, record):
+        bob = identity("codec-bob")
+        wire = crypto.seal(bob.public_key, bytes(record))
+        assert crypto.decode_payload(crypto.open_sealed(bob, wire)) == record

@@ -254,3 +254,35 @@ def test_oracle_equivalence_property(ops):
             store.remove(key, value)
             oracle.get(key.key, {}).pop(value, None)
         assert_matches(store, oracle, key, values)
+
+
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["put", "put", "drain"]),
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=0, max_value=15),
+        ),
+        max_size=60,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_drain_is_get_then_remove_each(ops):
+    # one call in place of a get and a remove per value it returned: the
+    # same values, and the same store after, expired values and re-puts too
+    drained, removed = fresh(ttl_minutes=20), fresh(ttl_minutes=20)
+    key, now = k("inbox"), 0
+    for action, val_i, wait in ops:
+        now += wait
+        if action == "put":
+            for store in (drained, removed):
+                store.put(key, f"v{val_i}".encode(), now)
+        else:
+            values = removed.get(key, now)
+            for value in values:
+                removed.remove(key, value)
+            assert drained.drain(key, now) == values
+        assert drained.get(key, now) == removed.get(key, now)
+        count = drained.appended(key, 0)[1]
+        for cursor in range(count + 1):
+            assert drained.appended(key, cursor) == removed.appended(key, cursor)

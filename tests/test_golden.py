@@ -29,7 +29,9 @@ from pathlib import Path
 import pytest
 
 import corpus
+from optoutswarm import crypto, trust
 from optoutswarm.cli import main
+from optoutswarm.dht import inbox_key
 from optoutswarm.scenario import Scenario, from_dict, load_file
 from optoutswarm.simulation import _ENCODER, MetricsReport, Simulation, run
 
@@ -192,6 +194,36 @@ def test_bursts_add_up_to_the_site_traffic(name):
                 if url == site.url and start <= now < start + scenario.campaign_duration
             )
             assert sent.get((site.url, now), 0) == scenario.opt_out_rate * pairs, (site.url, now)
+
+
+@pytest.fixture()
+def wire_mode(monkeypatch) -> Counter:
+    """Every message crosses the wire: each inbox, read or not, gets the seal
+    of the record's payload bytes, which its reader opens and decodes, and
+    every solve scans without the issuer's answer. Counts the messages."""
+    sent = Counter()
+    handle = trust.handle_challenge
+
+    def post(dht, recipient, message, now):
+        sent[type(message).__name__] += 1
+        dht.put(inbox_key(recipient), crypto.seal(recipient, bytes(message)), now)
+
+    def handle_challenge(*args, known=None, **kwargs):
+        return handle(*args, **kwargs)
+
+    monkeypatch.setattr(trust, "post", post)
+    monkeypatch.setattr(trust, "handle_challenge", handle_challenge)
+    return sent
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN), EDGE.name])
+def test_wire_mode_writes_the_pinned_bytes(name, wire_mode):
+    # records in the inbox, mail kept only for readers and the known answer
+    # change how a run computes, never what: the protocol on the wire must
+    # write the same bytes (a differential check against the shortcuts)
+    path, digest = (EDGE, EDGE_DIGEST) if name == EDGE.name else (SCENARIOS / name, GOLDEN[name])
+    assert _digest(run(load_file(str(path))).to_ndjson()) == digest
+    assert wire_mode["Challenge"] and wire_mode["ChallengeSolution"]
 
 
 def test_rejoin_variant_joins_campaigns_already_held():

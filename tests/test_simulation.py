@@ -243,6 +243,26 @@ def test_only_due_peers_reach_initiate_verification(monkeypatch):
     assert calls == sent == 3256
 
 
+def test_no_mail_is_kept_for_inboxes_nobody_polls():
+    # honest clients challenge the sybil keys on their rosters, and nobody
+    # polls a sybil's inbox, so none of those challenges is stored
+    sim = Simulation(load_file("scenarios/sybil_flood.json"))
+    report = sim.run()
+    (sybil,) = sim.adversaries
+    challenged = {e["peer"] for e in _events(report) if e["type"] == "challenge_sent"}
+    assert challenged & {pk.hex() for pk in sybil.sybil_keys}
+    for pk in sybil.sybil_keys:
+        assert sim.dht.appended(dht.inbox_key(pk), 0) == ([], 0)
+
+
+def test_honest_clients_and_the_forwarder_read_their_inboxes():
+    sim = Simulation(from_dict(attack_mix()))
+    (forwarder,) = [a for a in sim.adversaries if isinstance(a, _MitmForwarderAdversary)]
+    assert sim.dht.inbox_readers == {c.identity.public_key for c in sim.clients} | {
+        forwarder.identity.public_key
+    }
+
+
 @pytest.mark.parametrize("probe_count", [1, 5, 7, 30])
 @pytest.mark.parametrize("waits", [(60, 240), (10, 20)], ids=["joined_early", "joined_late"])
 def test_probe_schedule(monkeypatch, probe_count, waits):
@@ -302,7 +322,7 @@ class _FullReadMitm(_MitmForwarderAdversary):
                     target_hash=message.target_hash,
                 )
             for victim_pk in sorted(victims - {message.issuer_public_key}):
-                trust.post(sim.dht, victim_pk, trust.encode_challenge_payload(forwarded), now)
+                trust.post(sim.dht, victim_pk, forwarded, now)
                 self.counters["forwarded"] += 1
 
 

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from optoutswarm import crypto, pow_backend
+from optoutswarm.coordinator import poll_inbox
 from optoutswarm.dht import SimulatedDht, inbox_key
 from optoutswarm.trust import (
     AnswerBudget,
@@ -18,11 +19,11 @@ from optoutswarm.trust import (
     apply_outcome,
     decode_payload,
     encode_challenge_payload,
-    encode_response_payload,
     handle_challenge,
     handle_response,
     initiate_verification,
     judge_outcome,
+    post,
 )
 
 
@@ -122,7 +123,7 @@ class TestPayloads:
 
     def test_response_round_trip(self):
         solution = crypto.ChallengeSolution(solver_public_key=b"s" * 32, rand2=77)
-        data = encode_response_payload(solution)
+        data = bytes(solution)
         assert len(data) == 41
         assert decode_payload(data) == solution
 
@@ -131,14 +132,16 @@ class TestPayloads:
         challenge, rand2 = crypto.generate_challenge(identity("payload-issuer"), 100, Random(7))
         solution = crypto.ChallengeSolution(solver_public_key=b"s" * 32, rand2=rand2)
         for record, encode in (
-            (challenge, encode_challenge_payload), (solution, encode_response_payload)
+            (challenge, encode_challenge_payload), (solution, bytes)
         ):
-            sealed = crypto.seal(bob.public_key, record)
-            assert crypto.open_sealed(bob, sealed) is record
-            wire = sealed.to_bytes()
+            # posted in-process, a record is polled as itself
+            dht = SimulatedDht()
+            post(dht, bob.public_key, record, 0)
+            (polled,) = poll_inbox(0, dht, bob)
+            assert polled is record
+            # on the wire it is the seal of its payload, and decodes back
+            wire = crypto.seal(bob.public_key, encode(record))
             assert decode_payload(crypto.open_sealed(bob, wire)) == record
-            # the same wire bytes as a seal of the encoded payload
-            assert wire == crypto.seal(bob.public_key, encode(record)).to_bytes()
 
     @pytest.mark.parametrize(
         "data",
@@ -160,13 +163,34 @@ class TestInitiate:
         )
         values = dht.get(inbox_key(peer.public_key), 0)
         assert len(values) == 1
-        # sealed in-process, the challenge opens as the record itself
-        challenge = crypto.open_sealed(peer, values[0])
+        # posted in-process, the inbox holds the record itself
+        challenge = values[0]
         assert isinstance(challenge, crypto.Challenge)
         assert challenge == sent
         assert challenge.issuer_public_key == me.public_key
         assert challenge.rand1 == sent.rand1
         assert db.pending[peer.public_key].issued_at == 0
+
+
+class TestPost:
+    def setup_method(self):
+        self.challenge, _ = crypto.generate_challenge(identity("post-issuer"), 50, Random(3))
+
+    def test_plain_store_keeps_mail_for_every_key(self):
+        dht = SimulatedDht()
+        assert dht.inbox_readers is None
+        for tag in ("post-a", "post-b", "post-c"):
+            recipient = identity(tag).public_key
+            post(dht, recipient, self.challenge, 0)
+            assert dht.get(inbox_key(recipient), 0) == [self.challenge]
+
+    def test_mail_for_an_inbox_nobody_reads_is_not_kept(self):
+        reader, other = identity("post-reader").public_key, identity("post-other").public_key
+        dht = SimulatedDht(inbox_readers=frozenset({reader}))
+        post(dht, reader, self.challenge, 0)
+        post(dht, other, self.challenge, 0)
+        assert dht.get(inbox_key(reader), 0) == [self.challenge]
+        assert dht.appended(inbox_key(other), 0) == ([], 0)
 
 
 class TestHandleChallenge:
@@ -200,8 +224,7 @@ class TestHandleChallenge:
         got = self.handle(AnswerBudget(cap=5))
         assert got.answered and got.attempted and got.dropped is None
         assert got.hash_evaluations == self.expected + 1
-        values = self.dht.get(inbox_key(self.issuer.public_key), 0)
-        solution = crypto.open_sealed(self.issuer, values[0])
+        (solution,) = self.dht.get(inbox_key(self.issuer.public_key), 0)
         assert isinstance(solution, crypto.ChallengeSolution)
         assert solution == crypto.ChallengeSolution(self.me.public_key, self.expected)
 
@@ -310,15 +333,13 @@ def test_full_handshake_end_to_end():
     alice_db = TrustDb()
 
     initiate_verification(alice, bob.public_key, dht, alice_db, cfg, Random(9), 0)
-    sealed = dht.get(inbox_key(bob.public_key), 0)[0]
-    challenge = crypto.open_sealed(bob, sealed)
+    (challenge,) = poll_inbox(0, dht, bob)
     handled = handle_challenge(
         bob, challenge, dht, AnswerBudget(cap=5),
         issuer_is_comrade=lambda pk: True, max_rand=40, now=1,
     )
     assert handled.answered
-    sealed_back = dht.get(inbox_key(alice.public_key), 1)[0]
-    solution = crypto.open_sealed(alice, sealed_back)
+    (solution,) = poll_inbox(1, dht, alice)
     assert handle_response(alice_db, solution) is True
     assert bob.public_key in alice_db.verified
     assert alice_db.trust(bob.public_key) == 1
