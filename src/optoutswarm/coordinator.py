@@ -208,6 +208,15 @@ def register(dht: SimulatedDht, campaign: CampaignStart, public_key: bytes, now:
     dht.put(_roster_key(campaign), public_key, now)
 
 
+def register_many(
+    dht: SimulatedDht, campaign: CampaignStart, public_keys: list[bytes], now: int
+) -> None:
+    """`register` each key in turn, deriving the roster's key once."""
+    key = _roster_key(campaign)
+    for public_key in public_keys:
+        dht.put(key, public_key, now)
+
+
 def read_comrades(
     dht: SimulatedDht, campaign: CampaignStart, now: int
 ) -> list[bytes]:

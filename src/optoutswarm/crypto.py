@@ -168,6 +168,21 @@ def generate_challenge(
     return Challenge(issuer.public_key, rand1, target), rand2
 
 
+def draw_answer(max_rand: int, rng: Random) -> int:
+    """The answer `generate_challenge` returns, from the same draws of `rng`,
+    without building the challenge: no target hash and no record."""
+    if not 0 <= max_rand <= MAX_RAND_LIMIT:
+        raise ValueError(f"max_rand must lie in [0, {MAX_RAND_LIMIT}]")
+    bound = max_rand + 1
+    bits = bound.bit_length()
+    while rng.getrandbits(bits) >= bound:  # rand1, which nobody will read
+        pass
+    rand2 = rng.getrandbits(bits)
+    while rand2 >= bound:
+        rand2 = rng.getrandbits(bits)
+    return rand2
+
+
 def solve_challenge(
     challenge: Challenge, max_rand: int, known: int | None = None
 ) -> tuple[int, int]:

@@ -135,6 +135,7 @@ class _Adversary:
         self.identity = crypto.generate_identity(self.rng)
         self.counters: Counter[str] = Counter()
         self.put_at: dict[CampaignStart, int] = {}  # the minute of a roster's last put
+        self.settled: list[CampaignStart] | None = None  # a view whose every put lasts
 
     def step(self, sim: "Simulation", now: int) -> None:
         raise NotImplementedError
@@ -144,14 +145,22 @@ class _Adversary:
     ) -> list[CampaignStart]:
         """Every announced campaign, with `pk` kept on its roster as a put each
         minute would keep it. A put that stays live to the run's last minute
-        is not repeated: no reader could tell a refresh in place from it."""
+        is not repeated: no reader could tell a refresh in place from it.
+        So once every put on a view lasts, the view is settled, and taking
+        the same view again returns at once."""
         campaigns = sim.announced_campaigns(now)
+        if campaigns is self.settled:
+            return campaigns
         # a put from this minute on stays live to the run's last minute
         lasting = sim.scenario.duration - 1 - sim.dht.ttl_minutes
+        settled = True
         for campaign in campaigns:
             if campaign not in self.put_at or self.put_at[campaign] < lasting:
                 self.put_at[campaign] = now
                 coordinator.register(sim.dht, campaign, pk, now)
+                settled = now >= lasting
+        if settled:
+            self.settled = campaigns
         return campaigns
 
 
@@ -179,7 +188,7 @@ class _StartInjector(_Adversary):
             coordinator.announce_start(sim.dht, url, campaign.start, now)
             sim.adversarial_starts.add(campaign)
             self.counters["injected"] += 1
-        sim.announced.clear()
+        sim.announced = None
 
 
 class _ChallengeFloodAdversary(_Adversary):
@@ -192,10 +201,9 @@ class _ChallengeFloodAdversary(_Adversary):
             return
         victim_pk = sim.clients[params["victim"]].identity.public_key
         for _ in range(params["count"]):
-            challenge, _expected = crypto.generate_challenge(
-                self.identity, params["max_rand"], self.rng
+            trust.post_challenge(
+                sim.dht, self.identity, victim_pk, params["max_rand"], self.rng, now
             )
-            trust.post(sim.dht, victim_pk, challenge, now)
             self.counters["challenges_sent"] += 1
 
 
@@ -239,9 +247,10 @@ class _MitmForwarderAdversary(_Adversary):
 class _SybilFloodAdversary(_Adversary):
     """Registers a crowd of fresh, never-verified identities everywhere.
 
-    Each minute it reads every announced start. It puts all its keys on a
-    start's roster on first sight and again once they expire there: nobody
-    else puts or removes them, so it never needs to read the roster.
+    Each minute it takes the shared view of the announced starts. It puts
+    all its keys on a start's roster on first sight and again once they
+    expire there, in one pass per roster: nobody else puts or removes them,
+    so it never needs to read the roster.
     """
 
     def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
@@ -256,9 +265,8 @@ class _SybilFloodAdversary(_Adversary):
             if campaign in self.put_at and now <= self.put_at[campaign] + sim.dht.ttl_minutes:
                 continue
             self.put_at[campaign] = now
-            for pk in self.sybil_keys:
-                coordinator.register(sim.dht, campaign, pk, now)
-                self.counters["registered"] += 1
+            coordinator.register_many(sim.dht, campaign, self.sybil_keys, now)
+            self.counters["registered"] += len(self.sybil_keys)
 
 
 _ADVERSARY_CLASSES = {
@@ -325,7 +333,7 @@ class Simulation:
             self._pollers.setdefault(client.cfg.poll_interval, []).append(client)
         # (minute, phase) -> client index -> campaign -> action
         self._agenda: dict[tuple[int, str], dict[int, dict[CampaignStart, str]]] = {}
-        self.announced: dict[int, list[CampaignStart]] = {}  # minute -> its shared view
+        self.announced: list[CampaignStart] | None = None  # the shared view, until dropped
 
     def joined_campaigns(self) -> set[CampaignStart]:
         """Every campaign some honest client joined: the union of their tables."""
@@ -338,19 +346,21 @@ class Simulation:
     def announced_campaigns(self, now: int) -> list[CampaignStart]:
         """Every announced start of every known URL: what adversaries act on.
 
-        Read once a minute and shared by the adversaries. Exact, because in
-        the adversary phase only an injector's announcement changes a
-        campaign table, and it drops the view; known URLs change only with
-        joins, in the spam phase.
+        Read on first use and shared by the adversaries, across minutes,
+        until something a fresh read would see can have changed. Three
+        events drop it: an injector's announcement; a spam minute that
+        handles an injection, the one place honest clients announce and
+        join (so the known URLs change only there); and, once `now` passes
+        the DHT's TTL, each minute's adversary phase, since a start can
+        expire only then.
         """
-        view = self.announced.get(now)
+        view = self.announced
         if view is None:
-            view = [
+            view = self.announced = [
                 CampaignStart(url, start)
                 for url in self.known_urls()
                 for start in coordinator.read_starts(self.dht, url, now)
             ]
-            self.announced = {now: view}
         return view
 
     def _book(
@@ -383,11 +393,14 @@ class Simulation:
     # phases
 
     def _phase_adversaries(self, now: int) -> None:
+        if now > self.dht.ttl_minutes:  # a start announced at minute 0 may expire from now on
+            self.announced = None
         for adversary in self.adversaries:
             adversary.step(self, now)
 
     def _phase_spam(self, now: int) -> None:
         for injection in self._spam_at.get(now, ()):
+            self.announced = None  # clients announce and join below
             urls = evaluator.evaluate(
                 injection.mail, self.scenario.redirect_map, self._whitelist, self._confirm
             )

@@ -7,9 +7,10 @@ registered for it, and raises my participation threshold by 1, up to
 `RAMP_CAP`. Nothing a peer merely claims moves the needle, and a streak of
 failed campaigns wipes the whole database on the theory that it was poisoned.
 
-The verification handshake runs over DHT inboxes: `post` leaves the
-`Challenge` or `ChallengeSolution` record itself in the recipient's inbox,
-and on the wire a message is the seal of its tagged payload bytes.
+The verification handshake runs over DHT inboxes: `post` and
+`post_challenge` leave the `Challenge` or `ChallengeSolution` record itself
+in the recipient's inbox, and on the wire a message is the seal of its
+tagged payload bytes.
 Answering challenges is rate-limited per sliding hour so a flood of puzzles
 cannot eat a client's CPU.
 """
@@ -188,12 +189,30 @@ def encode_challenge_payload(challenge: Challenge) -> bytes:
 def post(
     dht: SimulatedDht, recipient: bytes, message: Challenge | ChallengeSolution, now: int
 ) -> None:
-    """Leave a record in a public key's inbox, unless nobody polls it: no
-    reader could see that mail. Under one inbox key two records are equal
-    exactly when their seals are, so the DHT collapses the same messages."""
+    """Leave a built record in a public key's inbox, unless nobody polls it:
+    no reader could see that mail. Under one inbox key two records are equal
+    exactly when their seals are, so the DHT collapses the same messages.
+    A fresh challenge goes through `post_challenge` instead, which does not
+    build one that nobody would read."""
     readers = dht.inbox_readers
     if readers is None or recipient in readers:
         dht.put(inbox_key(recipient), message, now)
+
+
+def post_challenge(
+    dht: SimulatedDht, issuer: ClientIdentity, recipient: bytes, max_rand: int, rng: Random,
+    now: int,
+) -> int:
+    """Leave a fresh challenge from `issuer` in a public key's inbox; returns
+    its answer. A challenge to an inbox nobody polls is drawn, not built:
+    `crypto.draw_answer` makes the same draws from `rng`, with no target
+    hash, no record and no put."""
+    readers = dht.inbox_readers
+    if readers is not None and recipient not in readers:
+        return crypto.draw_answer(max_rand, rng)
+    challenge, rand2 = crypto.generate_challenge(issuer, max_rand, rng)
+    dht.put(inbox_key(recipient), challenge, now)
+    return rand2
 
 
 def initiate_verification(
@@ -204,16 +223,19 @@ def initiate_verification(
     cfg: TrustConfig,
     rng: Random,
     now: int,
-) -> Challenge:
-    """Post a challenge to a peer and keep its answer, replacing any pending one.
+) -> PendingChallenge:
+    """Challenge a peer and keep its answer, replacing any pending one;
+    returns what is kept. The answer and its timeout are kept whether or
+    not anyone reads the peer's inbox (see `post_challenge`), so the
+    issuer's stream and its schedule of re-challenges are the same.
 
     Whom to challenge, and when, is decided by `coordinator.challenge_comrades`.
     """
-    challenge, expected_rand2 = crypto.generate_challenge(me, cfg.max_rand, rng)
-    db.pending[peer_public_key] = PendingChallenge(expected_rand2, now)
+    pending = db.pending[peer_public_key] = PendingChallenge(
+        post_challenge(dht, me, peer_public_key, cfg.max_rand, rng, now), now
+    )
     db.timeouts.setdefault(now + cfg.rechallenge_timeout, []).append(peer_public_key)
-    post(dht, peer_public_key, challenge, now)
-    return challenge
+    return pending
 
 
 class ChallengeHandling(NamedTuple):

@@ -199,31 +199,47 @@ def test_bursts_add_up_to_the_site_traffic(name):
 @pytest.fixture()
 def wire_mode(monkeypatch) -> Counter:
     """Every message crosses the wire: each inbox, read or not, gets the seal
-    of the record's payload bytes, which its reader opens and decodes, and
-    every solve scans without the issuer's answer. Counts the messages."""
+    of the record's payload bytes, which its reader opens and decodes; every
+    fresh challenge is built, even one nobody will read; and every solve
+    scans without the issuer's answer. Counts the messages by type, and the
+    sealed challenges to an inbox nobody polls as "unread"."""
     sent = Counter()
     handle = trust.handle_challenge
 
     def post(dht, recipient, message, now):
         sent[type(message).__name__] += 1
+        readers = dht.inbox_readers
+        if isinstance(message, crypto.Challenge) and readers is not None and (
+            recipient not in readers
+        ):
+            sent["unread"] += 1
         dht.put(inbox_key(recipient), crypto.seal(recipient, bytes(message)), now)
+
+    def post_challenge(dht, issuer, recipient, max_rand, rng, now):
+        challenge, rand2 = crypto.generate_challenge(issuer, max_rand, rng)
+        post(dht, recipient, challenge, now)
+        return rand2
 
     def handle_challenge(*args, known=None, **kwargs):
         return handle(*args, **kwargs)
 
     monkeypatch.setattr(trust, "post", post)
+    monkeypatch.setattr(trust, "post_challenge", post_challenge)
     monkeypatch.setattr(trust, "handle_challenge", handle_challenge)
     return sent
 
 
 @pytest.mark.parametrize("name", [*sorted(GOLDEN), EDGE.name])
 def test_wire_mode_writes_the_pinned_bytes(name, wire_mode):
-    # records in the inbox, mail kept only for readers and the known answer
-    # change how a run computes, never what: the protocol on the wire must
-    # write the same bytes (a differential check against the shortcuts)
+    # records in the inbox, mail kept only for readers, challenges to other
+    # inboxes drawn, not built, and the known answer change how a run
+    # computes, never what: the protocol on the wire must write the same
+    # bytes (a differential check against the shortcuts)
     path, digest = (EDGE, EDGE_DIGEST) if name == EDGE.name else (SCENARIOS / name, GOLDEN[name])
     assert _digest(run(load_file(str(path))).to_ndjson()) == digest
     assert wire_mode["Challenge"] and wire_mode["ChallengeSolution"]
+    if name == "sybil_flood.json":  # honest clients challenge the sybil keys
+        assert wire_mode["unread"]
 
 
 def test_rejoin_variant_joins_campaigns_already_held():

@@ -4,7 +4,7 @@ import dataclasses
 import functools
 import hashlib
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -255,6 +255,35 @@ def test_no_mail_is_kept_for_inboxes_nobody_polls():
         assert sim.dht.appended(dht.inbox_key(pk), 0) == ([], 0)
 
 
+def test_a_challenge_to_an_inbox_nobody_reads_is_never_hashed(monkeypatch):
+    # the sybil keys on the honest rosters get challenges nobody reads:
+    # their answers are drawn, and no target hash is computed for them
+    sim = Simulation(load_file("scenarios/sybil_flood.json"))
+    readers = sim.dht.inbox_readers
+    sent, hashed = Counter(), Counter()  # whether the recipient reads -> challenges, hashes
+    to = []  # the recipient of the challenge being posted
+    post_challenge, challenge_target = trust.post_challenge, crypto.challenge_target
+
+    def posting(store, issuer, recipient, *args):
+        sent[recipient in readers] += 1
+        to.append(recipient)
+        try:
+            return post_challenge(store, issuer, recipient, *args)
+        finally:
+            to.pop()
+
+    def hashing(*args):
+        if to:
+            hashed[to[-1] in readers] += 1
+        return challenge_target(*args)
+
+    monkeypatch.setattr(trust, "post_challenge", posting)
+    monkeypatch.setattr(crypto, "challenge_target", hashing)
+    sim.run()
+    assert sent[False] and sent[True]
+    assert hashed == Counter({True: sent[True]})
+
+
 def test_honest_clients_and_the_forwarder_read_their_inboxes():
     sim = Simulation(from_dict(attack_mix()))
     (forwarder,) = [a for a in sim.adversaries if isinstance(a, _MitmForwarderAdversary)]
@@ -431,33 +460,41 @@ def test_the_shared_view_of_announced_campaigns_is_a_fresh_read(monkeypatch, sha
     assert any(seen)
 
 
-def test_adversaries_share_one_view_a_minute_until_an_injector_announces(monkeypatch):
+@pytest.mark.parametrize("ttl", [None, 37])
+def test_adversaries_share_one_view_until_the_campaign_tables_can_change(monkeypatch, ttl):
     shared, inject = Simulation.announced_campaigns, _StartInjector.step
     built, taken = [], []  # (minute, view) for each view built and each one taken
 
     def counted(sim, now):
-        fresh = now not in sim.announced
+        fresh = sim.announced is None
         view = shared(sim, now)
-        (built if fresh else taken).append((now, id(view)))
+        if not fresh:
+            assert view is built[-1][1], now
+        (built if fresh else taken).append((now, view))
         return view
 
     def injecting(self, sim, now):
-        before = dict(sim.announced)
+        before = sim.announced
         inject(self, sim, now)
-        if now % self.period == 0:
-            assert sim.announced == {}
-        else:
-            assert sim.announced == before
+        assert sim.announced is (None if now % self.period == 0 else before)
 
     monkeypatch.setattr(Simulation, "announced_campaigns", counted)
     monkeypatch.setattr(_StartInjector, "step", injecting)
     sim = Simulation(from_dict(interleaved()))
+    if ttl is not None:
+        sim.dht.ttl_minutes = ttl
     sim.run()
-    # the sybil builds the view; the forwarder takes it, unless the
-    # separation adversary announced in between, every 20 minutes
+    # the sybil builds the view at minute 0, in the minute after a spam
+    # minute, and in every minute once a start can have expired; the
+    # forwarder builds it again after the separation adversary announces,
+    # every 20 minutes; every other take shares the last view built
+    spam = {injection.minute for injection in sim.scenario.spam_injections}
     minutes = range(sim.scenario.duration)
-    assert [now for now, _view in built] == sorted([*minutes, *minutes[::20]])
-    assert [now for now, _view in taken] == [now for now in minutes if now % 20]
+    by_sybil = [now for now in minutes if now == 0 or now - 1 in spam or now > sim.dht.ttl_minutes]
+    assert [now for now, _view in built] == sorted([*by_sybil, *minutes[::20]])
+    assert len(built) + len(taken) == 2 * len(minutes)
+    if ttl is None:  # the run is shorter than the TTL
+        assert len(built) == 2 + 20
 
 
 def _roster_calls_in_step(monkeypatch, cls, verb="get") -> list[tuple[int, bytes, object]]:
@@ -575,6 +612,8 @@ def test_forwarder_and_flood_put_a_roster_again_only_until_a_put_lasts(monkeypat
         assert by_roster
         for minutes in by_roster.values():
             assert [m for m in minutes[:-1] if m >= lasting] == []
+            # and until then every minute the start is announced, shared view or not
+            assert minutes == list(range(minutes[0], minutes[-1] + 1))
         if ttl is None:  # the run is shorter than the TTL: one put per roster
             assert sum(map(len, by_roster.values())) == len(by_roster) == 10
         else:

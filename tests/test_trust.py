@@ -3,6 +3,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optoutswarm import crypto, pow_backend
 from optoutswarm.coordinator import poll_inbox
@@ -11,6 +13,7 @@ from optoutswarm.trust import (
     AnswerBudget,
     CampaignOutcome,
     MalformedPayload,
+    PendingChallenge,
     RAMP_CAP,
     TrustConfig,
     TrustDb,
@@ -158,7 +161,7 @@ class TestInitiate:
         dht = SimulatedDht()
         me, peer = identity("initiator"), identity("peer")
         db = TrustDb()
-        sent = initiate_verification(
+        kept = initiate_verification(
             me, peer.public_key, dht, db, TrustConfig(max_rand=50), Random(1), 0
         )
         values = dht.get(inbox_key(peer.public_key), 0)
@@ -166,10 +169,50 @@ class TestInitiate:
         # posted in-process, the inbox holds the record itself
         challenge = values[0]
         assert isinstance(challenge, crypto.Challenge)
-        assert challenge == sent
         assert challenge.issuer_public_key == me.public_key
-        assert challenge.rand1 == sent.rand1
-        assert db.pending[peer.public_key].issued_at == 0
+        # and the issuer keeps its answer
+        assert db.pending[peer.public_key] is kept
+        assert kept.issued_at == 0
+        assert crypto.verify_solution(challenge, kept.expected_rand2)
+
+    def test_a_challenge_nobody_reads_is_kept_but_not_posted(self):
+        me, peer = identity("initiator"), identity("peer")
+        dht = SimulatedDht(inbox_readers=frozenset({me.public_key}))
+        db, cfg = TrustDb(), TrustConfig(max_rand=50, rechallenge_timeout=7)
+        kept = initiate_verification(me, peer.public_key, dht, db, cfg, Random(1), 3)
+        assert db.pending == {peer.public_key: kept}
+        assert kept == PendingChallenge(crypto.generate_challenge(me, 50, Random(1))[1], 3)
+        assert db.timeouts == {10: [peer.public_key]}
+        assert dht.appended(inbox_key(peer.public_key), 0) == ([], 0)
+
+
+_NOBODY_READS = (identity("drawer"), identity("unread").public_key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    max_rand=st.one_of(
+        st.sampled_from([0, 1, crypto.MAX_RAND_LIMIT]),
+        st.integers(1, 63).map(lambda k: 2**k - 1),
+        st.integers(1, 62).map(lambda k: 2**k),
+        st.integers(0, crypto.MAX_RAND_LIMIT),
+    ),
+    count=st.integers(1, 4),
+)
+def test_a_drawn_challenge_leaves_what_a_built_one_leaves(seed, max_rand, count):
+    # to an inbox nobody polls, a challenge is drawn: the issuer's stream and
+    # the answer it keeps must be those that building the challenge leaves
+    me, peer = _NOBODY_READS
+    dht = SimulatedDht(inbox_readers=frozenset())
+    db, cfg = TrustDb(), TrustConfig(max_rand=max_rand)
+    rng, twin = Random(seed), Random(seed)
+    for now in range(count):
+        initiate_verification(me, peer, dht, db, cfg, rng, now)
+        _challenge, expected = crypto.generate_challenge(me, max_rand, twin)
+        assert db.pending[peer] == PendingChallenge(expected, now)
+        assert rng.getstate() == twin.getstate()
+    assert dht.appended(inbox_key(peer), 0) == ([], 0)
 
 
 class TestPost:
