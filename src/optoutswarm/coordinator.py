@@ -225,8 +225,7 @@ def read_comrades(
 
 
 def is_comrade(dht: SimulatedDht, db: LocalCampaignDb, now: int, public_key: bytes) -> bool:
-    """Whether a key is registered for any campaign I joined; the key comes
-    last, so a `partial` over the rest is a one-argument check."""
+    """Whether a key is registered for any campaign I joined."""
     for campaign in db.entries:
         if dht.contains(_roster_key(campaign), public_key, now):
             return True
@@ -257,7 +256,7 @@ def challenge_comrades(
         return []
     due = []
     for peer in peers:
-        if peer in trust_db.verified or not trust_db.due(peer, now, cfg.rechallenge_timeout):
+        if peer in trust_db.verified or not trust_db.due(peer, now):
             continue
         for first, key in enumerate(rosters):
             if dht.contains(key, peer, now):

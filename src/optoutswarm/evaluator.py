@@ -2,9 +2,9 @@
 
 Pipeline: pull http(s) URLs out of the message, follow known redirector
 mappings (short-link services hide the real target), canonicalize so every
-client derives byte-identical URLs from personalized spam, drop whitelisted
-hosts (mail providers whose footers appear in every message), then let a
-confirmation policy make the final call.
+client derives byte-identical URLs from personalized spam, and drop
+whitelisted hosts (mail providers whose footers appear in every message).
+Whether the user confirms what is left is the scenario's `confirm_policy`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Callable, NewType
+from typing import NewType
 
 from urllib.parse import urlsplit
 
@@ -121,7 +121,6 @@ def evaluate(
     mail: EmailDocument,
     redirects: dict[str, str],
     whitelist: set[str],
-    confirm: Callable[[CanonicalUrl], bool],
 ) -> list[CanonicalUrl]:
     """Extract, unwrap, canonicalize, filter. Per-URL failures are dropped.
 
@@ -142,9 +141,6 @@ def evaluate(
         seen.add(canonical)
         if is_whitelisted(canonical, whitelist):
             log.debug("dropping %s: whitelisted", canonical)
-            continue
-        if not confirm(canonical):
-            log.debug("dropping %s: not confirmed", canonical)
             continue
         results.append(canonical)
     return results

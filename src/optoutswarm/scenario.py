@@ -308,15 +308,31 @@ def to_dict(value: Any) -> Any:
     return value.value if isinstance(value, Enum) else value
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object; a key given twice is rejected, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        twice = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise InvalidScenario(f"duplicate key {twice!r}")
+    return obj
+
+
 def load_file(path: str) -> Scenario:
     """Parse and validate a scenario JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InvalidScenario(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidScenario(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    except RecursionError:
+        raise InvalidScenario(f"{path}: JSON nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise InvalidScenario(f"{path}: invalid JSON at line {exc.lineno}") from None
+    except InvalidScenario as exc:
+        raise InvalidScenario(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise InvalidScenario(f"{path}: top level must be an object")
     return from_dict(raw)

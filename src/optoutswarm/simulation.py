@@ -32,7 +32,6 @@ import json
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
 from operator import attrgetter
 from random import Random
@@ -322,9 +321,6 @@ class Simulation:
         self.adversarial_starts: set[CampaignStart] = set()
         self.honest_joins_on_adversarial = 0
         self._whitelist = set(scenario.whitelist)
-        self._confirm = (lambda _url: True) if (
-            scenario.confirm_policy == "accept_all"
-        ) else (lambda _url: False)
         self._spam_at: dict[int, list[SpamInjection]] = {}
         for injection in scenario.spam_injections:
             self._spam_at.setdefault(injection.minute, []).append(injection)
@@ -399,11 +395,11 @@ class Simulation:
             adversary.step(self, now)
 
     def _phase_spam(self, now: int) -> None:
+        if self.scenario.confirm_policy == "reject_all":
+            return  # the user confirms no URL, so no client reports one
         for injection in self._spam_at.get(now, ()):
             self.announced = None  # clients announce and join below
-            urls = evaluator.evaluate(
-                injection.mail, self.scenario.redirect_map, self._whitelist, self._confirm
-            )
+            urls = evaluator.evaluate(injection.mail, self.scenario.redirect_map, self._whitelist)
             for index in sorted(self.scenario.injection_targets(injection)):
                 client = self.clients[index]
                 for url in urls:
@@ -460,7 +456,9 @@ class Simulation:
                         payload,
                         self.dht,
                         client.budget,
-                        partial(coordinator.is_comrade, self.dht, client.campaign_db, now),
+                        coordinator.is_comrade(
+                            self.dht, client.campaign_db, now, payload.issuer_public_key
+                        ),
                         client.tcfg.max_rand,
                         now,
                         known=pending.expected_rand2 if pending else None,

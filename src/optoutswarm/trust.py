@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from optoutswarm import crypto
 from optoutswarm.crypto import Challenge, ChallengeSolution, ClientIdentity
@@ -73,7 +73,7 @@ class CampaignOutcome:
 
 class PendingChallenge(NamedTuple):
     expected_rand2: int
-    issued_at: int
+    due_at: int  # the minute from which the peer may be challenged again
 
 
 @dataclass
@@ -81,7 +81,9 @@ class TrustDb:
     """My view of my peers: trust, verified keys, challenges in flight.
 
     `verified` and `pending` change only through this module and `reset`,
-    which also note when a peer may fall due again (`take_maybe_due`).
+    which also file in `wake_at` the minute a peer may fall due again: its
+    challenge's `due_at`, or minute 0 when a wrong answer or a reset freed
+    it. `take_maybe_due` hands the peers back; `due` has the last word.
     """
 
     records: dict[bytes, int] = field(default_factory=dict)
@@ -90,32 +92,27 @@ class TrustDb:
     consecutive_failures: int = 0
     current_min_accumulated_trust: int = 0
     reset_count: int = 0
-    # peers due again at once: a wrong answer or a reset ended their challenge
-    released: list[bytes] = field(default_factory=list)
-    timeouts: dict[int, list[bytes]] = field(default_factory=dict)  # minute -> peers
+    wake_at: dict[int, list[bytes]] = field(default_factory=dict)  # minute -> peers
 
     def trust(self, public_key: bytes) -> int:
         return self.records.get(public_key, 0)
 
-    def due(self, peer_public_key: bytes, now: int, timeout: int) -> bool:
+    def due(self, peer_public_key: bytes, now: int) -> bool:
         """Whether a challenge to this peer may go out: none is pending, or
-        the pending one has gone unanswered for `timeout` minutes."""
+        the pending one has reached its `due_at`."""
         pending = self.pending.get(peer_public_key)
-        return pending is None or pending.issued_at + timeout <= now
+        return pending is None or pending.due_at <= now
 
     def take_maybe_due(self, now: int) -> set[bytes]:
-        """Take the peers that may have fallen due since the last call: the
-        released ones and those whose challenge timed out by `now`. `due`
-        has the last word on each."""
-        peers = set(self.released)
-        self.released.clear()
-        while self.timeouts and (minute := min(self.timeouts)) <= now:
-            peers.update(self.timeouts.pop(minute))
+        """Take every peer filed under a minute up to `now`."""
+        peers = set()
+        while self.wake_at and (minute := min(self.wake_at)) <= now:
+            peers.update(self.wake_at.pop(minute))
         return peers
 
     def reset(self) -> None:
-        self.released += self.verified | self.pending.keys()
-        self.timeouts.clear()
+        # the verified and pending peers join those due at once; their timers go
+        self.wake_at = {0: [*self.wake_at.get(0, ()), *self.verified, *self.pending]}
         self.records.clear()
         self.verified.clear()
         self.pending.clear()
@@ -225,16 +222,17 @@ def initiate_verification(
     now: int,
 ) -> PendingChallenge:
     """Challenge a peer and keep its answer, replacing any pending one;
-    returns what is kept. The answer and its timeout are kept whether or
+    returns what is kept. The answer and its `due_at` are kept whether or
     not anyone reads the peer's inbox (see `post_challenge`), so the
     issuer's stream and its schedule of re-challenges are the same.
 
     Whom to challenge, and when, is decided by `coordinator.challenge_comrades`.
     """
+    due_at = now + cfg.rechallenge_timeout
     pending = db.pending[peer_public_key] = PendingChallenge(
-        post_challenge(dht, me, peer_public_key, cfg.max_rand, rng, now), now
+        post_challenge(dht, me, peer_public_key, cfg.max_rand, rng, now), due_at
     )
-    db.timeouts.setdefault(now + cfg.rechallenge_timeout, []).append(peer_public_key)
+    db.wake_at.setdefault(due_at, []).append(peer_public_key)
     return pending
 
 
@@ -250,12 +248,14 @@ def handle_challenge(
     challenge: Challenge,
     dht: SimulatedDht,
     budget: AnswerBudget,
-    issuer_is_comrade: Callable[[bytes], bool],
+    comrade: bool,
     max_rand: int,
     now: int,
     known: int | None = None,
 ) -> ChallengeHandling:
-    """Solve a comrade's challenge and mail the answer back.
+    """Solve a comrade's challenge and mail the answer back. `comrade` says
+    whether the issuer is registered for a campaign I joined
+    (`coordinator.is_comrade`).
 
     Challenges from strangers are dropped before they cost anything; the
     answer budget is spent per solve attempt, so even unsolvable garbage
@@ -263,7 +263,7 @@ def handle_challenge(
     a candidate answer for `crypto.solve_challenge`; the outcome is the same
     with or without it.
     """
-    if not issuer_is_comrade(challenge.issuer_public_key):
+    if not comrade:
         return ChallengeHandling(False, False, 0, dropped="not_comrade")
     if not budget.try_consume(now):
         return ChallengeHandling(False, False, 0, dropped="budget")
@@ -285,7 +285,7 @@ def handle_response(db: TrustDb, solution: ChallengeSolution) -> bool:
         log.debug("dropping response with no pending challenge")
         return False
     if solution.rand2 != pending.expected_rand2:
-        db.released.append(solution.solver_public_key)
+        db.wake_at.setdefault(0, []).append(solution.solver_public_key)
         return False
     db.verified.add(solution.solver_public_key)
     db.records[solution.solver_public_key] = max(db.trust(solution.solver_public_key), 1)

@@ -74,6 +74,43 @@ class TestValidate:
         assert main(["validate", str(path)]) == EXIT_INVALID
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b'{"seed": 1, "duration": "\xff"}', "not UTF-8 text at byte 25"),
+            (b'{"a":' * 100_000, "JSON nested too deeply"),
+        ],
+        ids=["not-utf8", "nested-past-the-decoder"],
+    )
+    def test_undecodable_file_exits_2(self, tmp_path, content, reason, capsys):
+        # was: exit 1, "internal failure" (UnicodeDecodeError, RecursionError)
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(content)
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == EXIT_INVALID
+            assert f"{path}: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('"seed": 7', '"seed": 7, "seed": 8', "seed"),
+            ('"opt_out_rate": 20', '"opt_out_rate": 20, "adversaries": '
+             '[{"strategy": "challenge_flood"}], "adversaries": []', "adversaries"),
+            ('"min_comrades": 3', '"min_comrades": 3, "min_comrades": 4', "min_comrades"),
+        ],
+        ids=["top-level", "list", "nested"],
+    )
+    def test_a_key_given_twice_exits_2_and_names_it(
+        self, scenario_path, old, new, key, capsys
+    ):
+        # was: exit 0, the last value silently kept
+        text = scenario_path.read_text()
+        assert old in text
+        scenario_path.write_text(text.replace(old, new))
+        for command in ("validate", "run"):
+            assert main([command, str(scenario_path)]) == EXIT_INVALID
+            assert f"duplicate key '{key}'" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_INVALID
         assert "cannot read" in capsys.readouterr().err

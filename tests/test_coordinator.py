@@ -498,11 +498,11 @@ class TestChallengeComrades:
         assert len(self.inbox(self.peer, 120)) == 2
 
     def test_due_turns_at_the_timeout(self):
-        assert self.trust_db.due(self.peer, 0, 120) is True  # nothing pending
+        assert self.trust_db.due(self.peer, 0) is True  # nothing pending
         assert self.challenge(5) == [self.peer]
-        assert self.trust_db.due(self.peer, 5 + 120 - 1, 120) is False
+        assert self.trust_db.due(self.peer, 5 + 120 - 1) is False
         assert self.challenge(5 + 120 - 1) == []
-        assert self.trust_db.due(self.peer, 5 + 120, 120) is True
+        assert self.trust_db.due(self.peer, 5 + 120) is True
         assert self.challenge(5 + 120) == [self.peer]
 
     def test_wrong_answer_makes_the_peer_due_at_once(self):
@@ -552,7 +552,7 @@ def _full_scan(now, dht, identity, db, trust_db, cfg, rng):
         for peer in sorted(read_comrades(dht, campaign, now)):
             if peer == identity.public_key or peer in trust_db.verified:
                 continue
-            if not trust_db.due(peer, now, cfg.rechallenge_timeout):
+            if not trust_db.due(peer, now):
                 continue
             trust.initiate_verification(identity, peer, dht, trust_db, cfg, rng, now)
             challenged.append(peer)

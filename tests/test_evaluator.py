@@ -17,10 +17,6 @@ from optoutswarm.evaluator import (
     unwrap_redirects,
 )
 
-ACCEPT = lambda _url: True  # noqa: E731
-REJECT = lambda _url: False  # noqa: E731
-
-
 class TestExtract:
     def test_trailing_punctuation_stripped(self):
         mail = EmailDocument(body="buy at http://pills.example/now!")
@@ -154,50 +150,46 @@ class TestWhitelist:
 class TestEvaluate:
     def test_provider_footer_host_is_dropped(self):
         mail = EmailDocument(body="This mail was sent by http://www.gmx.de/")
-        assert evaluate(mail, {}, {"gmx.de"}, ACCEPT) == []
+        assert evaluate(mail, {}, {"gmx.de"}) == []
 
     def test_single_target_survives(self):
         mail = EmailDocument(body="order http://pills.example/buy?uid=1 today")
-        got = evaluate(mail, {}, set(), ACCEPT)
+        got = evaluate(mail, {}, set())
         assert got == ["http://pills.example/buy"]
-
-    def test_reject_all_policy_blocks_everything(self):
-        mail = EmailDocument(body="order http://pills.example/buy today")
-        assert evaluate(mail, {}, set(), REJECT) == []
 
     def test_whitelist_applies_after_unwrapping(self):
         # the short link itself is not whitelisted, its destination is
         mail = EmailDocument(body="click http://tiny.example/abc now")
         rm = {"http://tiny.example/abc": "http://www.gmx.de/promo"}
-        assert evaluate(mail, rm, {"gmx.de"}, ACCEPT) == []
+        assert evaluate(mail, rm, {"gmx.de"}) == []
 
     def test_variants_collapse_to_one_invocation(self):
         mail = EmailDocument(
             body="http://a.example/x?u=1 or http://A.EXAMPLE/x?u=2"
         )
-        got = evaluate(mail, {}, set(), ACCEPT)
+        got = evaluate(mail, {}, set())
         assert got == ["http://a.example/x"]
 
     def test_broken_urls_are_dropped_not_fatal(self):
         mail = EmailDocument(body="see http://spam.example/ok and http://bad.example:99999/x")
-        got = evaluate(mail, {}, set(), ACCEPT)
+        got = evaluate(mail, {}, set())
         assert got == ["http://spam.example/ok"]
 
     def test_whitelist_matches_the_host_without_its_port(self):
         mail = EmailDocument(
             body="see http://www.mail.example:8080/x and http://mail.example.evil:8080/x"
         )
-        got = evaluate(mail, {}, {"mail.example"}, ACCEPT)
+        got = evaluate(mail, {}, {"mail.example"})
         assert got == ["http://mail.example.evil:8080/x"]
 
     def test_redirect_loop_dropped(self):
         mail = EmailDocument(body="go http://l.example/a")
         rm = {"http://l.example/a": "http://l.example/b",
               "http://l.example/b": "http://l.example/a"}
-        assert evaluate(mail, rm, set(), ACCEPT) == []
+        assert evaluate(mail, rm, set()) == []
 
 
 def test_evaluate_is_pure():
     mail = EmailDocument(body="order http://pills.example/buy?uid=1")
-    args = (mail, {}, {"gmx.de"}, ACCEPT)
+    args = (mail, {}, {"gmx.de"})
     assert evaluator.evaluate(*args) == evaluator.evaluate(*args)

@@ -172,7 +172,7 @@ class TestInitiate:
         assert challenge.issuer_public_key == me.public_key
         # and the issuer keeps its answer
         assert db.pending[peer.public_key] is kept
-        assert kept.issued_at == 0
+        assert kept.due_at == TrustConfig().rechallenge_timeout
         assert crypto.verify_solution(challenge, kept.expected_rand2)
 
     def test_a_challenge_nobody_reads_is_kept_but_not_posted(self):
@@ -181,8 +181,8 @@ class TestInitiate:
         db, cfg = TrustDb(), TrustConfig(max_rand=50, rechallenge_timeout=7)
         kept = initiate_verification(me, peer.public_key, dht, db, cfg, Random(1), 3)
         assert db.pending == {peer.public_key: kept}
-        assert kept == PendingChallenge(crypto.generate_challenge(me, 50, Random(1))[1], 3)
-        assert db.timeouts == {10: [peer.public_key]}
+        assert kept == PendingChallenge(crypto.generate_challenge(me, 50, Random(1))[1], 10)
+        assert db.wake_at == {10: [peer.public_key]}
         assert dht.appended(inbox_key(peer.public_key), 0) == ([], 0)
 
 
@@ -210,7 +210,7 @@ def test_a_drawn_challenge_leaves_what_a_built_one_leaves(seed, max_rand, count)
     for now in range(count):
         initiate_verification(me, peer, dht, db, cfg, rng, now)
         _challenge, expected = crypto.generate_challenge(me, max_rand, twin)
-        assert db.pending[peer] == PendingChallenge(expected, now)
+        assert db.pending[peer] == PendingChallenge(expected, now + cfg.rechallenge_timeout)
         assert rng.getstate() == twin.getstate()
     assert dht.appended(inbox_key(peer), 0) == ([], 0)
 
@@ -248,7 +248,7 @@ class TestHandleChallenge:
     def handle(self, budget, comrade=True, challenge=None, max_rand=50, now=0):
         return handle_challenge(
             self.me, challenge or self.challenge, self.dht, budget,
-            issuer_is_comrade=lambda pk: comrade, max_rand=max_rand, now=now,
+            comrade=comrade, max_rand=max_rand, now=now,
         )
 
     def test_stranger_dropped_before_budget(self):
@@ -288,7 +288,7 @@ class TestHandleChallenge:
         monkeypatch.setattr(pow_backend, "solve_kernel", None)  # any call fails
         hinted = handle_challenge(
             self.me, self.challenge, self.dht, AnswerBudget(cap=5),
-            issuer_is_comrade=lambda pk: True, max_rand=50, now=0, known=self.expected,
+            comrade=True, max_rand=50, now=0, known=self.expected,
         )
         assert hinted == unhinted
         assert self.dht.get(inbox_key(self.issuer.public_key), 0) == unhinted_inbox
@@ -310,13 +310,31 @@ class TestHandleChallenge:
         assert self.handle(budget).dropped == "budget"
 
 
+def test_a_reset_after_a_wrong_answer_wakes_every_freed_peer():
+    # the wrong answer files its peer under minute 0; a reset before the
+    # next poll keeps it there beside the verified and pending peers
+    dht, db, cfg, rng = SimulatedDht(), TrustDb(), TrustConfig(max_rand=50), Random(4)
+    me = identity("waker")
+    wrong, right, silent = b"w" * 32, b"r" * 32, b"s" * 32
+    for peer in (wrong, right, silent):
+        initiate_verification(me, peer, dht, db, cfg, rng, 0)
+    answer = db.pending[wrong].expected_rand2 + 1
+    assert not handle_response(db, crypto.ChallengeSolution(wrong, answer))
+    answer = db.pending[right].expected_rand2
+    assert handle_response(db, crypto.ChallengeSolution(right, answer))
+    db.reset()
+    assert db.take_maybe_due(1) == {wrong, right, silent}
+    assert db.wake_at == {}  # the timers of the pending challenges went with them
+    assert all(db.due(peer, 1) for peer in (wrong, right, silent))
+
+
 class TestHandleResponse:
     def test_correct_answer_verifies_and_floors_trust(self):
         db = TrustDb()
         peer = b"p" * 32
         from optoutswarm.trust import PendingChallenge
 
-        db.pending[peer] = PendingChallenge(expected_rand2=9, issued_at=0)
+        db.pending[peer] = PendingChallenge(expected_rand2=9, due_at=120)
         ok = handle_response(db, crypto.ChallengeSolution(peer, 9))
         assert ok is True
         assert peer in db.verified
@@ -327,7 +345,7 @@ class TestHandleResponse:
         db = TrustDb(records={b"p" * 32: 5})
         from optoutswarm.trust import PendingChallenge
 
-        db.pending[b"p" * 32] = PendingChallenge(expected_rand2=9, issued_at=0)
+        db.pending[b"p" * 32] = PendingChallenge(expected_rand2=9, due_at=120)
         handle_response(db, crypto.ChallengeSolution(b"p" * 32, 9))
         assert db.trust(b"p" * 32) == 5
 
@@ -335,7 +353,7 @@ class TestHandleResponse:
         db = TrustDb()
         from optoutswarm.trust import PendingChallenge
 
-        db.pending[b"p" * 32] = PendingChallenge(expected_rand2=9, issued_at=0)
+        db.pending[b"p" * 32] = PendingChallenge(expected_rand2=9, due_at=120)
         ok = handle_response(db, crypto.ChallengeSolution(b"p" * 32, 8))
         assert ok is False
         assert b"p" * 32 not in db.verified
@@ -379,7 +397,7 @@ def test_full_handshake_end_to_end():
     (challenge,) = poll_inbox(0, dht, bob)
     handled = handle_challenge(
         bob, challenge, dht, AnswerBudget(cap=5),
-        issuer_is_comrade=lambda pk: True, max_rand=40, now=1,
+        comrade=True, max_rand=40, now=1,
     )
     assert handled.answered
     (solution,) = poll_inbox(1, dht, alice)
