@@ -33,7 +33,9 @@ the 10-client rung); each of them still checks its pin.
 
 The results are merged into `BENCH_<label>.json` at the repository root,
 beside the host facts: nproc, the Python version and the kernel backend
-(`pow_backend.BACKEND`). From the repository root:
+(`pow_backend.BACKEND`). A tree's rungs are merged one by one, keyed by
+(clients, max_rand, minutes, variant): a rerun replaces the rungs it ran
+and keeps the tree's others. From the repository root:
 
     python3 benchmarks/bench_sim.py --label schedule --parent ../parent/src
     python3 benchmarks/bench_sim.py --label lazy --entry change
@@ -173,6 +175,21 @@ def rung(
     return entries
 
 
+def _rung_key(entry: dict) -> tuple:
+    return entry["clients"], entry["max_rand"], entry["minutes"], entry.get("variant")
+
+
+def merge(bench: dict, ladders: dict[str, dict]) -> dict:
+    """`bench` with each tree's new rungs in place of its old ones of the same
+    key, its other rungs kept, and the new host facts."""
+    entries = bench.setdefault("entries", {})
+    for name, new in ladders.items():
+        rungs = {_rung_key(e): e for e in entries.get(name, {}).get("ladder", [])}
+        rungs.update((_rung_key(e), e) for e in new["ladder"])
+        entries[name] = {**new, "ladder": list(rungs.values())}
+    return bench
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -201,8 +218,7 @@ def main() -> int:
                 print(json.dumps({"tree": name, **entry}), flush=True)
 
     path = ROOT / f"BENCH_{args.label}.json"
-    bench = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    bench.setdefault("entries", {}).update(ladders)
+    bench = merge(json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}, ladders)
     path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

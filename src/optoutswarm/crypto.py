@@ -143,19 +143,11 @@ def challenge_target(issuer_public_key: bytes, rand1: int, rand2: int) -> bytes:
     ).digest()
 
 
-def generate_challenge(
-    issuer: ClientIdentity,
-    max_rand: int,
-    rng: Random,
-) -> tuple[Challenge, int]:
-    """Draw rand1 and rand2 uniformly from [0, max_rand].
-
-    Returns the challenge to send plus the expected answer, which the issuer
-    keeps to itself until a response arrives.
-    """
+def draw_challenge(max_rand: int, rng: Random) -> tuple[int, int]:
+    """Draw (rand1, rand2) uniformly from [0, max_rand]: the draws of two
+    `rng.randint(0, max_rand)` calls, without their two call layers."""
     if not 0 <= max_rand <= MAX_RAND_LIMIT:
         raise ValueError(f"max_rand must lie in [0, {MAX_RAND_LIMIT}]")
-    # the draws of rng.randint(0, max_rand), without its two call layers
     bound = max_rand + 1
     bits = bound.bit_length()
     rand1 = rng.getrandbits(bits)
@@ -164,23 +156,22 @@ def generate_challenge(
     rand2 = rng.getrandbits(bits)
     while rand2 >= bound:
         rand2 = rng.getrandbits(bits)
+    return rand1, rand2
+
+
+def generate_challenge(
+    issuer: ClientIdentity,
+    max_rand: int,
+    rng: Random,
+) -> tuple[Challenge, int]:
+    """Draw a challenge from `issuer` with `draw_challenge`.
+
+    Returns the challenge to send plus the expected answer, which the issuer
+    keeps to itself until a response arrives.
+    """
+    rand1, rand2 = draw_challenge(max_rand, rng)
     target = challenge_target(issuer.public_key, rand1, rand2)
     return Challenge(issuer.public_key, rand1, target), rand2
-
-
-def draw_answer(max_rand: int, rng: Random) -> int:
-    """The answer `generate_challenge` returns, from the same draws of `rng`,
-    without building the challenge: no target hash and no record."""
-    if not 0 <= max_rand <= MAX_RAND_LIMIT:
-        raise ValueError(f"max_rand must lie in [0, {MAX_RAND_LIMIT}]")
-    bound = max_rand + 1
-    bits = bound.bit_length()
-    while rng.getrandbits(bits) >= bound:  # rand1, which nobody will read
-        pass
-    rand2 = rng.getrandbits(bits)
-    while rand2 >= bound:
-        rand2 = rng.getrandbits(bits)
-    return rand2
 
 
 def solve_challenge(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import reprlib
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields
@@ -34,6 +35,13 @@ DEFAULT_CAMPAIGN_DURATION = 30  # minutes of bursting, matches the probe window
 
 class InvalidScenario(Exception):
     """Scenario file fails validation; message names the offending field."""
+
+
+# how a message shows the offending value: a short one as `repr` writes it,
+# a long or deep one cut down, so that a huge bad value makes a short message
+_shown = reprlib.Repr()
+_shown.maxstring = _shown.maxlong = _shown.maxother = 100
+_shown.maxlevel = 2
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,8 @@ class Scenario:
         for i, entry in enumerate(self.whitelist):  # matched against lowercased hosts
             _require(
                 entry != "" and entry == entry.strip().lower(),
-                f"whitelist[{i}]: must be a lowercase host without spaces around it, got {entry!r}",
+                f"whitelist[{i}]: must be a lowercase host without spaces around it, "
+                f"got {_shown.repr(entry)}",
             )
         for i, injection in enumerate(self.spam_injections):
             _check("minute", injection.minute, self, f"spam_injections[{i}].minute")
@@ -113,7 +122,10 @@ class Scenario:
         for i, adversary in enumerate(self.adversaries):
             where = f"adversaries[{i}]"
             spec = _strategy(adversary.strategy)
-            _require(spec is not None, f"{where}.strategy: unknown strategy {adversary.strategy!r}")
+            _require(
+                spec is not None,
+                f"{where}.strategy: unknown strategy {_shown.repr(adversary.strategy)}",
+            )
             if unknown := sorted(adversary.params.keys() - spec.keys()):
                 raise InvalidScenario(f"{where}.{unknown[0]}: unknown field")
             for name, param in spec.items():
@@ -185,7 +197,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _expect(condition: bool, path: str, what: str, value: Any) -> None:
-    _require(condition, f"{path or 'top level'}: must be {what}, got {value!r}")
+    _require(condition, f"{path or 'top level'}: must be {what}, got {_shown.repr(value)}")
 
 
 def _at(path: str, name: str) -> str:
@@ -282,18 +294,18 @@ def _check(
 ) -> None:
     """`value` must be of `kind`, as a `Param` names it."""
     if kind == "bool":
-        _require(type(value) is bool, f"{where}: must be true or false, got {value!r}")
+        _require(type(value) is bool, f"{where}: must be true or false, got {_shown.repr(value)}")
     elif kind == "client":
         _require(
             type(value) is int and 0 <= value < scenario.client_count,
-            f"{where}: no client {value!r}",
+            f"{where}: no client {_shown.repr(value)}",
         )
     else:
         if kind == "minute":
             high = scenario.duration - 1
         _require(
             type(value) is int and low <= value <= high,
-            f"{where}: must be an integer in [{low}, {high}], got {value!r}",
+            f"{where}: must be an integer in [{low}, {high}], got {_shown.repr(value)}",
         )
 
 
@@ -312,9 +324,11 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     """One JSON object; a key given twice is rejected, not overwritten."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [key for key, _ in pairs]
-        twice = next(key for i, key in enumerate(keys) if key in keys[:i])
-        raise InvalidScenario(f"duplicate key {twice!r}")
+        seen = set()
+        for key, _ in pairs:  # name the first key that repeats one before it
+            if key in seen:
+                raise InvalidScenario(f"duplicate key {_shown.repr(key)}")
+            seen.add(key)
     return obj
 
 

@@ -10,15 +10,16 @@ Within each simulated minute, phases run in a fixed order:
   6. latency probes and campaign judgments
   7. per-site settlement
 
-Polls run at each client's poll minutes and settlement runs every minute.
-Every other campaign action is booked on one agenda ((minute, phase) ->
-client -> campaigns) for its exact minute, once it is known: a join books
-the launch decision at the start and, on a target site, the probe slots not
-yet past and the judgment; a launch books one burst at its minute, which
-writes the campaign's opt-out load into every minute it runs, up to the
-run's end. A phase acts on exactly what is booked for its minute, so an
-action booked twice runs once. The contract is the phase order, then client
-index order, then the order of the client's campaign table.
+Polls run at each client's poll minutes and settlement runs every minute,
+each minute settled once and then let go. A join books the campaign's
+launch decision at its start and, on a target site, the probe slots not yet
+past and the judgment, on one agenda ((minute, phase) -> client ->
+campaigns) for their exact minutes. A phase acts on exactly what is booked
+for its minute, so an action booked twice runs once. A launch on a target
+site is counted for the same minute's burst phase, which writes the
+campaign's opt-out load into every minute it runs, up to the run's end. The
+contract is the phase order, then client index order, then the order of the
+client's campaign table.
 
 Every stochastic choice comes from an entity-private stream seeded as
 "{seed}:{kind}:{index}", so adding an adversary never perturbs honest
@@ -329,6 +330,7 @@ class Simulation:
             self._pollers.setdefault(client.cfg.poll_interval, []).append(client)
         # (minute, phase) -> client index -> campaign -> action
         self._agenda: dict[tuple[int, str], dict[int, dict[CampaignStart, str]]] = {}
+        self._launched: Counter[CampaignStart] = Counter()  # this minute's launches, by clients
         self.announced: list[CampaignStart] | None = None  # the shared view, until dropped
 
     def joined_campaigns(self) -> set[CampaignStart]:
@@ -480,16 +482,13 @@ class Simulation:
                         client.index, "true" if ok else "false",
                         payload.solver_public_key.hex(), now,
                     ))
-            self._initiate_verifications(client, now)
-
-    def _initiate_verifications(self, client: SimClient, now: int) -> None:
-        challenged = coordinator.challenge_comrades(
-            now, self.dht, client.identity, client.campaign_db, client.trust_db,
-            client.tcfg, client.rng,
-        )
-        for peer_pk in challenged:
-            client.challenges_sent += 1
-            self.emit(_CHALLENGE_SENT % (client.index, peer_pk.hex(), now))
+            challenged = coordinator.challenge_comrades(
+                now, self.dht, client.identity, client.campaign_db, client.trust_db,
+                client.tcfg, client.rng,
+            )
+            for peer_pk in challenged:
+                client.challenges_sent += 1
+                self.emit(_CHALLENGE_SENT % (client.index, peer_pk.hex(), now))
 
     def _phase_ticks(self, now: int) -> None:
         for index, _campaigns in self._booked(now, "tick"):
@@ -500,7 +499,7 @@ class Simulation:
             for decision in decisions:
                 campaign = decision.campaign
                 if decision.launched and campaign.url in self.sites:
-                    self._book(now, "burst", index, campaign)
+                    self._launched[campaign] += 1
                 self.emit(ndjson_line({
                     "t": now,
                     "type": "launch_decision",
@@ -517,17 +516,14 @@ class Simulation:
         # Each campaign launched this minute writes its load into every minute
         # it runs at once. Requests are integers, so they add up the same in
         # any order, and no minute's load is read before that minute's probes.
-        booked = self._booked(now, "burst")
-        if not booked:  # most minutes: spare the Counter
-            return
-        launched = Counter(c for _index, campaigns in booked for c in campaigns)
-        for campaign, clients in launched.items():
+        for campaign, clients in self._launched.items():
             site, ledger = self.sites[campaign.url]
             end = min(campaign.start + self.scenario.campaign_duration, self.scenario.duration)
             for minute in range(now, end):
                 website.send_opt_out_burst(
                     site, clients, self.scenario.opt_out_rate, minute, ledger
                 )
+        self._launched.clear()
 
     def _phase_probes(self, now: int) -> None:
         # a campaign's probe slots and judgment fall on distinct minutes
@@ -582,8 +578,7 @@ class Simulation:
 
     def _phase_settle(self, now: int) -> None:
         for url, (site, ledger) in self.sites.items():
-            website.settle_minute(site, now, ledger)
-            record = ledger.minutes[now]
+            record = website.settle_minute(site, now, ledger)
             if (
                 record.opt_out_requests
                 or record.probe_requests

@@ -17,7 +17,6 @@ cannot eat a client's CPU.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,8 +27,6 @@ from optoutswarm import crypto
 from optoutswarm.crypto import Challenge, ChallengeSolution, ClientIdentity
 from optoutswarm.crypto import MalformedPayload, decode_payload  # noqa: F401  re-exported
 from optoutswarm.dht import SimulatedDht, inbox_key
-
-log = logging.getLogger(__name__)
 
 PROBE_WINDOW = 30  # minutes of latency probes before a campaign's start, and from it on
 ANSWER_WINDOW = 60  # minutes of the sliding window the answer budget counts over
@@ -201,14 +198,15 @@ def post_challenge(
     now: int,
 ) -> int:
     """Leave a fresh challenge from `issuer` in a public key's inbox; returns
-    its answer. A challenge to an inbox nobody polls is drawn, not built:
-    `crypto.draw_answer` makes the same draws from `rng`, with no target
-    hash, no record and no put."""
+    its answer. The challenge is drawn for every inbox, so the issuer's
+    stream does not depend on who reads it, but its target hash and record
+    are built, and put, only for an inbox somebody polls."""
+    rand1, rand2 = crypto.draw_challenge(max_rand, rng)
     readers = dht.inbox_readers
-    if readers is not None and recipient not in readers:
-        return crypto.draw_answer(max_rand, rng)
-    challenge, rand2 = crypto.generate_challenge(issuer, max_rand, rng)
-    dht.put(inbox_key(recipient), challenge, now)
+    if readers is None or recipient in readers:
+        key = issuer.public_key
+        challenge = Challenge(key, rand1, crypto.challenge_target(key, rand1, rand2))
+        dht.put(inbox_key(recipient), challenge, now)
     return rand2
 
 
@@ -272,7 +270,6 @@ def handle_challenge(
     except crypto.NoSolution:
         # a full scan is counted, known answer or not; typical of relayed
         # challenges whose hash binds a different issuer key
-        log.debug("dropping challenge with no solution in range")
         return ChallengeHandling(True, False, max_rand + 1, dropped="no_solution")
     post(dht, challenge.issuer_public_key, ChallengeSolution(me.public_key, rand2), now)
     return ChallengeHandling(True, True, work)
@@ -282,7 +279,6 @@ def handle_response(db: TrustDb, solution: ChallengeSolution) -> bool:
     """Match a response against the stored expectation for that peer."""
     pending = db.pending.pop(solution.solver_public_key, None)
     if pending is None:
-        log.debug("dropping response with no pending challenge")
         return False
     if solution.rand2 != pending.expected_rand2:
         db.wake_at.setdefault(0, []).append(solution.solver_public_key)

@@ -51,7 +51,6 @@ class MinuteTraffic:
     visitors_served: float = 0.0
     visitors_lost: float = 0.0
     response_ms: float = 0.0  # filled at settlement
-    settled: bool = False
 
 
 @dataclass
@@ -103,20 +102,14 @@ def probe(site: TargetSite, minute: int, ledger: TrafficLedger) -> float:
     return response_time(site, _minute_load(site, record))
 
 
-def settle_minute(
-    site: TargetSite,
-    minute: int,
-    ledger: TrafficLedger,
-) -> tuple[float, float, float]:
+def settle_minute(site: TargetSite, minute: int, ledger: TrafficLedger) -> MinuteTraffic:
     """Close out a minute: serve or lose its visitors, meter its traffic.
 
-    Returns (traffic_bytes, traffic_cost, lost_revenue) for the minute.
-    Settling the same minute twice is a no-op returning zeros.
+    Takes the minute's record out of the ledger, or an empty one if nothing
+    reached the site, adds it to the ledger's totals and returns it. Each
+    minute is settled once; the ledger keeps only minutes not yet settled.
     """
-    record = ledger.minute(minute)
-    if record.settled:
-        return (0.0, 0.0, 0.0)
-    record.settled = True
+    record = ledger.minutes.pop(minute, None) or MinuteTraffic()
     load = _minute_load(site, record)
     record.response_ms = response_time(site, load)
     if record.response_ms > site.patience:
@@ -124,14 +117,12 @@ def settle_minute(
     else:
         record.visitors_served = site.visitor_rate
     traffic_bytes = load * site.request_bytes
-    traffic_cost = traffic_bytes * site.cost_per_gib / 2**30
-    lost_revenue = record.visitors_lost * site.revenue_per_visit
 
     ledger.total_opt_out_requests += record.opt_out_requests
     ledger.total_probe_requests += record.probe_requests
     ledger.total_visitors_served += record.visitors_served
     ledger.total_visitors_lost += record.visitors_lost
     ledger.traffic_bytes += traffic_bytes
-    ledger.traffic_cost += traffic_cost
-    ledger.lost_revenue += lost_revenue
-    return (traffic_bytes, traffic_cost, lost_revenue)
+    ledger.traffic_cost += traffic_bytes * site.cost_per_gib / 2**30
+    ledger.lost_revenue += record.visitors_lost * site.revenue_per_visit
+    return record

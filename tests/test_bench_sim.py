@@ -1,0 +1,53 @@
+"""`benchmarks/bench_sim.py` merges a rerun into its results file by rung."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_bench_sim():
+    spec = importlib.util.spec_from_file_location(
+        "bench_sim", ROOT / "benchmarks" / "bench_sim.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_sim = _load_bench_sim()
+
+
+def _entry(index: int, wall_s: float) -> dict:
+    clients, max_rand, minutes, pinned, *variant = bench_sim.LADDER[index]
+    entry = {"clients": clients, "max_rand": max_rand, "minutes": minutes,
+             "ndjson_sha256": pinned, "wall_s": wall_s}
+    if variant:
+        entry["variant"] = variant[0]
+    return entry
+
+
+def test_a_rerun_replaces_its_rungs_and_keeps_the_others():
+    old = {"parent": {"host": {"nproc": 2}, "ladder": [_entry(i, 1.0) for i in (1, 4, 7)]},
+           "change": {"host": {"nproc": 2}, "ladder": [_entry(i, 2.0) for i in (1, 4, 7)]}}
+    bench = {"entries": old, "note": "kept"}
+    rerun = {"parent": {"host": {"nproc": 4}, "ladder": [_entry(7, 3.0)]},
+             "change": {"host": {"nproc": 4}, "ladder": [_entry(7, 4.0), _entry(8, 5.0)]}}
+    merged = bench_sim.merge(bench, rerun)
+    assert merged["note"] == "kept"
+    assert merged["entries"]["parent"] == {
+        "host": {"nproc": 4}, "ladder": [_entry(1, 1.0), _entry(4, 1.0), _entry(7, 3.0)]
+    }
+    assert merged["entries"]["change"] == {
+        "host": {"nproc": 4},
+        "ladder": [_entry(1, 2.0), _entry(4, 2.0), _entry(7, 4.0), _entry(8, 5.0)],
+    }
+
+
+def test_rungs_of_one_size_differ_by_minutes_and_variant():
+    # rungs 3 and 8 share clients, max_rand and minutes; only the variant tells them apart
+    keys = [bench_sim._rung_key(_entry(i, 0.0)) for i in range(len(bench_sim.LADDER))]
+    assert len(set(keys)) == len(keys)
+    merged = bench_sim.merge({}, {"change": {"host": {}, "ladder": [_entry(3, 1.0)]}})
+    merged = bench_sim.merge(merged, {"change": {"host": {}, "ladder": [_entry(8, 2.0)]}})
+    assert merged["entries"]["change"]["ladder"] == [_entry(3, 1.0), _entry(8, 2.0)]

@@ -192,16 +192,19 @@ class TestKnownAnswer:
     "max_rand", [0, 1, 199, 200, 255, 256, 10_000, 2**32, crypto.MAX_RAND_LIMIT]
 )
 def test_challenge_draws_are_those_of_randint(max_rand):
-    # generate_challenge draws with getrandbits as randint does; a Python
-    # whose randint draws otherwise fails here before any pinned digest moves
+    # draw_challenge draws with getrandbits as randint does, and
+    # generate_challenge builds on its draws; a Python whose randint draws
+    # otherwise fails here before any pinned digest moves
     issuer = identity("draws")
     for seed in range(5):
-        rng, twin = Random(seed), Random(seed)
+        rng, drawn, twin = Random(seed), Random(seed), Random(seed)
         for _ in range(20):
             challenge, rand2 = crypto.generate_challenge(issuer, max_rand, rng)
-            assert challenge.rand1 == twin.randint(0, max_rand)
-            assert rand2 == twin.randint(0, max_rand)
-        assert rng.getstate() == twin.getstate()
+            rand1 = twin.randint(0, max_rand)
+            assert (challenge.rand1, rand2) == (rand1, twin.randint(0, max_rand))
+            assert crypto.draw_challenge(max_rand, drawn) == (rand1, rand2)
+            assert crypto.verify_solution(challenge, rand2)
+        assert rng.getstate() == drawn.getstate() == twin.getstate()
 
 
 def test_mean_work_tracks_interval_size():

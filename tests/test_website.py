@@ -103,32 +103,28 @@ class TestSettlement:
     def test_quiet_minute_loses_nothing(self):
         s = site(visitor_rate=30)
         ledger = TrafficLedger()
-        _, _, lost = settle_minute(s, 0, ledger)
-        assert lost == 0.0
-        assert ledger.minute(0).visitors_served == 30
+        record = settle_minute(s, 0, ledger)
+        assert (record.visitors_served, record.visitors_lost) == (30, 0.0)
+        assert ledger.lost_revenue == 0.0
+        assert ledger.total_visitors_served == 30
 
     def test_slow_minute_loses_all_visitors(self):
         s = site(visitor_rate=30, patience=150.0)
         ledger = TrafficLedger()
         send_opt_out_burst(s, 100, 1, 0, ledger)  # pushes response past patience
-        _, _, lost = settle_minute(s, 0, ledger)
-        assert ledger.minute(0).visitors_lost == 30
-        assert lost == 30 * 1.5
+        record = settle_minute(s, 0, ledger)
+        assert record.visitors_lost == ledger.total_visitors_lost == 30
+        assert record.response_ms > s.patience
+        assert ledger.lost_revenue == 30 * 1.5
 
     def test_traffic_cost_hand_arithmetic(self):
         s = site(cost_per_gib=0.05, request_bytes=2048)
         ledger = TrafficLedger()
         send_opt_out_burst(s, 1000, 1, 0, ledger)
-        traffic_bytes, cost, _ = settle_minute(s, 0, ledger)
-        assert traffic_bytes == 1000 * 2048
-        assert cost == 1000 * 2048 * 0.05 / 2**30
-
-    def test_double_settle_is_noop(self):
-        s = site(visitor_rate=5)
-        ledger = TrafficLedger()
-        settle_minute(s, 0, ledger)
-        assert settle_minute(s, 0, ledger) == (0.0, 0.0, 0.0)
-        assert ledger.total_visitors_served == 5
+        assert settle_minute(s, 0, ledger).opt_out_requests == 1000
+        assert ledger.traffic_bytes == 1000 * 2048
+        assert ledger.traffic_cost == 1000 * 2048 * 0.05 / 2**30
+        assert ledger.minutes == {}
 
     def test_visitor_conservation_over_run(self):
         s = site(visitor_rate=7, patience=150.0)
