@@ -5,9 +5,9 @@ spent CPU time for a peer by solving that peer's challenge: the issuer picks
 two random numbers, publishes one of them plus a hash binding its own public
 key to both, and the solver brute-forces the hidden one. Binding the issuer's
 key into the hash means a relayed challenge yields a solution for the
-original issuer, never for the relay. A solver that is handed a candidate
-answer checks it with one hash and skips the scan when it holds; the result
-is the one the scan would return.
+original issuer, never for the relay. A challenge built in process carries
+its issuer's answer, which no payload holds; a solver checks it with one
+hash and scans only if it fails, and the result is the scan's.
 
 A handshake record's tagged inbox payload is `bytes(record)`, and
 `decode_payload` reads it back. `seal` turns payload bytes into the wire
@@ -102,6 +102,7 @@ class Challenge(NamedTuple):
     issuer_public_key: bytes
     rand1: int
     target_hash: bytes
+    answer: int | None = None  # the issuer's rand2, in process only; not in the payload
 
     def __bytes__(self) -> bytes:
         """Inbox payload: tag ‖ issuer key (32) ‖ rand1 (8, little-endian) ‖ target (32)."""
@@ -166,17 +167,15 @@ def generate_challenge(
 ) -> tuple[Challenge, int]:
     """Draw a challenge from `issuer` with `draw_challenge`.
 
-    Returns the challenge to send plus the expected answer, which the issuer
-    keeps to itself until a response arrives.
+    Returns the challenge to send, which carries its answer in process, plus
+    that answer, which the issuer keeps until a response arrives.
     """
     rand1, rand2 = draw_challenge(max_rand, rng)
     target = challenge_target(issuer.public_key, rand1, rand2)
-    return Challenge(issuer.public_key, rand1, target), rand2
+    return Challenge(issuer.public_key, rand1, target, rand2), rand2
 
 
-def solve_challenge(
-    challenge: Challenge, max_rand: int, known: int | None = None
-) -> tuple[int, int]:
+def solve_challenge(challenge: Challenge, max_rand: int) -> tuple[int, int]:
     """Find the hidden rand2, counting hash evaluations as work.
 
     The scan tests candidates upward from zero; work for a solution found at
@@ -184,14 +183,15 @@ def solve_challenge(
     is exhausted, which is what a relayed challenge looks like after the
     relay swaps in its own key.
 
-    A `known` candidate that reproduces the target hash is that first match,
+    A carried `answer` that reproduces the target hash is that first match,
     so it is returned, or rejected as out of range, without the scan. Any
-    other candidate is ignored.
+    other answer is ignored.
     """
-    if known is not None and verify_solution(challenge, known):
-        if known > max_rand:
+    answer = challenge.answer
+    if answer is not None and verify_solution(challenge, answer):
+        if answer > max_rand:
             raise NoSolution(f"no solution in [0, {max_rand}]")
-        return known, known + 1
+        return answer, answer + 1
 
     from optoutswarm.pow_backend import solve_kernel
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NewType
 
@@ -111,7 +112,7 @@ def hostname(url: CanonicalUrl) -> str:
     return host.split(":", 1)[0]
 
 
-def is_whitelisted(url: CanonicalUrl, whitelist: set[str]) -> bool:
+def is_whitelisted(url: CanonicalUrl, whitelist: Iterable[str]) -> bool:
     """Exact host match or subdomain of any whitelisted suffix."""
     host = hostname(url)
     return any(host == entry or host.endswith("." + entry) for entry in whitelist)
@@ -120,7 +121,7 @@ def is_whitelisted(url: CanonicalUrl, whitelist: set[str]) -> bool:
 def evaluate(
     mail: EmailDocument,
     redirects: dict[str, str],
-    whitelist: set[str],
+    whitelist: Iterable[str],
 ) -> list[CanonicalUrl]:
     """Extract, unwrap, canonicalize, filter. Per-URL failures are dropped.
 

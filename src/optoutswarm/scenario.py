@@ -27,7 +27,7 @@ from optoutswarm.coordinator import CoordinatorConfig
 from optoutswarm.crypto import MAX_RAND_LIMIT
 from optoutswarm.evaluator import CanonicalUrl, EmailDocument, InvalidUrl, canonicalize
 from optoutswarm.trust import TrustConfig
-from optoutswarm.website import TargetSite
+from optoutswarm.website import MAX_QUANTITY, TargetSite
 
 DEFAULT_OPT_OUT_RATE = 6
 DEFAULT_CAMPAIGN_DURATION = 30  # minutes of bursting, matches the probe window
@@ -117,7 +117,7 @@ class Scenario:
                 for j, idx in enumerate(injection.clients):  # a repeat gets the spam twice
                     _check("client", idx, self, where)
                     _require(idx not in injection.clients[:j], f"{where}: {idx} is listed twice")
-        _check("int", self.opt_out_rate, self, "opt_out_rate")
+        _check("int", self.opt_out_rate, self, "opt_out_rate", high=MAX_QUANTITY)
         _check("int", self.campaign_duration, self, "campaign_duration", low=1)
         for i, adversary in enumerate(self.adversaries):
             where = f"adversaries[{i}]"
@@ -345,6 +345,8 @@ def load_file(path: str) -> Scenario:
         raise InvalidScenario(f"{path}: JSON nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise InvalidScenario(f"{path}: invalid JSON at line {exc.lineno}") from None
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise InvalidScenario(f"{path}: invalid JSON: {exc}") from None
     except InvalidScenario as exc:
         raise InvalidScenario(f"{path}: {exc}") from None
     if not isinstance(raw, dict):

@@ -10,16 +10,18 @@ Within each simulated minute, phases run in a fixed order:
   6. latency probes and campaign judgments
   7. per-site settlement
 
-Polls run at each client's poll minutes and settlement runs every minute,
-each minute settled once and then let go. A join books the campaign's
-launch decision at its start and, on a target site, the probe slots not yet
-past and the judgment, on one agenda ((minute, phase) -> client ->
-campaigns) for their exact minutes. A phase acts on exactly what is booked
-for its minute, so an action booked twice runs once. A launch on a target
-site is counted for the same minute's burst phase, which writes the
-campaign's opt-out load into every minute it runs, up to the run's end. The
-contract is the phase order, then client index order, then the order of the
-client's campaign table.
+Polls walk the clients in index order, each in the minutes its
+`poll_interval` divides, and a challenge carries its issuer's answer, so a
+solver checks it with one hash instead of scanning. Settlement runs every
+minute, each minute settled once and then let go. A join books the
+campaign's launch decision at its start and, on a target site, the probe
+slots not yet past and the judgment, on one agenda ((minute, phase) ->
+client -> campaigns) for their exact minutes. A phase acts on exactly what
+is booked for its minute, so an action booked twice runs once. A launch on a
+target site is counted for the same minute's burst phase, which writes the
+campaign's opt-out load into every minute it runs, up to the run's end, in
+one call. The contract is the phase order, then client index order, then the
+order of the client's campaign table.
 
 Every stochastic choice comes from an entity-private stream seeded as
 "{seed}:{kind}:{index}", so adding an adversary never perturbs honest
@@ -33,7 +35,6 @@ import json
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import attrgetter
 from random import Random
 from typing import Any, Callable
@@ -85,8 +86,9 @@ class SimClient:
 
 Sink = Callable[[str], object]
 
-# json.dumps with keyword arguments builds a new encoder on every call
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# json.dumps with keyword arguments builds a new encoder on every call; a
+# non-finite number, which JSON cannot hold, raises instead of being written
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 # The handshake's events, nearly all of a large fleet's stream, each formatted
 # at its one emit site: `_ENCODER`'s bytes, fields in key order, without a dict.
@@ -129,7 +131,6 @@ class _Adversary:
 
     def __init__(self, spec: AdversarySpec, index: int, sim: "Simulation") -> None:
         self.spec = spec
-        self.strategy = spec.strategy
         self.index = index
         self.rng = Random(f"{sim.scenario.seed}:adversary:{index}")
         self.identity = crypto.generate_identity(self.rng)
@@ -321,13 +322,9 @@ class Simulation:
         self.emit = self.events.append if sink is None else sink
         self.adversarial_starts: set[CampaignStart] = set()
         self.honest_joins_on_adversarial = 0
-        self._whitelist = set(scenario.whitelist)
         self._spam_at: dict[int, list[SpamInjection]] = {}
         for injection in scenario.spam_injections:
             self._spam_at.setdefault(injection.minute, []).append(injection)
-        self._pollers: dict[int, list[SimClient]] = {}
-        for client in self.clients:
-            self._pollers.setdefault(client.cfg.poll_interval, []).append(client)
         # (minute, phase) -> client index -> campaign -> action
         self._agenda: dict[tuple[int, str], dict[int, dict[CampaignStart, str]]] = {}
         self._launched: Counter[CampaignStart] = Counter()  # this minute's launches, by clients
@@ -401,7 +398,9 @@ class Simulation:
             return  # the user confirms no URL, so no client reports one
         for injection in self._spam_at.get(now, ()):
             self.announced = None  # clients announce and join below
-            urls = evaluator.evaluate(injection.mail, self.scenario.redirect_map, self._whitelist)
+            urls = evaluator.evaluate(
+                injection.mail, self.scenario.redirect_map, self.scenario.whitelist
+            )
             for index in sorted(self.scenario.injection_targets(injection)):
                 client = self.clients[index]
                 for url in urls:
@@ -445,14 +444,12 @@ class Simulation:
                         }))
 
     def _phase_polls(self, now: int) -> None:
-        due = [group for interval, group in self._pollers.items() if now % interval == 0]
-        for client in sorted(chain(*due), key=attrgetter("index")):
+        for client in self.clients:
+            if now % client.cfg.poll_interval:
+                continue
             payloads = coordinator.poll_inbox(now, self.dht, client.identity)
             for payload in payloads:
                 if isinstance(payload, crypto.Challenge):
-                    # the issuer's pending answer spares the scan if it is for this challenge
-                    issuer = self.by_key.get(payload.issuer_public_key)
-                    pending = issuer and issuer.trust_db.pending.get(client.identity.public_key)
                     handling = trust.handle_challenge(
                         client.identity,
                         payload,
@@ -463,12 +460,11 @@ class Simulation:
                         ),
                         client.tcfg.max_rand,
                         now,
-                        known=pending.expected_rand2 if pending else None,
                     )
-                    if handling.attempted:
+                    if handling.hash_evaluations:
                         client.solve_attempts += 1
                         client.hash_evaluations += handling.hash_evaluations
-                    if handling.answered:
+                    if handling.dropped is None:
                         client.challenges_answered += 1
                         self.emit(_CHALLENGE_ANSWERED % (
                             client.index, payload.issuer_public_key.hex(), now,
@@ -517,12 +513,10 @@ class Simulation:
         # it runs at once. Requests are integers, so they add up the same in
         # any order, and no minute's load is read before that minute's probes.
         for campaign, clients in self._launched.items():
-            site, ledger = self.sites[campaign.url]
             end = min(campaign.start + self.scenario.campaign_duration, self.scenario.duration)
-            for minute in range(now, end):
-                website.send_opt_out_burst(
-                    site, clients, self.scenario.opt_out_rate, minute, ledger
-                )
+            website.send_opt_out_burst(
+                self.sites[campaign.url][1], clients * self.scenario.opt_out_rate, range(now, end)
+            )
         self._launched.clear()
 
     def _phase_probes(self, now: int) -> None:
@@ -615,7 +609,7 @@ class Simulation:
             for campaign, record in client.campaign_db.entries.items()
             if record.state is CampaignState.LAUNCHED
         )
-        listed = sorted(joined | self.adversarial_starts, key=lambda c: (c.url, c.start))
+        listed = sorted(joined | self.adversarial_starts)
         rosters = {c: set(coordinator.read_comrades(self.dht, c, end - 1)) for c in listed}
         campaigns = []
         for campaign, roster in rosters.items():
@@ -677,7 +671,7 @@ class Simulation:
             "adversaries": [
                 {
                     "index": adversary.index,
-                    "strategy": adversary.strategy,
+                    "strategy": adversary.spec.strategy,
                     "counters": dict(sorted(adversary.counters.items())),
                 }
                 for adversary in self.adversaries

@@ -198,14 +198,14 @@ def post_challenge(
     now: int,
 ) -> int:
     """Leave a fresh challenge from `issuer` in a public key's inbox; returns
-    its answer. The challenge is drawn for every inbox, so the issuer's
-    stream does not depend on who reads it, but its target hash and record
-    are built, and put, only for an inbox somebody polls."""
+    its answer, which the record carries too. The challenge is drawn for
+    every inbox, so the issuer's stream does not depend on who reads it, but
+    its target hash and record are built, and put, only for an inbox somebody polls."""
     rand1, rand2 = crypto.draw_challenge(max_rand, rng)
     readers = dht.inbox_readers
     if readers is None or recipient in readers:
         key = issuer.public_key
-        challenge = Challenge(key, rand1, crypto.challenge_target(key, rand1, rand2))
+        challenge = Challenge(key, rand1, crypto.challenge_target(key, rand1, rand2), rand2)
         dht.put(inbox_key(recipient), challenge, now)
     return rand2
 
@@ -235,10 +235,12 @@ def initiate_verification(
 
 
 class ChallengeHandling(NamedTuple):
-    attempted: bool  # budget was spent on a solve attempt
-    answered: bool  # a response was sealed back to the issuer
-    hash_evaluations: int
+    hash_evaluations: int  # more than 0 exactly when budget was spent on a solve
     dropped: str | None = None  # "not_comrade" | "budget" | "no_solution"
+
+    @property
+    def answered(self) -> bool:  # an answer was mailed back to the issuer
+        return self.dropped is None
 
 
 def handle_challenge(
@@ -249,7 +251,6 @@ def handle_challenge(
     comrade: bool,
     max_rand: int,
     now: int,
-    known: int | None = None,
 ) -> ChallengeHandling:
     """Solve a comrade's challenge and mail the answer back. `comrade` says
     whether the issuer is registered for a campaign I joined
@@ -257,22 +258,22 @@ def handle_challenge(
 
     Challenges from strangers are dropped before they cost anything; the
     answer budget is spent per solve attempt, so even unsolvable garbage
-    from a registered comrade burns at most the configured rate. `known` is
-    a candidate answer for `crypto.solve_challenge`; the outcome is the same
-    with or without it.
+    from a registered comrade burns at most the configured rate. An answer
+    the challenge carries spares `crypto.solve_challenge` its scan; the
+    outcome is the same with or without it.
     """
     if not comrade:
-        return ChallengeHandling(False, False, 0, dropped="not_comrade")
+        return ChallengeHandling(0, "not_comrade")
     if not budget.try_consume(now):
-        return ChallengeHandling(False, False, 0, dropped="budget")
+        return ChallengeHandling(0, "budget")
     try:
-        rand2, work = crypto.solve_challenge(challenge, max_rand, known)
+        rand2, work = crypto.solve_challenge(challenge, max_rand)
     except crypto.NoSolution:
-        # a full scan is counted, known answer or not; typical of relayed
+        # a full scan is counted, carried answer or not; typical of relayed
         # challenges whose hash binds a different issuer key
-        return ChallengeHandling(True, False, max_rand + 1, dropped="no_solution")
+        return ChallengeHandling(max_rand + 1, "no_solution")
     post(dht, challenge.issuer_public_key, ChallengeSolution(me.public_key, rand2), now)
-    return ChallengeHandling(True, True, work)
+    return ChallengeHandling(work)
 
 
 def handle_response(db: TrustDb, solution: ChallengeSolution) -> bool:

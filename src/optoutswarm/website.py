@@ -17,6 +17,10 @@ from dataclasses import dataclass, field
 
 from optoutswarm.evaluator import CanonicalUrl
 
+# the largest rate, timeout, size, price or revenue a scenario may set: far
+# enough below the largest float that every latency, median and total is finite
+MAX_QUANTITY = 10**12
+
 
 @dataclass(frozen=True)
 class TargetSite:
@@ -35,13 +39,13 @@ class TargetSite:
             raise ValueError("base_latency must be positive")
         if self.capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if self.timeout <= self.base_latency:
-            raise ValueError("timeout must exceed base_latency")
-        for name in (
-            "request_bytes", "cost_per_gib", "visitor_rate", "revenue_per_visit", "patience"
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        if not self.base_latency < self.timeout <= MAX_QUANTITY:
+            raise ValueError(f"timeout must lie in (base_latency, {MAX_QUANTITY}]")
+        for name in ("request_bytes", "cost_per_gib", "visitor_rate", "revenue_per_visit"):
+            if not 0 <= getattr(self, name) <= MAX_QUANTITY:
+                raise ValueError(f"{name} must lie in [0, {MAX_QUANTITY}]")
+        if self.patience < 0:
+            raise ValueError("patience must be non-negative")
 
 
 @dataclass
@@ -82,17 +86,10 @@ def _minute_load(site: TargetSite, record: MinuteTraffic) -> float:
     return record.opt_out_requests + record.probe_requests + site.visitor_rate
 
 
-def send_opt_out_burst(
-    site: TargetSite,
-    comrade_count: int,
-    rate: int,
-    minute: int,
-    ledger: TrafficLedger,
-) -> None:
-    """Register comrade_count * rate opt-out requests for this minute."""
-    if comrade_count < 0 or rate < 0:
-        raise ValueError("comrade_count and rate must be non-negative")
-    ledger.minute(minute).opt_out_requests += comrade_count * rate
+def send_opt_out_burst(ledger: TrafficLedger, requests: int, minutes: range) -> None:
+    """Add `requests` opt-out requests to each of the given minutes."""
+    for minute in minutes:
+        ledger.minute(minute).opt_out_requests += requests
 
 
 def probe(site: TargetSite, minute: int, ledger: TrafficLedger) -> float:

@@ -205,7 +205,7 @@ def test_criterion_08_economics_match_hand_arithmetic():
     baseline_minutes = [start - 30 + 6 * k for k in range(5)]
     during_minutes = [start + 6 * k for k in range(5)]
     for minute in during_minutes:
-        website.send_opt_out_burst(site, 25, 12, minute, ledger)
+        website.send_opt_out_burst(ledger, 25 * 12, range(minute, minute + 1))
     baseline = [website.probe(site, m, ledger) for m in baseline_minutes]
     during = [website.probe(site, m, ledger) for m in during_minutes]
     # loads: 1 probe + 20 visitors = 21; 300 + 1 + 20 = 321

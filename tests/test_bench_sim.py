@@ -1,21 +1,32 @@
-"""`benchmarks/bench_sim.py` merges a rerun into its results file by rung."""
+"""`benchmarks/bench_sim.py` merges a rerun into its results file by rung,
+and its scenarios are those that perfbench and the golden digests pin."""
 
 import importlib.util
 from pathlib import Path
 
+from test_golden import GOLDEN
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_bench_sim():
-    spec = importlib.util.spec_from_file_location(
-        "bench_sim", ROOT / "benchmarks" / "bench_sim.py"
-    )
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-bench_sim = _load_bench_sim()
+bench_sim = _load("bench_sim", ROOT / "benchmarks" / "bench_sim.py")
+workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+
+
+def test_the_attack_mix_is_perfbench_s():
+    assert bench_sim.ATTACK_MIX == workloads.generate("attack_mix", 42)["adversaries"]
+
+
+def test_the_first_rung_is_the_pinned_baseline():
+    *_size, pinned = bench_sim.LADDER[0]
+    assert pinned == GOLDEN["baseline.json"] == workloads.BUNDLED["baseline.json"]
 
 
 def _entry(index: int, wall_s: float) -> dict:

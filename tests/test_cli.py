@@ -1,14 +1,18 @@
 """Command-line behavior: exit codes, summaries, output files, sweeps."""
 
 import json
+import math
 import os
 import time
+from pathlib import Path
 
 import pytest
 
 from optoutswarm.cli import EXIT_INVALID, EXIT_OK, main
+from optoutswarm.website import MAX_QUANTITY
 
 URL = "http://tiny.example/go"
+BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.json"
 
 
 @pytest.fixture()
@@ -80,11 +84,14 @@ class TestValidate:
         [
             (b'{"seed": 1, "duration": "\xff"}', "not UTF-8 text at byte 25"),
             (b'{"a":' * 100_000, "JSON nested too deeply"),
+            (b'{"seed": ' + b"7" * 5000 + b', "duration": 300, "clients": [{"count": 6}]}',
+             "invalid JSON: Exceeds the limit (4300 digits)"),
         ],
-        ids=["not-utf8", "nested-past-the-decoder"],
+        ids=["not-utf8", "nested-past-the-decoder", "5000-digit-seed"],
     )
     def test_undecodable_file_exits_2(self, tmp_path, content, reason, capsys):
-        # was: exit 1, "internal failure" (UnicodeDecodeError, RecursionError)
+        # was: exit 1, "internal failure" (UnicodeDecodeError, RecursionError,
+        # and the plain ValueError of an integer longer than int() converts)
         path = tmp_path / "undecodable.json"
         path.write_bytes(content)
         for command in ("validate", "run"):
@@ -397,6 +404,76 @@ class TestRun:
             assert f"{field}:" in captured.err
             assert len(captured.err.encode()) < 1024
             assert captured.out == ""
+
+    @pytest.mark.parametrize(("change", "field"), [
+        # was: validate 0, run 1 with "(34, 'Numerical result out of range')"
+        ({"opt_out_rate": 10**300}, "opt_out_rate"),
+        # was: validate 0, run 1 with "int too large to convert to float"
+        ({"request_bytes": 10**400}, "request_bytes"),
+        # was: exit 0, writing "lost_revenue":Infinity, which is not JSON
+        ({"revenue_per_visit": 1e307, "patience": 100}, "revenue_per_visit"),
+        # was: exit 0, writing "traffic_cost":Infinity
+        ({"cost_per_gib": 1.7e308}, "cost_per_gib"),
+        # was: exit 0, writing "baseline_ms":Infinity, the mean of two timeouts
+        ({"timeout": 1.7e308, "base_latency": 1.6e308, "probe_count": 2}, "timeout"),
+    ], ids=["opt_out_rate=10**300", "request_bytes=10**400", "revenue_per_visit=1e307",
+            "cost_per_gib=1.7e308", "timeout=1.7e308"])
+    def test_a_number_that_overflows_mid_run_exits_2(self, tmp_path, change, field, capsys):
+        raw = json.loads(BASELINE.read_text())
+        for name, value in change.items():
+            if name == "opt_out_rate":
+                raw[name] = value
+            elif name == "probe_count":
+                raw["clients"][0]["trust"][name] = value
+            else:
+                raw["target_sites"][0][name] = value
+        path, out = tmp_path / "overflow.json", tmp_path / "out.ndjson"
+        path.write_text(json.dumps(raw))
+        for command in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert main(command) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert field in captured.err and str(MAX_QUANTITY) in captured.err
+            assert len(captured.err.encode()) < 1024
+            assert captured.out == ""
+        assert not out.exists()
+
+    def test_every_bounded_number_at_its_bound_runs_finite(self, tmp_path, capsys):
+        raw = json.loads(BASELINE.read_text())
+        raw["opt_out_rate"] = MAX_QUANTITY
+        raw["clients"][0]["trust"]["probe_count"] = 2  # a median is a mean of two
+        site = raw["target_sites"][0]
+        for name in ("timeout", "request_bytes", "visitor_rate", "cost_per_gib",
+                     "revenue_per_visit"):
+            site[name] = MAX_QUANTITY
+        path, out = tmp_path / "bounds.json", tmp_path / "out.ndjson"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+
+        def non_finite(token):
+            raise AssertionError(f"{token} in the metrics stream")
+
+        numbers = []
+
+        def collect(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, list):
+                for item in value:
+                    collect(item)
+            elif isinstance(value, (int, float)):
+                numbers.append(value)
+
+        lines = out.read_text().splitlines()
+        for line in lines:
+            collect(json.loads(line, parse_constant=non_finite))
+        assert all(math.isfinite(n) for n in numbers)
+        # the bounds were reached: the site was flooded, slowed to its
+        # timeout and lost visitors
+        (totals,) = json.loads(lines[-1])["sites"].values()
+        assert totals["opt_out_requests"] >= MAX_QUANTITY
+        assert totals["lost_revenue"] >= MAX_QUANTITY**2
+        assert any('"baseline_ms":%d.0' % MAX_QUANTITY in line for line in lines)
 
     def test_duplicate_site_url_exits_2(self, scenario_path, capsys):
         raw = json.loads(scenario_path.read_text())

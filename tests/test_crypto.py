@@ -135,16 +135,16 @@ class TestSolve:
         assert crypto.solve_challenge(ch, 400) == (planted, planted + 1)
 
 
-def outcome(challenge: crypto.Challenge, max_rand: int, known: int | None = None):
+def outcome(challenge: crypto.Challenge, max_rand: int):
     """What `solve_challenge` returns, or "no_solution"."""
     try:
-        return crypto.solve_challenge(challenge, max_rand, known)
+        return crypto.solve_challenge(challenge, max_rand)
     except crypto.NoSolution:
         return "no_solution"
 
 
 class TestKnownAnswer:
-    """A hint may only skip the scan, never change its result."""
+    """A carried answer may only skip the scan, never change its result."""
 
     ISSUER_MAX_RAND = 600
 
@@ -158,12 +158,14 @@ class TestKnownAnswer:
         drawn = self.challenges()
         seen = set()
         for (ch, answer), (_, other) in zip(drawn, drawn[1:] + drawn[:1]):
-            forged = crypto.Challenge(relay.public_key, ch.rand1, ch.target_hash)
+            assert ch.answer == answer  # a built challenge carries its answer
+            forged = crypto.Challenge(relay.public_key, ch.rand1, ch.target_hash, answer)
             for max_rand in (0, 150, 300, self.ISSUER_MAX_RAND):
                 seen.add(answer <= max_rand)
-                for challenge, hint in ((ch, answer), (ch, other), (forged, answer)):
-                    assert outcome(challenge, max_rand, hint) == outcome(challenge, max_rand)
-        assert seen == {True, False}  # hints both inside and beyond the range
+                for challenge in (ch, ch._replace(answer=other), forged):
+                    unhinted = challenge._replace(answer=None)
+                    assert outcome(challenge, max_rand) == outcome(unhinted, max_rand)
+        assert seen == {True, False}  # answers both inside and beyond the range
 
     def test_a_correct_hint_skips_the_kernel(self, monkeypatch):
         def no_scan(*args):
@@ -171,10 +173,10 @@ class TestKnownAnswer:
 
         monkeypatch.setattr(pow_backend, "solve_kernel", no_scan)
         for ch, answer in self.challenges(10):
-            assert crypto.solve_challenge(ch, self.ISSUER_MAX_RAND, answer) == (answer, answer + 1)
+            assert crypto.solve_challenge(ch, self.ISSUER_MAX_RAND) == (answer, answer + 1)
             if answer:
                 with pytest.raises(crypto.NoSolution):
-                    crypto.solve_challenge(ch, answer - 1, answer)
+                    crypto.solve_challenge(ch, answer - 1)
 
     def test_a_wrong_hint_runs_the_kernel(self, monkeypatch):
         calls = []
@@ -184,7 +186,7 @@ class TestKnownAnswer:
         )
         (ch, answer), (_, other) = self.challenges(2)
         assert other != answer
-        assert outcome(ch, self.ISSUER_MAX_RAND, other) == (answer, answer + 1)
+        assert outcome(ch._replace(answer=other), self.ISSUER_MAX_RAND) == (answer, answer + 1)
         assert len(calls) == 1
 
 
@@ -338,6 +340,11 @@ records = st.one_of(
 )
 
 
+def on_the_wire(record: crypto.Challenge | crypto.ChallengeSolution):
+    """The fields a payload carries: a challenge's answer stays in process."""
+    return record._replace(answer=None) if isinstance(record, crypto.Challenge) else record
+
+
 class TestPayloadCodec:
     # every pinned run draws rand1 and rand2 far below 2^56, so only the full
     # range shows a decoder that reads a number's top byte wrong
@@ -347,11 +354,11 @@ class TestPayloadCodec:
     @example(record=crypto.ChallengeSolution(b"s" * 32, crypto.MAX_RAND_LIMIT))
     @settings(max_examples=200, deadline=None)
     def test_payload_round_trips(self, record):
-        assert crypto.decode_payload(bytes(record)) == record
+        assert crypto.decode_payload(bytes(record)) == on_the_wire(record)
 
     @given(record=records)
     @settings(max_examples=30, deadline=None)
     def test_sealed_payload_round_trips(self, record):
         bob = identity("codec-bob")
         wire = crypto.seal(bob.public_key, bytes(record))
-        assert crypto.decode_payload(crypto.open_sealed(bob, wire)) == record
+        assert crypto.decode_payload(crypto.open_sealed(bob, wire)) == on_the_wire(record)

@@ -9,6 +9,7 @@ from collections import Counter, defaultdict
 import pytest
 
 import corpus
+from test_bench_sim import bench_sim
 from optoutswarm import coordinator, crypto, dht, trust, website
 from optoutswarm.coordinator import CampaignStart
 from optoutswarm.scenario import ADVERSARIES, from_dict, load_file
@@ -367,22 +368,13 @@ class _FullReadSybil(_SybilFloodAdversary):
                     self.counters["registered"] += 1
 
 
-ATTACK_MIX = [
-    {"strategy": "sybil_flood", "identity_count": 200},
-    {"strategy": "mitm_forwarder", "rewrite_issuer": True},
-    {"strategy": "challenge_flood", "victim": 0, "count": 400, "at_minute": 60,
-     "max_rand": 10_000},
-    {"strategy": "separation", "injection_period": 30, "lead_minutes": 30},
-]
-
-
 def attack_mix() -> dict:
     """The baseline at 8 clients for 250 minutes under the four-adversary mix."""
     with open("scenarios/baseline.json", encoding="utf-8") as f:
         raw = json.load(f)
     raw["clients"][0]["count"] = 8
     raw["duration"] = 250
-    raw["adversaries"] = ATTACK_MIX
+    raw["adversaries"] = bench_sim.ATTACK_MIX
     return raw
 
 

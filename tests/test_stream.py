@@ -4,6 +4,7 @@ serialization byte for byte."""
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from optoutswarm.cli import EXIT_INTERNAL, EXIT_OK, main
 from optoutswarm.scenario import load_file
 from optoutswarm.simulation import (
     _CHALLENGE_ANSWERED, _CHALLENGE_DROPPED, _CHALLENGE_SENT, _ENCODER, _VERIFICATION,
-    Simulation, run,
+    Simulation, ndjson_line, run,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -72,6 +73,13 @@ def test_failed_run_leaves_earlier_file_and_no_partial_file(tmp_path, monkeypatc
     assert earlier.read_bytes() == b'{"earlier":"run"}\n'
     assert not fresh.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["earlier.ndjson"]
+
+
+def test_a_non_finite_number_is_never_written():
+    # JSON has no Infinity or NaN: such a value fails the run, not the reader
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            ndjson_line({"t": 0, "type": "site_minute", "response_ms": value})
 
 
 KEYS = st.binary(min_size=32, max_size=32).map(bytes.hex)

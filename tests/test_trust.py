@@ -12,6 +12,7 @@ from optoutswarm.dht import SimulatedDht, inbox_key
 from optoutswarm.trust import (
     AnswerBudget,
     CampaignOutcome,
+    ChallengeHandling,
     MalformedPayload,
     PendingChallenge,
     RAMP_CAP,
@@ -122,7 +123,8 @@ class TestPayloads:
         challenge, _ = crypto.generate_challenge(issuer, 100, Random(7))
         data = encode_challenge_payload(challenge)
         assert len(data) == 73
-        assert decode_payload(data) == challenge
+        # the payload holds every field but the answer, which stays in process
+        assert decode_payload(data) == challenge._replace(answer=None)
 
     def test_response_round_trip(self):
         solution = crypto.ChallengeSolution(solver_public_key=b"s" * 32, rand2=77)
@@ -134,17 +136,19 @@ class TestPayloads:
         bob = identity("payload-bob")
         challenge, rand2 = crypto.generate_challenge(identity("payload-issuer"), 100, Random(7))
         solution = crypto.ChallengeSolution(solver_public_key=b"s" * 32, rand2=rand2)
-        for record, encode in (
-            (challenge, encode_challenge_payload), (solution, bytes)
+        for record, encode, sent in (
+            (challenge, encode_challenge_payload, challenge._replace(answer=None)),
+            (solution, bytes, solution),
         ):
             # posted in-process, a record is polled as itself
             dht = SimulatedDht()
             post(dht, bob.public_key, record, 0)
             (polled,) = poll_inbox(0, dht, bob)
             assert polled is record
-            # on the wire it is the seal of its payload, and decodes back
+            # on the wire it is the seal of its payload, and decodes back to
+            # the fields the payload carries
             wire = crypto.seal(bob.public_key, encode(record))
-            assert decode_payload(crypto.open_sealed(bob, wire)) == record
+            assert decode_payload(crypto.open_sealed(bob, wire)) == sent
 
     @pytest.mark.parametrize(
         "data",
@@ -254,19 +258,18 @@ class TestHandleChallenge:
     def test_stranger_dropped_before_budget(self):
         budget = AnswerBudget(cap=0)
         got = self.handle(budget, comrade=False)
-        assert got.dropped == "not_comrade"
-        assert not got.attempted
-        assert got.hash_evaluations == 0
+        assert got == ChallengeHandling(0, "not_comrade")
+        assert not got.answered
 
     def test_budget_exhausted_drops(self):
         got = self.handle(AnswerBudget(cap=0))
-        assert got.dropped == "budget"
-        assert not got.attempted
+        assert got == ChallengeHandling(0, "budget")
+        assert not got.answered
 
     def test_answer_reaches_issuer_inbox(self):
         got = self.handle(AnswerBudget(cap=5))
-        assert got.answered and got.attempted and got.dropped is None
-        assert got.hash_evaluations == self.expected + 1
+        assert got == ChallengeHandling(self.expected + 1)
+        assert got.answered
         (solution,) = self.dht.get(inbox_key(self.issuer.public_key), 0)
         assert isinstance(solution, crypto.ChallengeSolution)
         assert solution == crypto.ChallengeSolution(self.me.public_key, self.expected)
@@ -277,35 +280,29 @@ class TestHandleChallenge:
         monkeypatch.setattr(
             pow_backend, "solve_kernel", lambda *args: calls.append(args) or kernel(*args)
         )
-        got = self.handle(AnswerBudget(cap=5))
+        got = self.handle(AnswerBudget(cap=5), challenge=self.challenge._replace(answer=None))
         assert got.answered and got.hash_evaluations == self.expected + 1
         assert len(calls) == 1
 
     def test_a_hint_changes_nothing_but_the_scan(self, monkeypatch):
-        unhinted = self.handle(AnswerBudget(cap=5))
+        unhinted = self.handle(AnswerBudget(cap=5), challenge=self.challenge._replace(answer=None))
         unhinted_inbox = self.dht.get(inbox_key(self.issuer.public_key), 0)
         self.dht = SimulatedDht()
         monkeypatch.setattr(pow_backend, "solve_kernel", None)  # any call fails
-        hinted = handle_challenge(
-            self.me, self.challenge, self.dht, AnswerBudget(cap=5),
-            comrade=True, max_rand=50, now=0, known=self.expected,
-        )
+        assert self.challenge.answer == self.expected
+        hinted = self.handle(AnswerBudget(cap=5))
         assert hinted == unhinted
         assert self.dht.get(inbox_key(self.issuer.public_key), 0) == unhinted_inbox
 
     def test_unsolvable_burns_full_scan_and_budget(self):
         relay = identity("relay")
-        # hash binds the real issuer, header claims the relay: no value works
-        forged = crypto.Challenge(
-            issuer_public_key=relay.public_key,
-            rand1=self.challenge.rand1,
-            target_hash=self.challenge.target_hash,
-        )
+        # hash binds the real issuer, header claims the relay: no value works,
+        # not even the real answer carried along
+        forged = self.challenge._replace(issuer_public_key=relay.public_key)
         budget = AnswerBudget(cap=1)
         got = self.handle(budget, challenge=forged)
-        assert got.dropped == "no_solution"
-        assert got.attempted and not got.answered
-        assert got.hash_evaluations == 51
+        assert got == ChallengeHandling(51, "no_solution")
+        assert not got.answered
         # that attempt spent the budget slot
         assert self.handle(budget).dropped == "budget"
 

@@ -60,18 +60,18 @@ class TestResponseTime:
 class TestBursts:
     def test_zero_comrades_change_nothing(self):
         ledger = TrafficLedger()
-        send_opt_out_burst(site(), 0, 6, 10, ledger)
+        send_opt_out_burst(ledger, 0, range(10, 11))
         assert ledger.minute(10).opt_out_requests == 0
 
     def test_requests_are_count_times_rate(self):
         ledger = TrafficLedger()
-        send_opt_out_burst(site(), 10, 6, 10, ledger)
-        assert ledger.minute(10).opt_out_requests == 60
+        send_opt_out_burst(ledger, 10 * 6, range(10, 13))
+        assert [ledger.minute(m).opt_out_requests for m in range(9, 14)] == [0, 60, 60, 60, 0]
 
     def test_same_minute_bursts_add(self):
         ledger = TrafficLedger()
-        send_opt_out_burst(site(), 10, 6, 10, ledger)
-        send_opt_out_burst(site(), 3, 2, 10, ledger)
+        send_opt_out_burst(ledger, 10 * 6, range(10, 11))
+        send_opt_out_burst(ledger, 3 * 2, range(10, 11))
         assert ledger.minute(10).opt_out_requests == 66
 
 
@@ -89,13 +89,13 @@ class TestProbe:
 
     def test_probe_sees_current_minute_load(self):
         ledger = TrafficLedger()
-        send_opt_out_burst(site(), 100, 1, 3, ledger)  # 100 requests: at capacity
+        send_opt_out_burst(ledger, 100, range(3, 4))  # 100 requests: at capacity
         got = probe(site(), 3, ledger)
         assert got == pytest.approx(2 * 100.0, rel=0.05)
 
     def test_saturated_site_reads_timeout(self):
         ledger = TrafficLedger()
-        send_opt_out_burst(site(), 1000, 1, 0, ledger)
+        send_opt_out_burst(ledger, 1000, range(1))
         assert probe(site(), 0, ledger) == 5000.0
 
 
@@ -111,7 +111,7 @@ class TestSettlement:
     def test_slow_minute_loses_all_visitors(self):
         s = site(visitor_rate=30, patience=150.0)
         ledger = TrafficLedger()
-        send_opt_out_burst(s, 100, 1, 0, ledger)  # pushes response past patience
+        send_opt_out_burst(ledger, 100, range(1))  # pushes response past patience
         record = settle_minute(s, 0, ledger)
         assert record.visitors_lost == ledger.total_visitors_lost == 30
         assert record.response_ms > s.patience
@@ -120,7 +120,7 @@ class TestSettlement:
     def test_traffic_cost_hand_arithmetic(self):
         s = site(cost_per_gib=0.05, request_bytes=2048)
         ledger = TrafficLedger()
-        send_opt_out_burst(s, 1000, 1, 0, ledger)
+        send_opt_out_burst(ledger, 1000, range(1))
         assert settle_minute(s, 0, ledger).opt_out_requests == 1000
         assert ledger.traffic_bytes == 1000 * 2048
         assert ledger.traffic_cost == 1000 * 2048 * 0.05 / 2**30
@@ -129,9 +129,8 @@ class TestSettlement:
     def test_visitor_conservation_over_run(self):
         s = site(visitor_rate=7, patience=150.0)
         ledger = TrafficLedger()
+        send_opt_out_burst(ledger, 100, range(20, 30))
         for minute in range(50):
-            if 20 <= minute < 30:
-                send_opt_out_burst(s, 100, 1, minute, ledger)
             settle_minute(s, minute, ledger)
         arrived = 50 * 7
         assert ledger.total_visitors_served + ledger.total_visitors_lost == arrived
