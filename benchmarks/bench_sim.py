@@ -12,9 +12,10 @@ attack_mix (a sybil flood of 200 keys, an issuer-rewriting MITM forwarder,
 a challenge flood and separation), where the adversaries' roster reads grow
 with minutes times campaigns times roster length. week_campaign runs 40
 clients for one week with campaigns that last a week, so every launched
-campaign bursts until the run ends. The 1,000-client rung writes about
-7.5 M events (770 MB of NDJSON) per run, so a full ladder spends most of its
-time there.
+campaign bursts until the run ends. The 64-client rung is perfbench's
+fleet_handshake workload at its default seed. The 1,000-client rung writes
+about 7.5 M events (770 MB of NDJSON) per run, so a full ladder spends most
+of its time there.
 Each run is a fresh `python -m optoutswarm run SCENARIO --out FILE` child.
 `os.wait4` reports that child's own CPU time (user + system) and peak RSS;
 its wall time runs from the spawn to the wait. Every rung runs `RUNS` times
@@ -31,6 +32,16 @@ many of the paired runs the change won, for wall and CPU time.
 `--rungs` runs only the rungs it names, by their index in `LADDER` (0 is
 the 10-client rung); each of them still checks its pin.
 
+`--calls` records two counts beside each rung's timings, per tree: `calls`,
+the Python calls that cProfile counts (pstats' `total_calls`, which counts
+functions sharing a file, line and name, such as the constructors of
+`NamedTuple` records, as one), and `challenge_target_calls`, the SHA-256
+challenge targets computed. A child process under `PYTHONHASHSEED=0` runs
+the rung's scenario once to warm up, then `COUNT_RUNS` times under cProfile
+around `simulation.run` with a sink that discards its lines; the counts must
+be equal across those runs (exit 1 otherwise). Unlike the timings, they do
+not drift with the host.
+
 The results are merged into `BENCH_<label>.json` at the repository root,
 beside the host facts: nproc, the Python version and the kernel backend
 (`pow_backend.BACKEND`). A tree's rungs are merged one by one, keyed by
@@ -40,12 +51,16 @@ and keeps the tree's others. From the repository root:
     python3 benchmarks/bench_sim.py --label schedule --parent ../parent/src
     python3 benchmarks/bench_sim.py --label lazy --entry change
     python3 benchmarks/bench_sim.py --label view --parent ../parent/src --rungs 1 4 7
+    python3 benchmarks/bench_sim.py --label target --parent ../parent/src --rungs 10 4 --calls
 """
 
 import argparse
+import cProfile
+import collections
 import hashlib
 import json
 import os
+import pstats
 import statistics
 import subprocess
 import sys
@@ -78,6 +93,7 @@ LADDER = [
     (40, 200, 10_080, "80391028d8d7add238f7a19821a638d02702c30e85c8c0c0ba9ea8557a517098",
      "week_campaign"),
     (1000, 200, 400, "11ac8c55a715518997d5b959db00b164527939006f49cd0f096715e96415b91c"),
+    (64, 200, 400, "8fb68e2099f627200043e51209573649c8cafdf9be20eb478374cec65c75535f"),
 ]
 # top-level scenario fields a variant rung sets on the scaled baseline
 VARIANTS = {
@@ -85,6 +101,7 @@ VARIANTS = {
     "week_campaign": {"campaign_duration": 10_080},
 }
 MEASURED = ("wall_s", "cpu_s", "peak_rss_mib")
+COUNT_RUNS = 2
 
 
 def _env(src: Path) -> dict[str, str]:
@@ -128,18 +145,70 @@ def one_run(src: Path, scenario: Path, out: Path) -> dict:
     }
 
 
-def rung(
-    trees: dict[str, Path], clients: int, max_rand: int, minutes: int, pinned: str,
-    workdir: Path, variant: str | None = None,
-) -> dict[str, dict]:
-    """One rung's entry per tree, from `RUNS` runs of each, alternating."""
+def rung_scenario(clients: int, max_rand: int, minutes: int, variant: str | None = None) -> dict:
+    """The scaled baseline a rung runs."""
     raw = json.loads(BASELINE.read_text(encoding="utf-8"))
     raw["clients"][0]["count"] = clients
     raw["clients"][0]["trust"]["max_rand"] = max_rand
     raw["duration"] = minutes
     raw.update(VARIANTS.get(variant, {}))
+    return raw
+
+
+def count_run(scenario_path: str) -> dict[str, int]:
+    """The counts of one run of a scenario under cProfile; call it after a
+    warm-up, which leaves the key caches and lazy imports as every later run
+    finds them."""
+    from optoutswarm import scenario, simulation
+
+    loaded = scenario.load_file(scenario_path)
+    profile = cProfile.Profile()
+    profile.runcall(simulation.run, loaded, collections.deque(maxlen=0).append)
+    stats = pstats.Stats(profile)
+    return {
+        "calls": stats.total_calls,
+        "challenge_target_calls": sum(
+            entry[1] for (path, _line, name), entry in stats.stats.items()
+            if name == "challenge_target" and path.endswith("crypto.py")
+        ),
+    }
+
+
+def count_calls(src: Path, scenario: Path) -> dict[str, int]:
+    """`count_run` in a child importing `src`: one warm-up, then `COUNT_RUNS`
+    counted runs, which must agree."""
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "from bench_sim import count_run\n"
+        "count_run(sys.argv[1])\n"
+        f"for _ in range({COUNT_RUNS}):\n"
+        "    print(json.dumps(count_run(sys.argv[1])))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(scenario)],
+        env={**_env(src), "PYTHONHASHSEED": "0"}, capture_output=True, text=True, check=True,
+    ).stdout
+    return repeated([json.loads(line) for line in out.splitlines()], f"{src} on {scenario}")
+
+
+def repeated(counts: list[dict[str, int]], what: str) -> dict[str, int]:
+    """The counts every run gave; exit 1 if the runs disagree."""
+    if any(c != counts[0] for c in counts):
+        raise SystemExit(f"bench_sim: counts of {what} differ across runs: {counts}")
+    return counts[0]
+
+
+def rung(
+    trees: dict[str, Path], clients: int, max_rand: int, minutes: int, pinned: str,
+    workdir: Path, variant: str | None = None, calls: bool = False,
+) -> dict[str, dict]:
+    """One rung's entry per tree, from `RUNS` runs of each, alternating, and
+    with `calls` the counts of `count_calls` beside them."""
     scenario = workdir / f"baseline-{clients}-{max_rand}-{minutes}-{variant}.json"
-    scenario.write_text(json.dumps(raw), encoding="utf-8")
+    scenario.write_text(
+        json.dumps(rung_scenario(clients, max_rand, minutes, variant)), encoding="utf-8"
+    )
     results: dict[str, list[dict]] = {name: [] for name in trees}
     names = list(trees)
     for i in range(RUNS):
@@ -160,6 +229,8 @@ def rung(
             entry[key] = round(statistics.median(r[key] for r in done), 3)
             entry[f"{key}_runs"] = [round(r[key], 3) for r in done]
         entry.update({k: done[0][k] for k in ("ndjson_sha256", "ndjson_bytes", "events")})
+        if calls:
+            entry.update(count_calls(trees[name], scenario))
         entries[name] = entry
     if "parent" in entries:
         parent, change = entries["parent"], entries["change"]
@@ -202,6 +273,8 @@ def main() -> int:
                            "writes entries parent and change")
     parser.add_argument("--rungs", type=int, nargs="+", choices=range(len(LADDER)),
                         metavar="INDEX", help="run only these rungs of LADDER (default: all)")
+    parser.add_argument("--calls", action="store_true",
+                        help="also record each rung's call and challenge-target counts")
     args = parser.parse_args()
 
     if args.parent is None:
@@ -212,7 +285,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench_sim-") as tmp:
         for index in args.rungs or range(len(LADDER)):
             clients, max_rand, minutes, pinned, *variant = LADDER[index]
-            entries = rung(trees, clients, max_rand, minutes, pinned, Path(tmp), *variant)
+            entries = rung(
+                trees, clients, max_rand, minutes, pinned, Path(tmp), *variant, calls=args.calls
+            )
             for name, entry in entries.items():
                 ladders[name]["ladder"].append(entry)
                 print(json.dumps({"tree": name, **entry}), flush=True)

@@ -110,6 +110,7 @@ class CampaignStart(_Campaign):
 
 @dataclass
 class CampaignRecord:
+    roster: DhtKey  # the DHT key of its roster, derived once at the join
     state: CampaignState = CampaignState.PENDING
     baseline: list[float] = field(default_factory=list)  # my latency probes before the start
     during: list[float] = field(default_factory=list)  # and from the start on
@@ -125,7 +126,7 @@ class LocalCampaignDb:
     def join(self, campaign: CampaignStart) -> CampaignRecord:
         """Add a campaign in order; re-joining keeps its record as it is."""
         if campaign not in self.entries:
-            self.entries[campaign] = CampaignRecord()
+            self.entries[campaign] = CampaignRecord(_roster_key(campaign))
             self.entries = dict(sorted(self.entries.items(), key=lambda e: e[0].order))
         return self.entries[campaign]
 
@@ -226,8 +227,8 @@ def read_comrades(
 
 def is_comrade(dht: SimulatedDht, db: LocalCampaignDb, now: int, public_key: bytes) -> bool:
     """Whether a key is registered for any campaign I joined."""
-    for campaign in db.entries:
-        if dht.contains(_roster_key(campaign), public_key, now):
+    for record in db.entries.values():
+        if dht.contains(record.roster, public_key, now):
             return True
     return False
 
@@ -246,10 +247,9 @@ def challenge_comrades(
     """
     peers = trust_db.take_maybe_due(now)
     rosters = []  # in the table's order, so a roster's place ranks as its campaign's order
-    for campaign, record in db.entries.items():
-        key = _roster_key(campaign)
-        rosters.append(key)
-        fresh, record.roster_read = dht.appended(key, record.roster_read)
+    for record in db.entries.values():
+        rosters.append(record.roster)
+        fresh, record.roster_read = dht.appended(record.roster, record.roster_read)
         peers.update(fresh)
     peers.discard(identity.public_key)
     if not peers:
@@ -263,8 +263,8 @@ def challenge_comrades(
                 due.append((first, peer))
                 break
     challenged = [peer for _order, peer in sorted(due)]
-    for peer in challenged:
-        trust.initiate_verification(identity, peer, dht, trust_db, cfg, rng, now)
+    if challenged:
+        trust.initiate_verification(identity, challenged, dht, trust_db, cfg, rng, now)
     return challenged
 
 

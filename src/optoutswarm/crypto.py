@@ -5,9 +5,9 @@ spent CPU time for a peer by solving that peer's challenge: the issuer picks
 two random numbers, publishes one of them plus a hash binding its own public
 key to both, and the solver brute-forces the hidden one. Binding the issuer's
 key into the hash means a relayed challenge yields a solution for the
-original issuer, never for the relay. A challenge built in process carries
-its issuer's answer, which no payload holds; a solver checks it with one
-hash and scans only if it fails, and the result is the scan's.
+original issuer, never for the relay. A challenge drawn in process carries
+its issuer's answer, which no payload holds, and hashes its target only when
+read; a solver takes that answer, checks any other with one hash, and scans.
 
 A handshake record's tagged inbox payload is `bytes(record)`, and
 `decode_payload` reads it back. `seal` turns payload bytes into the wire
@@ -112,6 +112,18 @@ class Challenge(NamedTuple):
         )
 
 
+class DrawnChallenge(Challenge):
+    """A challenge drawn in process, `DrawnChallenge(key, rand1, None, answer)`,
+    whose target is hashed from its answer when read. Two are equal exactly when
+    their bytes are, none equals a built `Challenge`, and `_replace` keeps the type."""
+
+    __slots__ = ()
+
+    @property
+    def target_hash(self) -> bytes:
+        return challenge_target(self.issuer_public_key, self.rand1, self.answer)
+
+
 class ChallengeSolution(NamedTuple):
     solver_public_key: bytes
     rand2: int
@@ -160,15 +172,11 @@ def draw_challenge(max_rand: int, rng: Random) -> tuple[int, int]:
     return rand1, rand2
 
 
-def generate_challenge(
-    issuer: ClientIdentity,
-    max_rand: int,
-    rng: Random,
-) -> tuple[Challenge, int]:
+def generate_challenge(issuer: ClientIdentity, max_rand: int, rng: Random) -> tuple[Challenge, int]:
     """Draw a challenge from `issuer` with `draw_challenge`.
 
-    Returns the challenge to send, which carries its answer in process, plus
-    that answer, which the issuer keeps until a response arrives.
+    Returns the challenge to send, built with its target and carrying its
+    answer in process, plus that answer, which the issuer keeps.
     """
     rand1, rand2 = draw_challenge(max_rand, rng)
     target = challenge_target(issuer.public_key, rand1, rand2)
@@ -184,11 +192,12 @@ def solve_challenge(challenge: Challenge, max_rand: int) -> tuple[int, int]:
     relay swaps in its own key.
 
     A carried `answer` that reproduces the target hash is that first match,
-    so it is returned, or rejected as out of range, without the scan. Any
-    other answer is ignored.
+    so it is returned, or rejected as out of range, without the scan; a
+    `DrawnChallenge`'s answer is by construction, unhashed. Any other answer
+    is ignored.
     """
-    answer = challenge.answer
-    if answer is not None and verify_solution(challenge, answer):
+    answer, drawn = challenge.answer, isinstance(challenge, DrawnChallenge)
+    if answer is not None and (drawn or verify_solution(challenge, answer)):
         if answer > max_rand:
             raise NoSolution(f"no solution in [0, {max_rand}]")
         return answer, answer + 1
@@ -204,9 +213,8 @@ def solve_challenge(challenge: Challenge, max_rand: int) -> tuple[int, int]:
 
 def verify_solution(challenge: Challenge, rand2: int) -> bool:
     """Check a claimed rand2 against the challenge without re-solving."""
-    return challenge_target(challenge.issuer_public_key, challenge.rand1, rand2) == (
-        challenge.target_hash
-    )
+    target = challenge_target(challenge.issuer_public_key, challenge.rand1, rand2)
+    return target == challenge.target_hash
 
 
 def _box_key(shared_secret: bytes) -> bytes:

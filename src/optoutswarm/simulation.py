@@ -11,8 +11,8 @@ Within each simulated minute, phases run in a fixed order:
   7. per-site settlement
 
 Polls walk the clients in index order, each in the minutes its
-`poll_interval` divides, and a challenge carries its issuer's answer, so a
-solver checks it with one hash instead of scanning. Settlement runs every
+`poll_interval` divides. A challenge carries its issuer's answer, which a
+solver takes, and hashes its target only when read. Settlement runs every
 minute, each minute settled once and then let go. A join books the
 campaign's launch decision at its start and, on a target site, the probe
 slots not yet past and the judgment, on one agenda ((minute, phase) ->
@@ -98,6 +98,14 @@ _CHALLENGE_ANSWERED = (
     '{"client":%d,"issuer":"%s","t":%d,"type":"challenge_answered","work":%d}\n'
 )
 _VERIFICATION = '{"client":%d,"ok":%s,"peer":"%s","t":%d,"type":"verification"}\n'
+
+
+class _Hexes(dict):
+    """Each public key's hex, formatted on its first use."""
+
+    def __missing__(self, key: bytes) -> str:
+        text = self[key] = key.hex()
+        return text
 
 
 def ndjson_line(record: dict[str, Any]) -> str:
@@ -224,7 +232,8 @@ class _MitmForwarderAdversary(_Adversary):
     reads_inbox = True
 
     def step(self, sim: "Simulation", now: int) -> None:
-        campaigns = self._register_everywhere(sim, now, self.identity.public_key)
+        key = self.identity.public_key
+        campaigns = self._register_everywhere(sim, now, key)
         victims = None
         for message in coordinator.poll_inbox(now, sim.dht, self.identity):
             if not isinstance(message, crypto.Challenge):
@@ -232,14 +241,10 @@ class _MitmForwarderAdversary(_Adversary):
             if victims is None:  # no roster is an inbox, so the drain moves no victim
                 victims = {
                     pk for c in campaigns for pk in coordinator.read_comrades(sim.dht, c, now)
-                } - {self.identity.public_key}
+                } - {key}
             forwarded = message
-            if self.spec.params["rewrite_issuer"]:
-                forwarded = crypto.Challenge(
-                    issuer_public_key=self.identity.public_key,
-                    rand1=message.rand1,
-                    target_hash=message.target_hash,
-                )
+            if self.spec.params["rewrite_issuer"]:  # built, without an answer, from the target
+                forwarded = crypto.Challenge(key, message.rand1, message.target_hash)
             for victim_pk in sorted(victims - {message.issuer_public_key}):
                 trust.post(sim.dht, victim_pk, forwarded, now)
                 self.counters["forwarded"] += 1
@@ -320,6 +325,7 @@ class Simulation:
         )
         self.events: list[str] = []
         self.emit = self.events.append if sink is None else sink
+        self._hex = _Hexes()
         self.adversarial_starts: set[CampaignStart] = set()
         self.honest_joins_on_adversarial = 0
         self._spam_at: dict[int, list[SpamInjection]] = {}
@@ -447,19 +453,13 @@ class Simulation:
         for client in self.clients:
             if now % client.cfg.poll_interval:
                 continue
-            payloads = coordinator.poll_inbox(now, self.dht, client.identity)
-            for payload in payloads:
+            for payload in coordinator.poll_inbox(now, self.dht, client.identity):
                 if isinstance(payload, crypto.Challenge):
+                    issuer = payload.issuer_public_key
                     handling = trust.handle_challenge(
-                        client.identity,
-                        payload,
-                        self.dht,
-                        client.budget,
-                        coordinator.is_comrade(
-                            self.dht, client.campaign_db, now, payload.issuer_public_key
-                        ),
-                        client.tcfg.max_rand,
-                        now,
+                        client.identity, payload, self.dht, client.budget,
+                        coordinator.is_comrade(self.dht, client.campaign_db, now, issuer),
+                        client.tcfg.max_rand, now,
                     )
                     if handling.hash_evaluations:
                         client.solve_attempts += 1
@@ -467,8 +467,7 @@ class Simulation:
                     if handling.dropped is None:
                         client.challenges_answered += 1
                         self.emit(_CHALLENGE_ANSWERED % (
-                            client.index, payload.issuer_public_key.hex(), now,
-                            handling.hash_evaluations,
+                            client.index, self._hex[issuer], now, handling.hash_evaluations,
                         ))
                     else:
                         self.emit(_CHALLENGE_DROPPED % (client.index, handling.dropped, now))
@@ -476,7 +475,7 @@ class Simulation:
                     ok = trust.handle_response(client.trust_db, payload)
                     self.emit(_VERIFICATION % (
                         client.index, "true" if ok else "false",
-                        payload.solver_public_key.hex(), now,
+                        self._hex[payload.solver_public_key], now,
                     ))
             challenged = coordinator.challenge_comrades(
                 now, self.dht, client.identity, client.campaign_db, client.trust_db,
@@ -484,7 +483,7 @@ class Simulation:
             )
             for peer_pk in challenged:
                 client.challenges_sent += 1
-                self.emit(_CHALLENGE_SENT % (client.index, peer_pk.hex(), now))
+                self.emit(_CHALLENGE_SENT % (client.index, self._hex[peer_pk], now))
 
     def _phase_ticks(self, now: int) -> None:
         for index, _campaigns in self._booked(now, "tick"):
@@ -640,7 +639,7 @@ class Simulation:
                 {
                     "index": client.index,
                     "trust_records": {
-                        pk.hex(): value
+                        self._hex[pk]: value
                         for pk, value in sorted(client.trust_db.records.items())
                     },
                     "verified_peers": len(client.trust_db.verified),

@@ -10,7 +10,7 @@ failed campaigns wipes the whole database on the theory that it was poisoned.
 The verification handshake runs over DHT inboxes: `post` and
 `post_challenge` leave the `Challenge` or `ChallengeSolution` record itself
 in the recipient's inbox, and on the wire a message is the seal of its
-tagged payload bytes.
+tagged payload bytes; a drawn challenge hashes its target only when read.
 Answering challenges is rate-limited per sliding hour so a flood of puzzles
 cannot eat a client's CPU.
 """
@@ -20,11 +20,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from random import Random
 from typing import NamedTuple
 
 from optoutswarm import crypto
-from optoutswarm.crypto import Challenge, ChallengeSolution, ClientIdentity
+from optoutswarm.crypto import Challenge, ChallengeSolution, ClientIdentity, DrawnChallenge
 from optoutswarm.crypto import MalformedPayload, decode_payload  # noqa: F401  re-exported
 from optoutswarm.dht import SimulatedDht, inbox_key
 
@@ -172,8 +173,7 @@ def apply_outcome(
 
 def accumulated_trust(db: TrustDb, comrades: list[bytes] | tuple[bytes, ...]) -> int:
     """Sum of trust over the given keys; unknown peers count zero."""
-    records = db.records
-    return sum(records.get(pk, 0) for pk in comrades)
+    return sum(map(db.records.get, comrades, repeat(0)))
 
 
 def encode_challenge_payload(challenge: Challenge) -> bytes:
@@ -183,11 +183,11 @@ def encode_challenge_payload(challenge: Challenge) -> bytes:
 def post(
     dht: SimulatedDht, recipient: bytes, message: Challenge | ChallengeSolution, now: int
 ) -> None:
-    """Leave a built record in a public key's inbox, unless nobody polls it:
-    no reader could see that mail. Under one inbox key two records are equal
-    exactly when their seals are, so the DHT collapses the same messages.
-    A fresh challenge goes through `post_challenge` instead, which does not
-    build one that nobody would read."""
+    """Leave a record in a public key's inbox, unless nobody polls it: no
+    reader could see that mail. Records of one form are equal exactly when
+    their seals are, so the DHT collapses the same messages; a run's built
+    challenges, a relay's rewritten copies, share no bytes with drawn ones. A
+    fresh challenge goes through `post_challenge`, which builds none nobody reads."""
     readers = dht.inbox_readers
     if readers is None or recipient in readers:
         dht.put(inbox_key(recipient), message, now)
@@ -200,38 +200,32 @@ def post_challenge(
     """Leave a fresh challenge from `issuer` in a public key's inbox; returns
     its answer, which the record carries too. The challenge is drawn for
     every inbox, so the issuer's stream does not depend on who reads it, but
-    its target hash and record are built, and put, only for an inbox somebody polls."""
+    its record, a `DrawnChallenge` that hashes nothing, is built and put only
+    for an inbox somebody polls."""
     rand1, rand2 = crypto.draw_challenge(max_rand, rng)
     readers = dht.inbox_readers
     if readers is None or recipient in readers:
-        key = issuer.public_key
-        challenge = Challenge(key, rand1, crypto.challenge_target(key, rand1, rand2), rand2)
-        dht.put(inbox_key(recipient), challenge, now)
+        dht.put(inbox_key(recipient), DrawnChallenge(issuer.public_key, rand1, None, rand2), now)
     return rand2
 
 
 def initiate_verification(
-    me: ClientIdentity,
-    peer_public_key: bytes,
-    dht: SimulatedDht,
-    db: TrustDb,
-    cfg: TrustConfig,
-    rng: Random,
-    now: int,
-) -> PendingChallenge:
-    """Challenge a peer and keep its answer, replacing any pending one;
-    returns what is kept. The answer and its `due_at` are kept whether or
-    not anyone reads the peer's inbox (see `post_challenge`), so the
-    issuer's stream and its schedule of re-challenges are the same.
+    me: ClientIdentity, peers: list[bytes], dht: SimulatedDht, db: TrustDb, cfg: TrustConfig,
+    rng: Random, now: int,
+) -> int:
+    """Challenge each peer in turn and keep its answer, replacing any pending
+    one, with one `due_at` filed once in `wake_at`, whether or not anyone
+    reads the peer's inbox (see `post_challenge`), so the issuer's stream and
+    its schedule of re-challenges are the same. Returns how many it challenged.
 
     Whom to challenge, and when, is decided by `coordinator.challenge_comrades`.
     """
     due_at = now + cfg.rechallenge_timeout
-    pending = db.pending[peer_public_key] = PendingChallenge(
-        post_challenge(dht, me, peer_public_key, cfg.max_rand, rng, now), due_at
-    )
-    db.wake_at.setdefault(due_at, []).append(peer_public_key)
-    return pending
+    pending, max_rand = db.pending, cfg.max_rand
+    for peer in peers:
+        pending[peer] = PendingChallenge(post_challenge(dht, me, peer, max_rand, rng, now), due_at)
+    db.wake_at.setdefault(due_at, []).extend(peers)
+    return len(peers)
 
 
 class ChallengeHandling(NamedTuple):
@@ -243,14 +237,13 @@ class ChallengeHandling(NamedTuple):
         return self.dropped is None
 
 
+_NOT_COMRADE = ChallengeHandling(0, "not_comrade")
+_OVER_BUDGET = ChallengeHandling(0, "budget")
+
+
 def handle_challenge(
-    me: ClientIdentity,
-    challenge: Challenge,
-    dht: SimulatedDht,
-    budget: AnswerBudget,
-    comrade: bool,
-    max_rand: int,
-    now: int,
+    me: ClientIdentity, challenge: Challenge, dht: SimulatedDht, budget: AnswerBudget,
+    comrade: bool, max_rand: int, now: int,
 ) -> ChallengeHandling:
     """Solve a comrade's challenge and mail the answer back. `comrade` says
     whether the issuer is registered for a campaign I joined
@@ -259,13 +252,13 @@ def handle_challenge(
     Challenges from strangers are dropped before they cost anything; the
     answer budget is spent per solve attempt, so even unsolvable garbage
     from a registered comrade burns at most the configured rate. An answer
-    the challenge carries spares `crypto.solve_challenge` its scan; the
-    outcome is the same with or without it.
+    the challenge carries spares `crypto.solve_challenge` its scan, and on a
+    drawn challenge its hash too; the outcome is the same with or without it.
     """
     if not comrade:
-        return ChallengeHandling(0, "not_comrade")
+        return _NOT_COMRADE
     if not budget.try_consume(now):
-        return ChallengeHandling(0, "budget")
+        return _OVER_BUDGET
     try:
         rand2, work = crypto.solve_challenge(challenge, max_rand)
     except crypto.NoSolution:
@@ -285,5 +278,5 @@ def handle_response(db: TrustDb, solution: ChallengeSolution) -> bool:
         db.wake_at.setdefault(0, []).append(solution.solver_public_key)
         return False
     db.verified.add(solution.solver_public_key)
-    db.records[solution.solver_public_key] = max(db.trust(solution.solver_public_key), 1)
+    db.records[solution.solver_public_key] = max(db.records.get(solution.solver_public_key, 0), 1)
     return True

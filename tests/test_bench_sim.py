@@ -1,8 +1,12 @@
 """`benchmarks/bench_sim.py` merges a rerun into its results file by rung,
-and its scenarios are those that perfbench and the golden digests pin."""
+its scenarios are those that perfbench and the golden digests pin, and its
+counts repeat."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 from test_golden import GOLDEN
 
@@ -27,6 +31,37 @@ def test_the_attack_mix_is_perfbench_s():
 def test_the_first_rung_is_the_pinned_baseline():
     *_size, pinned = bench_sim.LADDER[0]
     assert pinned == GOLDEN["baseline.json"] == workloads.BUNDLED["baseline.json"]
+
+
+def test_the_64_client_rung_is_perfbench_s_fleet_handshake():
+    (index,) = [i for i, rung in enumerate(bench_sim.LADDER) if rung[0] == 64]
+    clients, max_rand, minutes, pinned = bench_sim.LADDER[index]
+    assert bench_sim.rung_scenario(clients, max_rand, minutes) == workloads.generate(
+        "fleet_handshake", workloads.DEFAULT_SEED
+    )
+    assert pinned == workloads.PINNED["fleet_handshake"]
+
+
+def test_a_child_counts_the_calls_of_a_run_and_hashes_no_target():
+    counts = bench_sim.count_calls(ROOT / "src", ROOT / "scenarios" / "baseline.json")
+    assert set(counts) == {"calls", "challenge_target_calls"}
+    assert counts["calls"] > 0
+    assert counts["challenge_target_calls"] == 0  # every challenge is drawn
+
+
+def test_counts_repeat_after_a_warm_up_and_find_a_rewritten_copy_s_hash(tmp_path):
+    raw = json.loads((ROOT / "scenarios" / "mitm_forwarder.json").read_text(encoding="utf-8"))
+    raw["adversaries"] = [{"strategy": "mitm_forwarder", "rewrite_issuer": True}]
+    path = tmp_path / "rewriting.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    _warm_up, *counts = [bench_sim.count_run(str(path)) for _ in range(3)]
+    assert bench_sim.repeated(counts, "rewriting") == counts[0]
+    assert counts[0]["challenge_target_calls"] > 0  # the forwarder reads each target it copies
+
+
+def test_counts_that_differ_across_runs_exit():
+    with pytest.raises(SystemExit, match="differ"):
+        bench_sim.repeated([{"calls": 1}, {"calls": 2}], "a run")
 
 
 def _entry(index: int, wall_s: float) -> dict:

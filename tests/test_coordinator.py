@@ -555,7 +555,7 @@ def _full_scan(now, dht, identity, db, trust_db, cfg, rng):
                 continue
             if not trust_db.due(peer, now):
                 continue
-            trust.initiate_verification(identity, peer, dht, trust_db, cfg, rng, now)
+            trust.initiate_verification(identity, [peer], dht, trust_db, cfg, rng, now)
             challenged.append(peer)
     return challenged
 

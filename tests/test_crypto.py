@@ -1,6 +1,7 @@
 """Identities, challenges, and sealed messages."""
 
 import hashlib
+from collections import Counter
 from random import Random
 
 import pytest
@@ -102,7 +103,8 @@ class TestSolve:
         issuer = identity("a")
         for _ in range(20):
             ch, expected = crypto.generate_challenge(issuer, 500, rng)
-            solution, work = crypto.solve_challenge(ch, 500)
+            # from the wire form, which carries no answer: the kernel scans
+            solution, work = crypto.solve_challenge(crypto.decode_payload(bytes(ch)), 500)
             assert solution == expected
             assert work == expected + 1
 
@@ -188,6 +190,72 @@ class TestKnownAnswer:
         assert other != answer
         assert outcome(ch._replace(answer=other), self.ISSUER_MAX_RAND) == (answer, answer + 1)
         assert len(calls) == 1
+
+
+class TestDrawnChallenge:
+    """A drawn challenge derives its target only when read, and is otherwise
+    the challenge its wire form decodes to."""
+
+    def counted(self, monkeypatch) -> Counter:
+        calls = Counter()
+        target, kernel = crypto.challenge_target, pow_backend.solve_kernel
+
+        def hashing(*args):
+            calls["hash"] += 1
+            return target(*args)
+
+        def scanning(*args):
+            calls["scan"] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(crypto, "challenge_target", hashing)
+        monkeypatch.setattr(pow_backend, "solve_kernel", scanning)
+        return calls
+
+    @given(
+        key=st.binary(min_size=crypto.PUBLIC_KEY_LEN, max_size=crypto.PUBLIC_KEY_LEN),
+        max_rand=st.integers(0, 300),
+        seed=st.integers(0, 2**32),
+        solver_max_rand=st.integers(0, 300),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_it_solves_as_its_wire_form_does(self, key, max_rand, seed, solver_max_rand):
+        rand1, rand2 = crypto.draw_challenge(max_rand, Random(seed))
+        drawn = crypto.DrawnChallenge(key, rand1, None, rand2)
+        wire = crypto.decode_payload(bytes(drawn))
+        assert type(wire) is crypto.Challenge and wire.answer is None
+        assert bytes(wire) == bytes(drawn)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = self.counted(monkeypatch)
+            hinted = outcome(drawn, solver_max_rand)
+            assert calls == Counter()  # neither a hash nor a scan
+            assert outcome(wire, solver_max_rand) == hinted
+            assert calls == Counter(scan=1)
+
+    @given(
+        a=st.tuples(st.sampled_from([b"a" * 32, b"b" * 32]), st.integers(0, 2), st.integers(0, 2)),
+        b=st.tuples(st.sampled_from([b"a" * 32, b"b" * 32]), st.integers(0, 2), st.integers(0, 2)),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_two_are_equal_exactly_when_their_bytes_are(self, a, b):
+        first = crypto.DrawnChallenge(a[0], a[1], None, a[2])
+        second = crypto.DrawnChallenge(b[0], b[1], None, b[2])
+        assert (first == second) == (bytes(first) == bytes(second))
+        if first == second:
+            assert hash(first) == hash(second)
+
+    def test_a_forged_copy_with_a_wrong_answer_still_scans(self, monkeypatch):
+        issuer, relay = identity("drawn-issuer"), identity("drawn-relay")
+        rand1, rand2 = crypto.draw_challenge(400, Random(8))
+        drawn = crypto.DrawnChallenge(issuer.public_key, rand1, None, rand2)
+        wrong = (rand2 + 1) % 401
+        forged = crypto.Challenge(issuer.public_key, rand1, drawn.target_hash, wrong)
+        relayed = crypto.Challenge(relay.public_key, rand1, drawn.target_hash, rand2)
+        calls = self.counted(monkeypatch)
+        assert outcome(forged, 400) == (rand2, rand2 + 1)
+        assert calls == Counter(hash=1, scan=1)  # the answer checked, then the scan
+        assert outcome(relayed, 400) == "no_solution"
+        assert calls == Counter(hash=2, scan=2)
 
 
 @pytest.mark.parametrize(

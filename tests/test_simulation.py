@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,13 @@ from optoutswarm.simulation import (
 )
 
 URL = "http://pills.example/buy"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def bundled(name: str) -> dict:
+    """A bundled scenario's raw fields, found from this file, not the working directory."""
+    with open(SCENARIOS / name, encoding="utf-8") as f:
+        return json.load(f)
 
 
 def _events(report: MetricsReport) -> list[dict]:
@@ -208,7 +216,7 @@ class TestForwardedChallenges:
 
 
 def test_bundled_baseline_scenario_converges():
-    report = run(load_file("scenarios/baseline.json"))
+    report = run(load_file(str(SCENARIOS / "baseline.json")))
     campaigns = report.summary["campaigns"]
     assert len(campaigns) == 1
     assert campaigns[0]["comrade_count"] == 10
@@ -222,32 +230,33 @@ def test_every_validated_strategy_has_an_adversary_class():
 
 
 def test_module_level_run_matches_class(tmp_path):
-    scenario = load_file("scenarios/baseline.json")
+    scenario = load_file(str(SCENARIOS / "baseline.json"))
     small = dataclasses.replace(scenario, duration=260)
     assert run(small).to_ndjson() == Simulation(small).run().to_ndjson()
 
 
 def test_only_due_peers_reach_initiate_verification(monkeypatch):
     # 100 sybil keys never answer; a peer with a live challenge is skipped
-    # before the call, so every call sends (without the skip: 31,256 calls)
-    calls = 0
+    # before the call, so every peer it gets is sent a challenge (without the
+    # skip: 31,256 peers)
+    peers = 0
     initiate = trust.initiate_verification
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return initiate(*args)
+    def counted(me, due, *args):
+        nonlocal peers
+        peers += len(due)
+        return initiate(me, due, *args)
 
     monkeypatch.setattr(trust, "initiate_verification", counted)
-    report = run(load_file("scenarios/sybil_flood.json"))
+    report = run(load_file(str(SCENARIOS / "sybil_flood.json")))
     sent = sum(e["type"] == "challenge_sent" for e in _events(report))
-    assert calls == sent == 3256
+    assert peers == sent == 3256
 
 
 def test_no_mail_is_kept_for_inboxes_nobody_polls():
     # honest clients challenge the sybil keys on their rosters, and nobody
     # polls a sybil's inbox, so none of those challenges is stored
-    sim = Simulation(load_file("scenarios/sybil_flood.json"))
+    sim = Simulation(load_file(str(SCENARIOS / "sybil_flood.json")))
     report = sim.run()
     (sybil,) = sim.adversaries
     challenged = {e["peer"] for e in _events(report) if e["type"] == "challenge_sent"}
@@ -256,33 +265,45 @@ def test_no_mail_is_kept_for_inboxes_nobody_polls():
         assert sim.dht.appended(dht.inbox_key(pk), 0) == ([], 0)
 
 
-def test_a_challenge_to_an_inbox_nobody_reads_is_never_hashed(monkeypatch):
-    # the sybil keys on the honest rosters get challenges nobody reads:
-    # their answers are drawn, and no target hash is computed for them
-    sim = Simulation(load_file("scenarios/sybil_flood.json"))
-    readers = sim.dht.inbox_readers
-    sent, hashed = Counter(), Counter()  # whether the recipient reads -> challenges, hashes
-    to = []  # the recipient of the challenge being posted
-    post_challenge, challenge_target = trust.post_challenge, crypto.challenge_target
+def _rewriting_forwarder() -> dict:
+    raw = bundled("mitm_forwarder.json")
+    raw["adversaries"] = [{"strategy": "mitm_forwarder", "rewrite_issuer": True}]
+    return raw
 
-    def posting(store, issuer, recipient, *args):
-        sent[recipient in readers] += 1
-        to.append(recipient)
-        try:
-            return post_challenge(store, issuer, recipient, *args)
-        finally:
-            to.pop()
+
+@pytest.mark.parametrize(
+    "raw",
+    [bundled("baseline.json"), bundled("sybil_flood.json"), bundled("mitm_forwarder.json"),
+     _rewriting_forwarder()],
+    ids=["baseline", "sybil_flood", "mitm_forwarder", "mitm_forwarder_rewriting"],
+)
+def test_a_run_hashes_a_target_only_for_a_rewritten_copy(monkeypatch, raw):
+    # every challenge is drawn and solved from its carried answer, and relayed
+    # as it is, so in process only the rewritten copy of a relay reads a target
+    hashed = copies = 0
+    challenge_target, poll_inbox = crypto.challenge_target, coordinator.poll_inbox
 
     def hashing(*args):
-        if to:
-            hashed[to[-1] in readers] += 1
+        nonlocal hashed
+        hashed += 1
         return challenge_target(*args)
 
-    monkeypatch.setattr(trust, "post_challenge", posting)
+    def polling(now, store, identity):
+        nonlocal copies
+        messages = poll_inbox(now, store, identity)
+        if identity.public_key == forwarder_key:  # it rewrites each challenge it gets
+            copies += sum(isinstance(m, crypto.Challenge) for m in messages)
+        return messages
+
     monkeypatch.setattr(crypto, "challenge_target", hashing)
-    sim.run()
-    assert sent[False] and sent[True]
-    assert hashed == Counter({True: sent[True]})
+    monkeypatch.setattr(coordinator, "poll_inbox", polling)
+    sim = Simulation(from_dict(raw))
+    rewriting = [a for a in sim.adversaries if a.spec.params.get("rewrite_issuer")]
+    forwarder_key = rewriting[0].identity.public_key if rewriting else None
+    report = sim.run()
+    assert sum(e["type"] == "challenge_answered" for e in _events(report))
+    assert hashed == copies
+    assert bool(copies) == bool(rewriting)
 
 
 def test_honest_clients_and_the_forwarder_read_their_inboxes():
@@ -370,8 +391,7 @@ class _FullReadSybil(_SybilFloodAdversary):
 
 def attack_mix() -> dict:
     """The baseline at 8 clients for 250 minutes under the four-adversary mix."""
-    with open("scenarios/baseline.json", encoding="utf-8") as f:
-        raw = json.load(f)
+    raw = bundled("baseline.json")
     raw["clients"][0]["count"] = 8
     raw["duration"] = 250
     raw["adversaries"] = bench_sim.ATTACK_MIX

@@ -165,17 +165,18 @@ class TestInitiate:
         dht = SimulatedDht()
         me, peer = identity("initiator"), identity("peer")
         db = TrustDb()
-        kept = initiate_verification(
-            me, peer.public_key, dht, db, TrustConfig(max_rand=50), Random(1), 0
+        initiate_verification(
+            me, [peer.public_key], dht, db, TrustConfig(max_rand=50), Random(1), 0
         )
         values = dht.get(inbox_key(peer.public_key), 0)
         assert len(values) == 1
-        # posted in-process, the inbox holds the record itself
+        # posted in-process, the inbox holds the record itself, as drawn
         challenge = values[0]
-        assert isinstance(challenge, crypto.Challenge)
+        assert isinstance(challenge, crypto.DrawnChallenge)
         assert challenge.issuer_public_key == me.public_key
         # and the issuer keeps its answer
-        assert db.pending[peer.public_key] is kept
+        kept = db.pending[peer.public_key]
+        assert kept.expected_rand2 == challenge.answer
         assert kept.due_at == TrustConfig().rechallenge_timeout
         assert crypto.verify_solution(challenge, kept.expected_rand2)
 
@@ -183,9 +184,9 @@ class TestInitiate:
         me, peer = identity("initiator"), identity("peer")
         dht = SimulatedDht(inbox_readers=frozenset({me.public_key}))
         db, cfg = TrustDb(), TrustConfig(max_rand=50, rechallenge_timeout=7)
-        kept = initiate_verification(me, peer.public_key, dht, db, cfg, Random(1), 3)
+        initiate_verification(me, [peer.public_key], dht, db, cfg, Random(1), 3)
+        kept = PendingChallenge(crypto.generate_challenge(me, 50, Random(1))[1], 10)
         assert db.pending == {peer.public_key: kept}
-        assert kept == PendingChallenge(crypto.generate_challenge(me, 50, Random(1))[1], 10)
         assert db.wake_at == {10: [peer.public_key]}
         assert dht.appended(inbox_key(peer.public_key), 0) == ([], 0)
 
@@ -212,7 +213,7 @@ def test_a_drawn_challenge_leaves_what_a_built_one_leaves(seed, max_rand, count)
     db, cfg = TrustDb(), TrustConfig(max_rand=max_rand)
     rng, twin = Random(seed), Random(seed)
     for now in range(count):
-        initiate_verification(me, peer, dht, db, cfg, rng, now)
+        initiate_verification(me, [peer], dht, db, cfg, rng, now)
         _challenge, expected = crypto.generate_challenge(me, max_rand, twin)
         assert db.pending[peer] == PendingChallenge(expected, now + cfg.rechallenge_timeout)
         assert rng.getstate() == twin.getstate()
@@ -313,8 +314,8 @@ def test_a_reset_after_a_wrong_answer_wakes_every_freed_peer():
     dht, db, cfg, rng = SimulatedDht(), TrustDb(), TrustConfig(max_rand=50), Random(4)
     me = identity("waker")
     wrong, right, silent = b"w" * 32, b"r" * 32, b"s" * 32
-    for peer in (wrong, right, silent):
-        initiate_verification(me, peer, dht, db, cfg, rng, 0)
+    assert initiate_verification(me, [wrong, right, silent], dht, db, cfg, rng, 0) == 3
+    assert db.wake_at == {cfg.rechallenge_timeout: [wrong, right, silent]}  # filed once
     answer = db.pending[wrong].expected_rand2 + 1
     assert not handle_response(db, crypto.ChallengeSolution(wrong, answer))
     answer = db.pending[right].expected_rand2
@@ -390,7 +391,7 @@ def test_full_handshake_end_to_end():
     cfg = TrustConfig(max_rand=40)
     alice_db = TrustDb()
 
-    initiate_verification(alice, bob.public_key, dht, alice_db, cfg, Random(9), 0)
+    initiate_verification(alice, [bob.public_key], dht, alice_db, cfg, Random(9), 0)
     (challenge,) = poll_inbox(0, dht, bob)
     handled = handle_challenge(
         bob, challenge, dht, AnswerBudget(cap=5),
