@@ -32,15 +32,17 @@ many of the paired runs the change won, for wall and CPU time.
 `--rungs` runs only the rungs it names, by their index in `LADDER` (0 is
 the 10-client rung); each of them still checks its pin.
 
-`--calls` records two counts beside each rung's timings, per tree: `calls`,
-the Python calls that cProfile counts (pstats' `total_calls`, which counts
-functions sharing a file, line and name, such as the constructors of
-`NamedTuple` records, as one), and `challenge_target_calls`, the SHA-256
-challenge targets computed. A child process under `PYTHONHASHSEED=0` runs
-the rung's scenario once to warm up, then `COUNT_RUNS` times under cProfile
-around `simulation.run` with a sink that discards its lines; the counts must
-be equal across those runs (exit 1 otherwise). Unlike the timings, they do
-not drift with the host.
+`--calls` records three counts beside each rung's timings, per tree:
+`calls`, the calls that cProfile counts as pstats' `total_calls` does, which
+keeps one of the functions sharing a file, line and name, such as the
+constructors of `NamedTuple` records; `raw_calls`, the sum over every
+function that `cProfile.Profile.getstats()` lists, so that adding or
+removing record constructions shows; and `challenge_target_calls`, the
+SHA-256 challenge targets computed. A child process under
+`PYTHONHASHSEED=0` runs the rung's scenario once to warm up, then
+`COUNT_RUNS` times under cProfile around `simulation.run` with a sink that
+discards its lines; the counts must be equal across those runs (exit 1
+otherwise). Unlike the timings, they do not drift with the host.
 
 The results are merged into `BENCH_<label>.json` at the repository root,
 beside the host facts: nproc, the Python version and the kernel backend
@@ -164,9 +166,16 @@ def count_run(scenario_path: str) -> dict[str, int]:
     loaded = scenario.load_file(scenario_path)
     profile = cProfile.Profile()
     profile.runcall(simulation.run, loaded, collections.deque(maxlen=0).append)
+    return profile_counts(profile)
+
+
+def profile_counts(profile: cProfile.Profile) -> dict[str, int]:
+    """`calls`, `raw_calls` and `challenge_target_calls` of a finished profile."""
+    raw_calls = sum(entry.callcount for entry in profile.getstats())
     stats = pstats.Stats(profile)
     return {
         "calls": stats.total_calls,
+        "raw_calls": raw_calls,
         "challenge_target_calls": sum(
             entry[1] for (path, _line, name), entry in stats.stats.items()
             if name == "challenge_target" and path.endswith("crypto.py")
@@ -274,7 +283,7 @@ def main() -> int:
     parser.add_argument("--rungs", type=int, nargs="+", choices=range(len(LADDER)),
                         metavar="INDEX", help="run only these rungs of LADDER (default: all)")
     parser.add_argument("--calls", action="store_true",
-                        help="also record each rung's call and challenge-target counts")
+                        help="also record each rung's call, raw call and challenge-target counts")
     args = parser.parse_args()
 
     if args.parent is None:

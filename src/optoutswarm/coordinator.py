@@ -130,6 +130,10 @@ class LocalCampaignDb:
             self.entries = dict(sorted(self.entries.items(), key=lambda e: e[0].order))
         return self.entries[campaign]
 
+    def rosters(self) -> list[DhtKey]:
+        """The roster keys of my campaigns, in the table's order."""
+        return [record.roster for record in self.entries.values()]
+
 
 @dataclass(frozen=True)
 class LaunchDecision:
@@ -227,10 +231,7 @@ def read_comrades(
 
 def is_comrade(dht: SimulatedDht, db: LocalCampaignDb, now: int, public_key: bytes) -> bool:
     """Whether a key is registered for any campaign I joined."""
-    for record in db.entries.values():
-        if dht.contains(record.roster, public_key, now):
-            return True
-    return False
+    return dht.contains_any(db.rosters(), public_key, now)
 
 
 def challenge_comrades(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any
@@ -120,6 +120,15 @@ class SimulatedDht:
         """Whether `value` is in `get(key, now)`, without reading the others."""
         at = self._table.get(key.key, {}).get(value)
         return at is not None and now - self.ttl_minutes <= at <= now
+
+    def contains_any(self, keys: Iterable[DhtKey], value: Hashable, now: int) -> bool:
+        """Whether `contains(key, value, now)` holds for some key, in one call."""
+        table, oldest = self._table, now - self.ttl_minutes
+        for key in keys:
+            at = table.get(key.key, {}).get(value)
+            if at is not None and oldest <= at <= now:
+                return True
+        return False
 
     def appended(self, key: DhtKey, cursor: int) -> tuple[list[Any], int]:
         """Values stored at the end of `key` since `cursor`, newest first and

@@ -11,8 +11,10 @@ Within each simulated minute, phases run in a fixed order:
   7. per-site settlement
 
 Polls walk the clients in index order, each in the minutes its
-`poll_interval` divides. A challenge carries its issuer's answer, which a
-solver takes, and hashes its target only when read. Settlement runs every
+`poll_interval` divides. A poll hands its drained inbox to `trust.handle_mail`
+in one call and joins each handshake line from fixed fragments. A challenge
+carries its issuer's answer, which a solver takes, and hashes its target only
+when read. Settlement runs every
 minute, each minute settled once and then let go. A join books the
 campaign's launch decision at its start and, on a target site, the probe
 slots not yet past and the judgment, on one agenda ((minute, phase) ->
@@ -90,14 +92,18 @@ Sink = Callable[[str], object]
 # non-finite number, which JSON cannot hold, raises instead of being written
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
-# The handshake's events, nearly all of a large fleet's stream, each formatted
-# at its one emit site: `_ENCODER`'s bytes, fields in key order, without a dict.
-_CHALLENGE_SENT = '{"client":%d,"peer":"%s","t":%d,"type":"challenge_sent"}\n'
-_CHALLENGE_DROPPED = '{"client":%d,"reason":"%s","t":%d,"type":"challenge_dropped"}\n'
-_CHALLENGE_ANSWERED = (
-    '{"client":%d,"issuer":"%s","t":%d,"type":"challenge_answered","work":%d}\n'
-)
-_VERIFICATION = '{"client":%d,"ok":%s,"peer":"%s","t":%d,"type":"verification"}\n'
+
+def _handshake_fragments(client: int, now: int) -> tuple[str, ...]:
+    """One poll's handshake lines, nearly all of a large fleet's stream, in
+    fixed parts: a line is a head, a key's hex or a drop's reason, a tail and,
+    for an answer, its work and "}\n"; `_ENCODER`'s bytes, fields in key order."""
+    head, tail = '{"client":' + str(client) + ",", '","t":' + str(now) + ',"type":"'
+    return (
+        head + '"peer":"', tail + 'challenge_sent"}\n',
+        head + '"reason":"', tail + 'challenge_dropped"}\n',
+        head + '"issuer":"', tail + 'challenge_answered","work":',
+        head + '"ok":true,"peer":"', head + '"ok":false,"peer":"', tail + 'verification"}\n',
+    )
 
 
 class _Hexes(dict):
@@ -450,40 +456,39 @@ class Simulation:
                         }))
 
     def _phase_polls(self, now: int) -> None:
+        dht, hexes, emit = self.dht, self._hex, self.emit
         for client in self.clients:
             if now % client.cfg.poll_interval:
                 continue
-            for payload in coordinator.poll_inbox(now, self.dht, client.identity):
-                if isinstance(payload, crypto.Challenge):
-                    issuer = payload.issuer_public_key
-                    handling = trust.handle_challenge(
-                        client.identity, payload, self.dht, client.budget,
-                        coordinator.is_comrade(self.dht, client.campaign_db, now, issuer),
-                        client.tcfg.max_rand, now,
-                    )
-                    if handling.hash_evaluations:
+            me, db, fragments = client.identity, client.campaign_db, None
+            mail = coordinator.poll_inbox(now, dht, me)
+            if mail:
+                fragments = _handshake_fragments(client.index, now)
+                (_sent, _sent_end, dropped, dropped_end, answered, answered_end,
+                 verified, refused, verification_end) = fragments
+                for kind, key, value in trust.handle_mail(
+                    me, mail, dht, client.budget, client.trust_db, db.rosters(),
+                    client.tcfg.max_rand, now,
+                ):
+                    if kind == "verification":
+                        emit((verified if value else refused) + hexes[key] + verification_end)
+                        continue
+                    if value:  # budget was spent on a solve
                         client.solve_attempts += 1
-                        client.hash_evaluations += handling.hash_evaluations
-                    if handling.dropped is None:
+                        client.hash_evaluations += value
+                    if kind == "answered":
                         client.challenges_answered += 1
-                        self.emit(_CHALLENGE_ANSWERED % (
-                            client.index, self._hex[issuer], now, handling.hash_evaluations,
-                        ))
+                        emit(answered + hexes[key] + answered_end + str(value) + "}\n")
                     else:
-                        self.emit(_CHALLENGE_DROPPED % (client.index, handling.dropped, now))
-                else:
-                    ok = trust.handle_response(client.trust_db, payload)
-                    self.emit(_VERIFICATION % (
-                        client.index, "true" if ok else "false",
-                        self._hex[payload.solver_public_key], now,
-                    ))
+                        emit(dropped + kind + dropped_end)
             challenged = coordinator.challenge_comrades(
-                now, self.dht, client.identity, client.campaign_db, client.trust_db,
-                client.tcfg, client.rng,
+                now, dht, me, db, client.trust_db, client.tcfg, client.rng
             )
-            for peer_pk in challenged:
-                client.challenges_sent += 1
-                self.emit(_CHALLENGE_SENT % (client.index, self._hex[peer_pk], now))
+            if challenged:
+                sent, sent_end = (fragments or _handshake_fragments(client.index, now))[:2]
+                client.challenges_sent += len(challenged)
+                for peer_pk in challenged:
+                    emit(sent + hexes[peer_pk] + sent_end)
 
     def _phase_ticks(self, now: int) -> None:
         for index, _campaigns in self._booked(now, "tick"):

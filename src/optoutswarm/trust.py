@@ -11,13 +11,14 @@ The verification handshake runs over DHT inboxes: `post` and
 `post_challenge` leave the `Challenge` or `ChallengeSolution` record itself
 in the recipient's inbox, and on the wire a message is the seal of its
 tagged payload bytes; a drawn challenge hashes its target only when read.
-Answering challenges is rate-limited per sliding hour so a flood of puzzles
-cannot eat a client's CPU.
+`handle_mail` answers a whole drained inbox in one call, and answering is
+rate-limited per sliding hour so a flood of puzzles cannot eat a client's CPU.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -27,7 +28,7 @@ from typing import NamedTuple
 from optoutswarm import crypto
 from optoutswarm.crypto import Challenge, ChallengeSolution, ClientIdentity, DrawnChallenge
 from optoutswarm.crypto import MalformedPayload, decode_payload  # noqa: F401  re-exported
-from optoutswarm.dht import SimulatedDht, inbox_key
+from optoutswarm.dht import DhtKey, SimulatedDht, inbox_key
 
 PROBE_WINDOW = 30  # minutes of latency probes before a campaign's start, and from it on
 ANSWER_WINDOW = 60  # minutes of the sliding window the answer budget counts over
@@ -237,46 +238,64 @@ class ChallengeHandling(NamedTuple):
         return self.dropped is None
 
 
-_NOT_COMRADE = ChallengeHandling(0, "not_comrade")
-_OVER_BUDGET = ChallengeHandling(0, "budget")
+def handle_mail(
+    me: ClientIdentity | None, messages: Iterable[Challenge | ChallengeSolution],
+    dht: SimulatedDht | None, budget: AnswerBudget | None, db: TrustDb | None,
+    rosters: Sequence[DhtKey], max_rand: int, now: int,
+) -> Iterator[tuple[str, bytes, int]]:
+    """Apply the receive rules to a drained inbox in order, yielding one
+    `(kind, key, work or ok)` per message, keyed by issuer or solver, as each
+    is applied (a list of outcomes, held among the answers' records, would
+    fragment the heap); the caller takes every outcome before the state moves.
+
+    A challenge whose issuer is live on none of my `rosters` is dropped before
+    it costs anything ("not_comrade"). Each solve attempt spends the answer
+    budget ("budget" once it is spent), so even a comrade's unsolvable garbage
+    burns at most the configured rate; a solve that finds nothing, as on a
+    relayed copy whose hash binds another issuer, counts a full scan
+    ("no_solution"). A response takes its solver's pending challenge: a wrong
+    answer frees the peer to be challenged at once, an unasked one nothing.
+    """
+    for message in messages:
+        if type(message) is ChallengeSolution:
+            solver = message.solver_public_key
+            pending = db.pending.pop(solver, None)
+            ok = pending is not None and message.rand2 == pending.expected_rand2
+            if ok:
+                db.verified.add(solver)
+                if db.records.get(solver, 0) < 1:  # verification floors trust at 1
+                    db.records[solver] = 1
+            elif pending is not None:
+                db.wake_at.setdefault(0, []).append(solver)
+            yield "verification", solver, ok
+            continue
+        issuer = message.issuer_public_key
+        if not dht.contains_any(rosters, issuer, now):
+            yield "not_comrade", issuer, 0
+        elif not budget.try_consume(now):
+            yield "budget", issuer, 0
+        else:
+            try:
+                rand2, work = crypto.solve_challenge(message, max_rand)
+            except crypto.NoSolution:  # a full scan is counted, carried answer or not
+                yield "no_solution", issuer, max_rand + 1
+                continue
+            post(dht, issuer, ChallengeSolution(me.public_key, rand2), now)
+            yield "answered", issuer, work
 
 
 def handle_challenge(
     me: ClientIdentity, challenge: Challenge, dht: SimulatedDht, budget: AnswerBudget,
-    comrade: bool, max_rand: int, now: int,
+    rosters: Sequence[DhtKey], max_rand: int, now: int,
 ) -> ChallengeHandling:
-    """Solve a comrade's challenge and mail the answer back. `comrade` says
-    whether the issuer is registered for a campaign I joined
-    (`coordinator.is_comrade`).
-
-    Challenges from strangers are dropped before they cost anything; the
-    answer budget is spent per solve attempt, so even unsolvable garbage
-    from a registered comrade burns at most the configured rate. An answer
-    the challenge carries spares `crypto.solve_challenge` its scan, and on a
-    drawn challenge its hash too; the outcome is the same with or without it.
-    """
-    if not comrade:
-        return _NOT_COMRADE
-    if not budget.try_consume(now):
-        return _OVER_BUDGET
-    try:
-        rand2, work = crypto.solve_challenge(challenge, max_rand)
-    except crypto.NoSolution:
-        # a full scan is counted, carried answer or not; typical of relayed
-        # challenges whose hash binds a different issuer key
-        return ChallengeHandling(max_rand + 1, "no_solution")
-    post(dht, challenge.issuer_public_key, ChallengeSolution(me.public_key, rand2), now)
-    return ChallengeHandling(work)
+    """`handle_mail` of one challenge."""
+    ((kind, _issuer, work),) = handle_mail(
+        me, (challenge,), dht, budget, None, rosters, max_rand, now
+    )
+    return ChallengeHandling(work, None if kind == "answered" else kind)
 
 
 def handle_response(db: TrustDb, solution: ChallengeSolution) -> bool:
-    """Match a response against the stored expectation for that peer."""
-    pending = db.pending.pop(solution.solver_public_key, None)
-    if pending is None:
-        return False
-    if solution.rand2 != pending.expected_rand2:
-        db.wake_at.setdefault(0, []).append(solution.solver_public_key)
-        return False
-    db.verified.add(solution.solver_public_key)
-    db.records[solution.solver_public_key] = max(db.records.get(solution.solver_public_key, 0), 1)
-    return True
+    """`handle_mail` of one response: whether it verified its solver."""
+    ((_kind, _solver, ok),) = handle_mail(None, (solution,), None, None, db, (), 0, 0)
+    return ok

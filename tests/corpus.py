@@ -16,7 +16,8 @@ right: answers that come back wrong and free a peer at once
 which roster entries expire (`roster_expiry`) and expired ones are put
 again at the end of their roster (`expired_reput`). One pins that the
 adversaries' shared view of the announced starts is read afresh after an
-injector announces one (`interleaved_spam`). Run it with
+injector announces one (`interleaved_spam`). One pins that a client answers a
+comrade it shares only its later campaign with (`second_roster`). Run it with
 `pytest tests/test_golden.py -k corpus`.
 
 `generate(name)` draws the fleet size, seed and spam minute from a private
@@ -301,6 +302,19 @@ def _(s: dict) -> None:
     s["spam_injections"] = [spam(minute, "all", "pills.example") for minute in (20, 40)]
 
 
+@variant("second_roster")
+def _(s: dict) -> None:
+    # client 0 holds two campaigns, the earlier with clients 1-5 and the later
+    # with clients 6-11, who challenge it: its comrade test must read every
+    # roster it joined, not only the first
+    s["clients"] = [group(12, min_wait=30, max_wait=31)]
+    s["target_sites"] = [site("pills.example"), site("watches.example")]
+    s["spam_injections"] = [
+        spam(5, list(range(6)), "pills.example"),
+        spam(10, [0, *range(6, 12)], "watches.example"),
+    ]
+
+
 def generate(name: str) -> dict:
     """The scenario of corpus variant `name`."""
     rng = Random(f"corpus:{name}")
@@ -346,4 +360,5 @@ PINNED = {
     "roster_expiry": "346b0f1039db7c47b6bec3b2f9d4c8e633bcebd6eb5185905739f9058b2d6615",
     "expired_reput": "b349e9d9a508b7f932cc0db0b20c8cfd2d8b2b054bcaa7232556ab3935311f8d",
     "interleaved_spam": "df084f8827c40024bf89570f6f075e58c5fcef0360759e824df7e0c4110a48da",
+    "second_roster": "aa2c2740149611c73f33ae534fb1ce498c227f606cfb893adf8dce7ea22835ac",
 }

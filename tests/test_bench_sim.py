@@ -2,9 +2,11 @@
 its scenarios are those that perfbench and the golden digests pin, and its
 counts repeat."""
 
+import cProfile
 import importlib.util
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -44,8 +46,8 @@ def test_the_64_client_rung_is_perfbench_s_fleet_handshake():
 
 def test_a_child_counts_the_calls_of_a_run_and_hashes_no_target():
     counts = bench_sim.count_calls(ROOT / "src", ROOT / "scenarios" / "baseline.json")
-    assert set(counts) == {"calls", "challenge_target_calls"}
-    assert counts["calls"] > 0
+    assert set(counts) == {"calls", "raw_calls", "challenge_target_calls"}
+    assert counts["raw_calls"] >= counts["calls"] > 0
     assert counts["challenge_target_calls"] == 0  # every challenge is drawn
 
 
@@ -57,6 +59,34 @@ def test_counts_repeat_after_a_warm_up_and_find_a_rewritten_copy_s_hash(tmp_path
     _warm_up, *counts = [bench_sim.count_run(str(path)) for _ in range(3)]
     assert bench_sim.repeated(counts, "rewriting") == counts[0]
     assert counts[0]["challenge_target_calls"] > 0  # the forwarder reads each target it copies
+
+
+class First(NamedTuple):
+    value: int
+
+
+class Second(NamedTuple):
+    value: int
+
+
+def _constructions(firsts: int, seconds: int) -> dict[str, int]:
+    def build():
+        return [First(i) for i in range(firsts)] + [Second(i) for i in range(seconds)]
+
+    profile = cProfile.Profile()
+    profile.runcall(build)
+    return bench_sim.profile_counts(profile)
+
+
+def test_raw_calls_count_each_record_class_s_constructions():
+    # both classes' constructors are `<string>:1(<lambda>)`, of which pstats
+    # keeps one; `raw_calls` sees one more construction of either class
+    base = _constructions(3, 5)
+    more_firsts, more_seconds = _constructions(4, 5), _constructions(3, 6)
+    # each construction is the record's `__new__` plus the `tuple.__new__` it calls
+    assert more_firsts["raw_calls"] - base["raw_calls"] == 2
+    assert more_seconds["raw_calls"] - base["raw_calls"] == 2
+    assert 1 in {more_firsts["calls"] - base["calls"], more_seconds["calls"] - base["calls"]}
 
 
 def test_counts_that_differ_across_runs_exit():

@@ -7,8 +7,8 @@ scenario of the generated corpus in tests/corpus.py, which between them emit
 every event type and every drop reason.
 
 The same runs gate the stream's lines. The simulation hands its sink one
-NDJSON line per event: the handshake's events are written by fixed format
-strings at their emit sites, every other event and the summary by
+NDJSON line per event: the handshake's events are joined from fixed
+fragments at their emit sites, every other event and the summary by
 `ndjson_line`. Every line must be the generic encoder's bytes for the
 record it parses to.
 
@@ -141,7 +141,7 @@ def _scenario(name: str) -> Scenario:
 
 @pytest.mark.parametrize("name", EVERY_RUN)
 def test_templated_lines_equal_the_generic_encoder(name):
-    # the handshake's lines come from fixed format strings, not the encoder
+    # the handshake's lines are joined from fixed fragments, not encoded
     for line in _report(name).to_ndjson().splitlines(keepends=True):
         assert line == _ENCODER.encode(json.loads(line)) + "\n", line
 
@@ -211,23 +211,24 @@ def test_bursts_add_up_to_the_site_traffic(name):
 def wire_mode(monkeypatch) -> Counter:
     """Every message crosses the wire: each inbox, read or not, gets the seal
     of the record's payload bytes, which its reader opens and decodes; every
-    fresh challenge is built, even one nobody will read; and every solve
-    scans, since a decoded challenge carries no answer. Counts the messages
-    by type, and the sealed challenges to an inbox nobody polls as "unread"."""
+    fresh challenge's record is built as `trust.post_challenge` builds it and
+    sealed, even one nobody will read, so its target is hashed; and every
+    solve scans, since a decoded challenge carries no answer. Counts the
+    messages by type, and the sealed challenges to an inbox nobody polls as
+    "unread"."""
     sent = Counter()
 
     def post(dht, recipient, message, now):
-        sent[type(message).__name__] += 1
+        challenge = isinstance(message, crypto.Challenge)
+        sent["Challenge" if challenge else type(message).__name__] += 1
         readers = dht.inbox_readers
-        if isinstance(message, crypto.Challenge) and readers is not None and (
-            recipient not in readers
-        ):
+        if challenge and readers is not None and recipient not in readers:
             sent["unread"] += 1
         dht.put(inbox_key(recipient), crypto.seal(recipient, bytes(message)), now)
 
     def post_challenge(dht, issuer, recipient, max_rand, rng, now):
-        challenge, rand2 = crypto.generate_challenge(issuer, max_rand, rng)
-        post(dht, recipient, challenge, now)
+        rand1, rand2 = crypto.draw_challenge(max_rand, rng)
+        post(dht, recipient, crypto.DrawnChallenge(issuer.public_key, rand1, None, rand2), now)
         return rand2
 
     monkeypatch.setattr(trust, "post", post)

@@ -13,10 +13,7 @@ from hypothesis import strategies as st
 
 from optoutswarm.cli import EXIT_INTERNAL, EXIT_OK, main
 from optoutswarm.scenario import load_file
-from optoutswarm.simulation import (
-    _CHALLENGE_ANSWERED, _CHALLENGE_DROPPED, _CHALLENGE_SENT, _ENCODER, _VERIFICATION,
-    Simulation, ndjson_line, run,
-)
+from optoutswarm.simulation import _ENCODER, Simulation, _handshake_fragments, ndjson_line, run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BASELINE = str(SCENARIOS / "baseline.json")
@@ -92,20 +89,33 @@ VALUES = {
     "reason": st.sampled_from(["not_comrade", "budget", "no_solution"]),
     "ok": st.booleans(),
 }
-# each handshake event's format string and its fields in key order
-HANDSHAKE_LINES = {
-    "challenge_sent": (_CHALLENGE_SENT, ("client", "peer", "t")),
-    "challenge_dropped": (_CHALLENGE_DROPPED, ("client", "reason", "t")),
-    "challenge_answered": (_CHALLENGE_ANSWERED, ("client", "issuer", "t", "work")),
-    "verification": (_VERIFICATION, ("client", "ok", "peer", "t")),
+
+
+def handshake_line(kind: str, values: dict) -> str:
+    """A handshake event's line, joined from the fragments as `_phase_polls` joins them."""
+    (sent, sent_end, dropped, dropped_end, answered, answered_end,
+     verified, refused, verification_end) = _handshake_fragments(values["client"], values["t"])
+    if kind == "challenge_sent":
+        return sent + values["peer"] + sent_end
+    if kind == "challenge_dropped":
+        return dropped + values["reason"] + dropped_end
+    if kind == "challenge_answered":
+        return answered + values["issuer"] + answered_end + str(values["work"]) + "}\n"
+    return (verified if values["ok"] else refused) + values["peer"] + verification_end
+
+
+# each handshake event's fields
+HANDSHAKE_FIELDS = {
+    "challenge_sent": ("client", "peer", "t"),
+    "challenge_dropped": ("client", "reason", "t"),
+    "challenge_answered": ("client", "issuer", "t", "work"),
+    "verification": ("client", "ok", "peer", "t"),
 }
 
 
 @given(st.data())
 def test_templated_event_equals_the_generic_encoder(data):
-    kind = data.draw(st.sampled_from(sorted(HANDSHAKE_LINES)), label="type")
-    line, names = HANDSHAKE_LINES[kind]
-    values = [data.draw(VALUES[name], label=name) for name in names]
-    # the emit site writes a bool as JSON does
-    rendered = line % tuple(json.dumps(v) if type(v) is bool else v for v in values)
-    assert rendered == _ENCODER.encode({**dict(zip(names, values)), "type": kind}) + "\n"
+    kind = data.draw(st.sampled_from(sorted(HANDSHAKE_FIELDS)), label="type")
+    values = {name: data.draw(VALUES[name], label=name) for name in HANDSHAKE_FIELDS[kind]}
+    assert handshake_line(kind, values) == _ENCODER.encode({**values, "type": kind}) + "\n"
+

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from optoutswarm import crypto, pow_backend
 from optoutswarm.coordinator import poll_inbox
-from optoutswarm.dht import SimulatedDht, inbox_key
+from optoutswarm.dht import SimulatedDht, comrades_table_key, inbox_key
 from optoutswarm.trust import (
     AnswerBudget,
     CampaignOutcome,
@@ -24,11 +24,15 @@ from optoutswarm.trust import (
     decode_payload,
     encode_challenge_payload,
     handle_challenge,
+    handle_mail,
     handle_response,
     initiate_verification,
     judge_outcome,
     post,
 )
+
+ROSTER = comrades_table_key(300, "https://shop.example")  # a joined campaign's roster
+OTHER_ROSTER = comrades_table_key(200, "https://shop.example")  # an earlier one
 
 
 def identity(tag: str) -> crypto.ClientIdentity:
@@ -249,11 +253,12 @@ class TestHandleChallenge:
         self.challenge, self.expected = crypto.generate_challenge(
             self.issuer, 50, Random(3)
         )
+        self.dht.put(ROSTER, self.issuer.public_key, 0)  # the issuer is my comrade
 
     def handle(self, budget, comrade=True, challenge=None, max_rand=50, now=0):
         return handle_challenge(
             self.me, challenge or self.challenge, self.dht, budget,
-            comrade=comrade, max_rand=max_rand, now=now,
+            rosters=[ROSTER] if comrade else [], max_rand=max_rand, now=now,
         )
 
     def test_stranger_dropped_before_budget(self):
@@ -289,6 +294,7 @@ class TestHandleChallenge:
         unhinted = self.handle(AnswerBudget(cap=5), challenge=self.challenge._replace(answer=None))
         unhinted_inbox = self.dht.get(inbox_key(self.issuer.public_key), 0)
         self.dht = SimulatedDht()
+        self.dht.put(ROSTER, self.issuer.public_key, 0)
         monkeypatch.setattr(pow_backend, "solve_kernel", None)  # any call fails
         assert self.challenge.answer == self.expected
         hinted = self.handle(AnswerBudget(cap=5))
@@ -300,12 +306,99 @@ class TestHandleChallenge:
         # hash binds the real issuer, header claims the relay: no value works,
         # not even the real answer carried along
         forged = self.challenge._replace(issuer_public_key=relay.public_key)
+        self.dht.put(ROSTER, relay.public_key, 0)  # the relay registered too
         budget = AnswerBudget(cap=1)
         got = self.handle(budget, challenge=forged)
         assert got == ChallengeHandling(51, "no_solution")
         assert not got.answered
         # that attempt spent the budget slot
         assert self.handle(budget).dropped == "budget"
+
+
+class TestHandleMail:
+    """The receive rules applied to one inbox, message by message in order."""
+
+    def setup_method(self):
+        self.dht = SimulatedDht()
+        self.me = identity("mail-solver")
+        self.db = TrustDb()
+        self.rng = Random(5)
+
+    def comrade(self, tag: str) -> crypto.ClientIdentity:
+        issuer = identity(tag)
+        self.dht.put(ROSTER, issuer.public_key, 0)
+        return issuer
+
+    def handle(self, messages, budget, max_rand=50, now=0):
+        return list(handle_mail(
+            self.me, messages, self.dht, budget, self.db, [OTHER_ROSTER, ROSTER], max_rand, now
+        ))
+
+    def answers(self, issuer: crypto.ClientIdentity, now: int = 0) -> list:
+        return self.dht.get(inbox_key(issuer.public_key), now)
+
+    def test_the_budget_runs_out_in_the_middle_of_an_inbox(self):
+        issuers = [self.comrade(f"mail-comrade-{i}") for i in range(3)]
+        drawn = [crypto.generate_challenge(issuer, 50, self.rng) for issuer in issuers]
+        budget = AnswerBudget(cap=2)
+        got = self.handle([challenge for challenge, _answer in drawn], budget, now=7)
+        assert got == [
+            ("answered", issuers[0].public_key, drawn[0][1] + 1),
+            ("answered", issuers[1].public_key, drawn[1][1] + 1),
+            ("budget", issuers[2].public_key, 0),
+        ]
+        assert list(budget.answered_at) == [7, 7]
+        for issuer, (_challenge, answer) in zip(issuers[:2], drawn):
+            assert self.answers(issuer, 7) == [
+                crypto.ChallengeSolution(self.me.public_key, answer)
+            ]
+        assert self.answers(issuers[2], 7) == []
+
+    def test_a_stranger_s_challenge_is_followed_by_a_comrade_s(self):
+        stranger, comrade = identity("mail-stranger"), self.comrade("mail-comrade")
+        (strange, _), (known, answer) = (
+            crypto.generate_challenge(issuer, 50, self.rng) for issuer in (stranger, comrade)
+        )
+        budget = AnswerBudget(cap=1)
+        got = self.handle([strange, known], budget)
+        # the stranger's challenge cost no budget: the comrade's took the one slot
+        assert got == [
+            ("not_comrade", stranger.public_key, 0),
+            ("answered", comrade.public_key, answer + 1),
+        ]
+        assert list(budget.answered_at) == [0]
+        assert self.answers(stranger) == []
+        assert self.answers(comrade) == [crypto.ChallengeSolution(self.me.public_key, answer)]
+
+    @pytest.mark.parametrize("wrong_first", [True, False])
+    def test_a_wrong_and_a_right_response(self, wrong_first):
+        peer = b"p" * 32
+        self.db.pending[peer] = PendingChallenge(expected_rand2=9, due_at=120)
+        right, wrong = crypto.ChallengeSolution(peer, 9), crypto.ChallengeSolution(peer, 8)
+        got = self.handle([wrong, right] if wrong_first else [right, wrong], AnswerBudget(cap=0))
+        # the first response takes the pending challenge; the second finds none
+        assert self.db.pending == {}
+        if wrong_first:
+            assert got == [("verification", peer, False), ("verification", peer, False)]
+            assert self.db.wake_at == {0: [peer]}  # free to be challenged at once
+            assert self.db.verified == set() and self.db.records == {}
+        else:
+            assert got == [("verification", peer, True), ("verification", peer, False)]
+            assert self.db.wake_at == {}  # an unasked response frees nobody
+            assert self.db.verified == {peer} and self.db.records == {peer: 1}
+
+    def test_a_rewritten_relay_s_challenge_counts_a_full_scan(self):
+        issuer, relay = identity("mail-issuer"), self.comrade("mail-relay")
+        challenge, _answer = crypto.generate_challenge(issuer, 50, self.rng)
+        # as the MITM forwarder rewrites it: its key, the issuer's target, no answer
+        relayed = crypto.Challenge(relay.public_key, challenge.rand1, challenge.target_hash)
+        comrade = self.comrade("mail-comrade")
+        following, _ = crypto.generate_challenge(comrade, 50, self.rng)
+        budget = AnswerBudget(cap=1)
+        got = self.handle([relayed, following], budget, max_rand=50)
+        assert got == [("no_solution", relay.public_key, 51), ("budget", comrade.public_key, 0)]
+        assert list(budget.answered_at) == [0]  # the scan spent the one slot
+        assert self.answers(relay) == self.answers(issuer) == self.answers(comrade) == []
 
 
 def test_a_reset_after_a_wrong_answer_wakes_every_freed_peer():
@@ -393,9 +486,10 @@ def test_full_handshake_end_to_end():
 
     initiate_verification(alice, [bob.public_key], dht, alice_db, cfg, Random(9), 0)
     (challenge,) = poll_inbox(0, dht, bob)
+    dht.put(ROSTER, alice.public_key, 0)  # a campaign both joined
     handled = handle_challenge(
         bob, challenge, dht, AnswerBudget(cap=5),
-        comrade=True, max_rand=40, now=1,
+        rosters=[ROSTER], max_rand=40, now=1,
     )
     assert handled.answered
     (solution,) = poll_inbox(1, dht, alice)
