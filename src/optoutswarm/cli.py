@@ -107,7 +107,7 @@ def _check_writable(path: Path) -> None:
 def _write_run(scn: scenario_mod.Scenario, path: Path) -> simulation.MetricsReport:
     with open(path, "w", encoding="utf-8") as out:
         report = simulation.run(scn, out.write)
-        out.write(simulation.ndjson_line(report.summary))
+        simulation.write_summary(report.summary, out.write)
     return report
 
 

@@ -14,7 +14,10 @@ A handshake record's tagged inbox payload is `bytes(record)`, and
 form of a message: addressed by a 20-byte hash of the recipient key, and
 opened by `open_sealed` only with the matching private key (X25519 +
 ChaCha20-Poly1305). In-process senders leave the records themselves in an
-inbox; the seal is the form a message takes on the wire.
+inbox; the seal is the form a message takes on the wire, so no run seals, and
+the AEAD cipher is imported by `seal` and `open_sealed` alone. Private keys are
+parsed by cryptography's X25519 binding rather than its public classmethod,
+which would load the whole OpenSSL backend first; a run loads neither.
 """
 
 from __future__ import annotations
@@ -25,11 +28,16 @@ from random import Random
 from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.bindings._rust import openssl as _rust_openssl
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+
+# the binding that `X25519PrivateKey.from_private_bytes` calls after it imports
+# the OpenSSL backend to ask whether X25519 is supported; the x25519 import
+# above already loaded it, and it returns the same key type
+_x25519_private_key = _rust_openssl.x25519.from_private_bytes
 
 KEY_HASH_LEN = 20  # addressing hash prefix, matches DHT key width
 PUBLIC_KEY_LEN = 32
@@ -82,11 +90,12 @@ class ClientIdentity:
     private_key: bytes  # raw scalar, never written into any DHT record
     public_key: bytes = field(init=False)
     # parsed once and kept for opens: parsing derives the public key, which
-    # costs about half of an open
+    # costs about half of an open. The binding parses it directly, because the
+    # classmethod would load the OpenSSL backend, which no run otherwise uses
     _x25519: X25519PrivateKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        private = X25519PrivateKey.from_private_bytes(self.private_key)
+        private = _x25519_private_key(self.private_key)
         object.__setattr__(self, "_x25519", private)
         object.__setattr__(self, "public_key", private.public_key().public_bytes_raw())
 
@@ -233,8 +242,10 @@ def seal(recipient_public_key: bytes, plaintext: bytes) -> bytes:
     recipient = recipient_public_key
     if len(recipient) != PUBLIC_KEY_LEN:
         raise ValueError("recipient public key must be 32 bytes")
+    from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+
     scalar = hash_bytes(_EPHEMERAL_TAG + recipient + plaintext)
-    ephemeral = X25519PrivateKey.from_private_bytes(scalar)
+    ephemeral = _x25519_private_key(scalar)
     shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient))
     ct = ChaCha20Poly1305(_box_key(shared)).encrypt(_ZERO_NONCE, plaintext, recipient)
     return key_hash(recipient) + ephemeral.public_key().public_bytes_raw() + ct
@@ -242,6 +253,8 @@ def seal(recipient_public_key: bytes, plaintext: bytes) -> bytes:
 
 def open_sealed(identity: ClientIdentity, msg: bytes) -> bytes:
     """Open the wire bytes of a message sealed to this identity."""
+    from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+
     if len(msg) < KEY_HASH_LEN + PUBLIC_KEY_LEN:
         raise ValueError("sealed message too short")
     if msg[:KEY_HASH_LEN] != key_hash(identity.public_key):

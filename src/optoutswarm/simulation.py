@@ -119,6 +119,19 @@ def ndjson_line(record: dict[str, Any]) -> str:
     return _ENCODER.encode(record) + "\n"
 
 
+def write_summary(summary: dict[str, Any], write: Sink) -> None:
+    """Write `ndjson_line(summary)` a client at a time: at a thousand clients
+    the whole line, with every trust record's key, would be the run's peak."""
+    # keys sort, so only "adversaries" and "campaigns" come first: neither holds a "clients"
+    head, _, tail = _ENCODER.encode({**summary, "clients": []}).partition('"clients":[')
+    write(head + '"clients":[')
+    separator = ""
+    for client in summary["clients"]:
+        write(separator + _ENCODER.encode(client))
+        separator = ","
+    write(tail + "\n")
+
+
 @dataclass
 class MetricsReport:
     """The summary of a run, plus its NDJSON lines when no sink took them."""
@@ -127,7 +140,9 @@ class MetricsReport:
     summary: dict[str, Any]
 
     def to_ndjson(self) -> str:
-        return "".join(self.events) + ndjson_line(self.summary)
+        parts = list(self.events)
+        write_summary(self.summary, parts.append)
+        return "".join(parts)
 
 
 def convergence(report: MetricsReport, url: str) -> float:

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from optoutswarm.website import MAX_QUANTITY
 
 URL = "http://tiny.example/go"
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -682,3 +685,21 @@ def test_console_script_is_installed():
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "run" in proc.stdout and "validate" in proc.stdout
+
+
+@pytest.mark.parametrize("name", ["baseline.json", "mitm_forwarder.json"])
+def test_a_run_loads_neither_the_openssl_backend_nor_the_ciphers(name, tmp_path):
+    # no run seals or opens a message, and identities are parsed without the
+    # backend that X25519PrivateKey.from_private_bytes imports
+    code = (
+        "import sys; from optoutswarm import cli; "
+        f"code = cli.main(['run', {str(BASELINE.with_name(name))!r}, '--out', "
+        f"{str(tmp_path / 'out.ndjson')!r}]); "
+        "print(code, *(m in sys.modules for m in ("
+        "'cryptography.hazmat.backends.openssl', 'cryptography.hazmat.primitives.ciphers')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split()[-3:] == [str(EXIT_OK), "False", "False"]

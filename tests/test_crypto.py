@@ -5,6 +5,7 @@ from collections import Counter
 from random import Random
 
 import pytest
+from cryptography.hazmat.bindings._rust import openssl as rust_openssl
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,28 @@ class TestIdentity:
         assert crypto.ClientIdentity(ident.private_key) == ident
         derived = X25519PrivateKey.from_private_bytes(ident.private_key).public_key()
         assert ident.public_key == derived.public_bytes_raw()
+
+    @pytest.mark.parametrize(
+        "private, public",
+        [
+            pytest.param(
+                "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a",
+                "8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a",
+                id="alice",
+            ),
+            pytest.param(
+                "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb",
+                "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f",
+                id="bob",
+            ),
+        ],
+    )
+    def test_rfc7748_key_pairs(self, private, public):
+        # RFC 7748 section 6.1
+        assert crypto.ClientIdentity(bytes.fromhex(private)).public_key.hex() == public
+
+    def test_keys_are_parsed_by_the_binding_not_the_classmethod(self):
+        assert crypto._x25519_private_key is rust_openssl.x25519.from_private_bytes
 
 
 class TestChallenge:

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 from optoutswarm.cli import EXIT_INTERNAL, EXIT_OK, main
 from optoutswarm.scenario import load_file
-from optoutswarm.simulation import _ENCODER, Simulation, _handshake_fragments, ndjson_line, run
+from optoutswarm.simulation import (
+    _ENCODER,
+    Simulation,
+    _handshake_fragments,
+    ndjson_line,
+    run,
+    write_summary,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BASELINE = str(SCENARIOS / "baseline.json")
@@ -26,6 +33,16 @@ def test_out_file_equals_in_memory_ndjson(name, tmp_path, capsys):
     assert main(["run", path, "--out", str(out)]) == EXIT_OK
     assert out.read_text(encoding="utf-8") == run(load_file(path)).to_ndjson()
     assert [p.name for p in tmp_path.iterdir()] == ["out.ndjson"]
+
+
+@pytest.mark.parametrize("clients", [0, 1, 3])
+def test_a_summary_written_in_parts_is_its_line(clients):
+    summary = run(load_file(BASELINE)).summary
+    summary["clients"] = summary["clients"][:clients]
+    parts = []
+    write_summary(summary, parts.append)
+    assert "".join(parts) == ndjson_line(summary)
+    assert len(parts) == clients + 2
 
 
 def test_sweep_files_equal_in_memory_runs(tmp_path, capsys):
