@@ -27,7 +27,7 @@ With `--parent`, a second source tree runs beside `--src`, alternating run
 by run and swapping which goes first, so that drift on a shared host hits
 both alike. Both ladders are written, as entries `parent` and `change`, and
 each change rung gets a `vs_parent` block: the ratio of the medians and how
-many of the paired runs the change won, for wall and CPU time.
+many of the paired runs the change won, for wall time, CPU time and peak RSS.
 
 `--rungs` runs only the rungs it names, by their index in `LADDER` (0 is
 the 10-client rung); each of them still checks its pin.
@@ -242,17 +242,20 @@ def rung(
             entry.update(count_calls(trees[name], scenario))
         entries[name] = entry
     if "parent" in entries:
-        parent, change = entries["parent"], entries["change"]
-        change["vs_parent"] = {
-            key: {
-                "median_ratio": round(change[key] / parent[key], 3),
-                "runs_won": sum(
-                    c < p for c, p in zip(change[f"{key}_runs"], parent[f"{key}_runs"])
-                ),
-            }
-            for key in ("wall_s", "cpu_s")
-        }
+        entries["change"]["vs_parent"] = vs_parent(entries["parent"], entries["change"])
     return entries
+
+
+def vs_parent(parent: dict, change: dict) -> dict[str, dict]:
+    """Per measure, the ratio of the change's median to the parent's, and the
+    number of paired runs in which the change measured lower."""
+    return {
+        key: {
+            "median_ratio": round(change[key] / parent[key], 3),
+            "runs_won": sum(c < p for c, p in zip(change[f"{key}_runs"], parent[f"{key}_runs"])),
+        }
+        for key in MEASURED
+    }
 
 
 def _rung_key(entry: dict) -> tuple:

@@ -7,7 +7,8 @@ key to both, and the solver brute-forces the hidden one. Binding the issuer's
 key into the hash means a relayed challenge yields a solution for the
 original issuer, never for the relay. A challenge drawn in process carries
 its issuer's answer, which no payload holds, and hashes its target only when
-read; a solver takes that answer, checks any other with one hash, and scans.
+read; a solver takes that answer, refuses a relay's copy by its key, checks
+any other answer with one hash, and scans.
 
 A handshake record's tagged inbox payload is `bytes(record)`, and
 `decode_payload` reads it back. `seal` turns payload bytes into the wire
@@ -15,29 +16,28 @@ form of a message: addressed by a 20-byte hash of the recipient key, and
 opened by `open_sealed` only with the matching private key (X25519 +
 ChaCha20-Poly1305). In-process senders leave the records themselves in an
 inbox; the seal is the form a message takes on the wire, so no run seals, and
-the AEAD cipher is imported by `seal` and `open_sealed` alone. Private keys are
-parsed by cryptography's X25519 binding rather than its public classmethod,
-which would load the whole OpenSSL backend first; a run loads neither.
+the AEAD cipher is imported by `seal` and `open_sealed` alone. Keys are
+parsed and hashed by cryptography's Rust bindings, not by its public
+classmethods, which would load its whole OpenSSL backend first, nor by
+hashlib, which maps a second OpenSSL; a run loads neither.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from random import Random
 from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.bindings._rust import openssl as _rust_openssl
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+from cryptography.hazmat.primitives.hashes import SHA256, Hash
 
-# the binding that `X25519PrivateKey.from_private_bytes` calls after it imports
-# the OpenSSL backend to ask whether X25519 is supported; the x25519 import
-# above already loaded it, and it returns the same key type
+# the bindings that the X25519 keys' `from_*_bytes` classmethods call after
+# they import the OpenSSL backend to ask whether X25519 is supported; the
+# x25519 import above already loaded them, and they return the same key types
 _x25519_private_key = _rust_openssl.x25519.from_private_bytes
+_x25519_public_key = _rust_openssl.x25519.from_public_bytes
 
 KEY_HASH_LEN = 20  # addressing hash prefix, matches DHT key width
 PUBLIC_KEY_LEN = 32
@@ -74,7 +74,9 @@ class DecryptionFailure(Exception):
 
 def hash_bytes(data: bytes) -> bytes:
     """SHA-256 digest of the exact input bytes."""
-    return hashlib.sha256(data).digest()
+    digest = Hash(SHA256())
+    digest.update(data)
+    return digest.finalize()
 
 
 def key_hash(public_key: bytes) -> bytes:
@@ -133,6 +135,18 @@ class DrawnChallenge(Challenge):
         return challenge_target(self.issuer_public_key, self.rand1, self.answer)
 
 
+class RelayedChallenge(Challenge):
+    """A relay's copy of a challenge under its own key, `RelayedChallenge(key,
+    original.rand1, original)`, whose target is its original's. Copies of one
+    original are equal exactly when their bytes are, unless SHA-256 collides."""
+
+    __slots__ = ()
+
+    @property
+    def target_hash(self) -> bytes:
+        return self[2].target_hash
+
+
 class ChallengeSolution(NamedTuple):
     solver_public_key: bytes
     rand2: int
@@ -160,9 +174,9 @@ def decode_payload(data: bytes) -> Challenge | ChallengeSolution:
 
 def challenge_target(issuer_public_key: bytes, rand1: int, rand2: int) -> bytes:
     """The 32-byte hash a solver must reproduce."""
-    return hashlib.sha256(
+    return hash_bytes(
         issuer_public_key + rand1.to_bytes(8, "little") + rand2.to_bytes(8, "little")
-    ).digest()
+    )
 
 
 def draw_challenge(max_rand: int, rng: Random) -> tuple[int, int]:
@@ -198,13 +212,19 @@ def solve_challenge(challenge: Challenge, max_rand: int) -> tuple[int, int]:
     The scan tests candidates upward from zero; work for a solution found at
     value ``test`` is ``test + 1``. Raises NoSolution when the whole interval
     is exhausted, which is what a relayed challenge looks like after the
-    relay swaps in its own key.
+    relay swaps in its own key. A `RelayedChallenge` so swapped is refused
+    unscanned: its target hashes its original's key, which a scan finds only
+    if SHA-256 collides. A relay under its original's key is that original.
 
     A carried `answer` that reproduces the target hash is that first match,
     so it is returned, or rejected as out of range, without the scan; a
     `DrawnChallenge`'s answer is by construction, unhashed. Any other answer
     is ignored.
     """
+    if type(challenge) is RelayedChallenge:
+        if challenge.issuer_public_key != challenge[2].issuer_public_key:
+            raise NoSolution(f"no solution in [0, {max_rand}]")
+        challenge = challenge[2]
     answer, drawn = challenge.answer, isinstance(challenge, DrawnChallenge)
     if answer is not None and (drawn or verify_solution(challenge, answer)):
         if answer > max_rand:
@@ -246,7 +266,7 @@ def seal(recipient_public_key: bytes, plaintext: bytes) -> bytes:
 
     scalar = hash_bytes(_EPHEMERAL_TAG + recipient + plaintext)
     ephemeral = _x25519_private_key(scalar)
-    shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient))
+    shared = ephemeral.exchange(_x25519_public_key(recipient))
     ct = ChaCha20Poly1305(_box_key(shared)).encrypt(_ZERO_NONCE, plaintext, recipient)
     return key_hash(recipient) + ephemeral.public_key().public_bytes_raw() + ct
 
@@ -262,7 +282,7 @@ def open_sealed(identity: ClientIdentity, msg: bytes) -> bytes:
     ephemeral_pk = msg[KEY_HASH_LEN : KEY_HASH_LEN + PUBLIC_KEY_LEN]
     ct = msg[KEY_HASH_LEN + PUBLIC_KEY_LEN :]
     try:
-        shared = identity._x25519.exchange(X25519PublicKey.from_public_bytes(ephemeral_pk))
+        shared = identity._x25519.exchange(_x25519_public_key(ephemeral_pk))
         return ChaCha20Poly1305(_box_key(shared)).decrypt(
             _ZERO_NONCE, ct, identity.public_key
         )

@@ -21,11 +21,12 @@ last looked.
 from __future__ import annotations
 
 import functools
-import hashlib
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any
+
+from optoutswarm.crypto import hash_bytes
 
 KEY_LEN = 20
 
@@ -56,7 +57,7 @@ def derive_key(logical_key: bytes) -> DhtKey:
     """First 20 bytes of SHA-256 over the logical key bytes."""
     if not logical_key:
         raise EmptyKey("logical key must be non-empty")
-    return DhtKey(hashlib.sha256(logical_key).digest()[:KEY_LEN])
+    return DhtKey(hash_bytes(logical_key)[:KEY_LEN])
 
 
 @functools.lru_cache(maxsize=KEY_CACHE_SIZE)

@@ -4,7 +4,8 @@ The C kernel in ``_powcore.c`` is built on first use with the compiler Python
 was built with, and cached in ``__pycache__`` under its source digest. Where
 the build or its import fails, the pure-Python kernel runs instead.
 ``crypto.solve_challenge`` imports this module the first time it must scan,
-so importing the package builds nothing. The toolchain's modules
+which only a decoded wire payload needs: a drawn challenge carries its answer
+and a relay's copy is refused by its key. The toolchain's modules
 (``subprocess``, ``tempfile``, ``shlex``, ``sysconfig``) are imported only to
 compile, so loading a cached build costs its import alone.
 """

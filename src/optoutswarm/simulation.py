@@ -34,7 +34,6 @@ the same scenario and the metrics serialization compares equal.
 from __future__ import annotations
 
 import json
-import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -153,6 +152,12 @@ def convergence(report: MetricsReport, url: str) -> float:
     return ratios[url]
 
 
+def median(values: list[float]) -> float:
+    """`statistics.median`, whose module a run need not load."""
+    ordered, half = sorted(values), len(values) // 2
+    return ordered[half] if len(values) % 2 else (ordered[half - 1] + ordered[half]) / 2
+
+
 class _Adversary:
     """Base: full DHT read/write access, own identity and RNG, no honest keys."""
 
@@ -241,9 +246,9 @@ class _MitmForwarderAdversary(_Adversary):
     """Relays challenges it receives, hoping to pocket a verification.
 
     With rewrite_issuer the relayed copy claims the forwarder as issuer; the
-    hash still binds the original key, so victims burn a full scan and find
-    nothing. Without rewriting, victims solve fine but their responses route
-    to the key inside the challenge, which is never the forwarder's.
+    hash still binds the original key, so victims are charged a full scan and
+    refuse the copy by its key. Without rewriting, victims solve fine but their
+    responses route to the key inside the challenge, which is never the forwarder's.
 
     Each minute it reads every announced start and keeps its key on each
     roster, then drains its inbox. It reads those rosters for victims only
@@ -264,8 +269,9 @@ class _MitmForwarderAdversary(_Adversary):
                     pk for c in campaigns for pk in coordinator.read_comrades(sim.dht, c, now)
                 } - {key}
             forwarded = message
-            if self.spec.params["rewrite_issuer"]:  # built, without an answer, from the target
-                forwarded = crypto.Challenge(key, message.rand1, message.target_hash)
+            if self.spec.params["rewrite_issuer"]:  # a copy of a copy copies its original
+                original = message[2] if type(message) is crypto.RelayedChallenge else message
+                forwarded = crypto.RelayedChallenge(key, message.rand1, original)
             for victim_pk in sorted(victims - {message.issuer_public_key}):
                 trust.post(sim.dht, victim_pk, forwarded, now)
                 self.counters["forwarded"] += 1
@@ -570,8 +576,8 @@ class Simulation:
             if pk != client.identity.public_key
         )
         outcome = trust.CampaignOutcome(
-            baseline_latency=statistics.median(record.baseline),
-            during_latency=statistics.median(record.during),
+            baseline_latency=median(record.baseline),
+            during_latency=median(record.during),
             comrades=comrades,
         )
         verdict = trust.judge_outcome(outcome, client.tcfg.alpha)

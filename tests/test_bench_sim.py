@@ -51,14 +51,16 @@ def test_a_child_counts_the_calls_of_a_run_and_hashes_no_target():
     assert counts["challenge_target_calls"] == 0  # every challenge is drawn
 
 
-def test_counts_repeat_after_a_warm_up_and_find_a_rewritten_copy_s_hash(tmp_path):
+def test_counts_repeat_after_a_warm_up_and_hash_no_rewritten_copy_s_target(tmp_path):
     raw = json.loads((ROOT / "scenarios" / "mitm_forwarder.json").read_text(encoding="utf-8"))
     raw["adversaries"] = [{"strategy": "mitm_forwarder", "rewrite_issuer": True}]
     path = tmp_path / "rewriting.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     _warm_up, *counts = [bench_sim.count_run(str(path)) for _ in range(3)]
     assert bench_sim.repeated(counts, "rewriting") == counts[0]
-    assert counts[0]["challenge_target_calls"] > 0  # the forwarder reads each target it copies
+    # a copy reads its original's target only when its bytes are taken, and
+    # its victims refuse it by its key
+    assert counts[0]["challenge_target_calls"] == 0
 
 
 class First(NamedTuple):
@@ -92,6 +94,20 @@ def test_raw_calls_count_each_record_class_s_constructions():
 def test_counts_that_differ_across_runs_exit():
     with pytest.raises(SystemExit, match="differ"):
         bench_sim.repeated([{"calls": 1}, {"calls": 2}], "a run")
+
+
+def test_vs_parent_compares_wall_cpu_and_peak_rss_run_by_run():
+    parent = {"wall_s": 2.0, "wall_s_runs": [2.0, 1.0, 3.0],
+              "cpu_s": 1.0, "cpu_s_runs": [1.0, 1.0, 1.0],
+              "peak_rss_mib": 30.0, "peak_rss_mib_runs": [30.0, 29.0, 31.0]}
+    change = {"wall_s": 1.0, "wall_s_runs": [1.0, 2.0, 1.0],
+              "cpu_s": 1.0, "cpu_s_runs": [1.0, 0.5, 1.5],
+              "peak_rss_mib": 25.0, "peak_rss_mib_runs": [25.0, 24.0, 26.0]}
+    assert bench_sim.vs_parent(parent, change) == {
+        "wall_s": {"median_ratio": 0.5, "runs_won": 2},
+        "cpu_s": {"median_ratio": 1.0, "runs_won": 1},  # a tie wins nothing
+        "peak_rss_mib": {"median_ratio": 0.833, "runs_won": 3},
+    }
 
 
 def _entry(index: int, wall_s: float) -> dict:

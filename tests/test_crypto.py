@@ -1,7 +1,11 @@
 """Identities, challenges, and sealed messages."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 from optoutswarm import crypto, pow_backend
 from optoutswarm.dht import SimulatedDht, inbox_key
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 
@@ -29,6 +34,21 @@ class TestHashing:
 
     def test_one_byte_difference_changes_digest(self):
         assert crypto.hash_bytes(b"abc") != crypto.hash_bytes(b"abd")
+
+    @given(data=st.binary(max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_it_is_hashlib_s_sha256(self, data):
+        assert crypto.hash_bytes(data) == hashlib.sha256(data).digest()
+
+    @given(
+        key=st.binary(min_size=crypto.PUBLIC_KEY_LEN, max_size=crypto.PUBLIC_KEY_LEN),
+        rand1=st.integers(0, crypto.MAX_RAND_LIMIT),
+        rand2=st.integers(0, crypto.MAX_RAND_LIMIT),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_target_is_hashlib_s_sha256(self, key, rand1, rand2):
+        message = key + rand1.to_bytes(8, "little") + rand2.to_bytes(8, "little")
+        assert crypto.challenge_target(key, rand1, rand2) == hashlib.sha256(message).digest()
 
 
 class TestIdentity:
@@ -279,6 +299,69 @@ class TestDrawnChallenge:
         assert calls == Counter(hash=1, scan=1)  # the answer checked, then the scan
         assert outcome(relayed, 400) == "no_solution"
         assert calls == Counter(hash=2, scan=2)
+
+
+class TestRelayedChallenge:
+    """A relay's rewritten copy keeps its original outside its bytes, and is
+    refused by the key it claims, as a scan of its wire form refuses it."""
+
+    @given(
+        issuer=st.sampled_from([b"a" * 32, b"b" * 32]),
+        relay=st.sampled_from([b"a" * 32, b"b" * 32]),
+        max_rand=st.integers(0, 300),
+        seed=st.integers(0, 2**32),
+        solver_max_rand=st.integers(0, 300),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_it_solves_as_its_wire_form_does(
+        self, issuer, relay, max_rand, seed, solver_max_rand
+    ):
+        rand1, rand2 = crypto.draw_challenge(max_rand, Random(seed))
+        original = crypto.DrawnChallenge(issuer, rand1, None, rand2)
+        copy = crypto.RelayedChallenge(relay, rand1, original)
+        wire = crypto.decode_payload(bytes(copy))
+        assert wire == crypto.Challenge(relay, rand1, original.target_hash)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = TestDrawnChallenge().counted(monkeypatch)
+            refused = outcome(copy, solver_max_rand)
+            assert calls == Counter()  # neither a hash nor a scan
+            assert outcome(wire, solver_max_rand) == refused
+            assert calls == Counter(scan=1)
+        if relay != issuer:
+            assert refused == "no_solution"
+
+    @given(
+        a=st.tuples(st.sampled_from([b"a" * 32, b"b" * 32]), st.integers(0, 2), st.integers(0, 2)),
+        b=st.tuples(st.sampled_from([b"a" * 32, b"b" * 32]), st.integers(0, 2), st.integers(0, 2)),
+        relays=st.lists(st.sampled_from([b"c" * 32, b"d" * 32]), min_size=2, max_size=2),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_two_are_equal_exactly_when_their_bytes_are(self, a, b, relays):
+        first, second = (
+            crypto.RelayedChallenge(relay, rand1, crypto.DrawnChallenge(key, rand1, None, rand2))
+            for relay, (key, rand1, rand2) in zip(relays, (a, b))
+        )
+        assert (first == second) == (bytes(first) == bytes(second))
+        if first == second:
+            assert hash(first) == hash(second)
+        assert first != crypto.decode_payload(bytes(first))  # nor equals a built challenge
+
+
+def test_seal_and_open_load_neither_the_openssl_backend_nor_hashlib():
+    # public keys are parsed by the Rust X25519 binding, as private keys are,
+    # and SHA-256 is cryptography's
+    code = (
+        "import sys; from optoutswarm import crypto; "
+        "bob = crypto.ClientIdentity(bytes(range(32))); "
+        "assert crypto.open_sealed(bob, crypto.seal(bob.public_key, b'dawn')) == b'dawn'; "
+        "print(*(m in sys.modules for m in ("
+        "'cryptography.hazmat.backends.openssl', 'hashlib', '_hashlib')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == ["False", "False", "False"]
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,12 @@ def test_derive_key_is_truncated_sha256():
     assert len(dht.derive_key(b"whatever").key) == 20
 
 
+@given(logical_key=st.binary(min_size=1, max_size=300))
+@settings(max_examples=100, deadline=None)
+def test_derive_key_is_hashlib_s_truncated_sha256(logical_key):
+    assert dht.derive_key(logical_key).key == hashlib.sha256(logical_key).digest()[:20]
+
+
 def test_table_keys_are_derived_once():
     key = dht.comrades_table_key(500, "http://a.example/")
     assert key == k("500|http://a.example/")

@@ -23,6 +23,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -247,6 +248,43 @@ def test_wire_mode_writes_the_pinned_bytes(name, wire_mode):
     assert wire_mode["Challenge"] and wire_mode["ChallengeSolution"]
     if name == "sybil_flood.json":  # honest clients challenge the sybil keys
         assert wire_mode["unread"]
+
+
+def _forwarders(max_rand: int, *rewrite_issuer: bool) -> dict:
+    """mitm_forwarder.json with one forwarder per `rewrite_issuer` flag, and
+    every client group's `max_rand` set to `max_rand`."""
+    raw = json.loads((SCENARIOS / "mitm_forwarder.json").read_text(encoding="utf-8"))
+    raw["adversaries"] = [
+        {"strategy": "mitm_forwarder", "rewrite_issuer": rewrite} for rewrite in rewrite_issuer
+    ]
+    for group in raw["clients"]:
+        group["trust"]["max_rand"] = max_rand
+    return raw
+
+
+# sha256 of `_forwarders(10**6, True)`'s NDJSON, as written when each victim
+# scanned every rewritten copy: 528 scans of 10**6 + 1 values, 43 s of CPU
+REWRITING_DIGEST = "51467cfd73a81d5d81d7a7e43b4298d1a65300f03c9a621d4a368afdac105e06"
+
+
+def test_a_rewritten_copy_is_refused_without_a_scan():
+    started = time.process_time()
+    report = run(from_dict(_forwarders(10**6, True)))
+    assert _digest(report.to_ndjson()) == REWRITING_DIGEST
+    assert time.process_time() - started < 1
+
+
+@pytest.mark.parametrize(
+    "rewrite_issuer", [(True,), (True, False, True)], ids=["rewriting", "relaying_copies"]
+)
+def test_wire_mode_refuses_a_rewritten_copy_as_the_kernel_does(rewrite_issuer, request):
+    # in process a victim refuses a rewritten copy by the original it keeps;
+    # on the wire the copy decodes to a plain challenge, which the kernel
+    # scans. Behind a plain forwarder, a rewriting one also copies copies
+    in_process = run(from_dict(_forwarders(200, *rewrite_issuer))).to_ndjson()
+    assert '"reason":"no_solution"' in in_process
+    request.getfixturevalue("wire_mode")
+    assert run(from_dict(_forwarders(200, *rewrite_issuer))).to_ndjson() == in_process
 
 
 def test_rejoin_variant_joins_campaigns_already_held():

@@ -4,10 +4,13 @@ import dataclasses
 import functools
 import hashlib
 import json
+import statistics
 from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from test_bench_sim import bench_sim
@@ -17,7 +20,7 @@ from optoutswarm.scenario import ADVERSARIES, from_dict, load_file
 from optoutswarm.simulation import (
     _ADVERSARY_CLASSES, MetricsReport, NoSuchCampaign, Simulation, convergence, run,
     _Adversary, _ChallengeFloodAdversary, _MitmForwarderAdversary, _StartInjector,
-    _SybilFloodAdversary,
+    _SybilFloodAdversary, median,
 )
 
 URL = "http://pills.example/buy"
@@ -279,7 +282,8 @@ def _rewriting_forwarder() -> dict:
 )
 def test_a_run_hashes_a_target_only_for_a_rewritten_copy(monkeypatch, raw):
     # every challenge is drawn and solved from its carried answer, and relayed
-    # as it is, so in process only the rewritten copy of a relay reads a target
+    # as it is or in a rewritten copy that keeps it, which its victims refuse
+    # by its key: in process no target is read, not even a rewritten copy's
     hashed = copies = 0
     challenge_target, poll_inbox = crypto.challenge_target, coordinator.poll_inbox
 
@@ -302,8 +306,53 @@ def test_a_run_hashes_a_target_only_for_a_rewritten_copy(monkeypatch, raw):
     forwarder_key = rewriting[0].identity.public_key if rewriting else None
     report = sim.run()
     assert sum(e["type"] == "challenge_answered" for e in _events(report))
-    assert hashed == copies
+    assert hashed == 0
     assert bool(copies) == bool(rewriting)
+
+
+def test_a_copy_of_a_rewritten_copy_keeps_its_original(monkeypatch):
+    # behind a plain forwarder, a rewriting one drains the other's copies; it
+    # copies what they copied, so two copies are equal when their bytes are
+    drained, posted = Counter(), []
+    poll_inbox, post = coordinator.poll_inbox, trust.post
+
+    def polling(now, store, identity):
+        messages = poll_inbox(now, store, identity)
+        if identity.public_key in rewriting:
+            drained.update(type(m) for m in messages)
+        return messages
+
+    def posting(store, recipient, message, now):
+        posted.append(message)
+        post(store, recipient, message, now)
+
+    monkeypatch.setattr(coordinator, "poll_inbox", polling)
+    monkeypatch.setattr(trust, "post", posting)
+    raw = bundled("mitm_forwarder.json")
+    raw["adversaries"] = [
+        {"strategy": "mitm_forwarder", "rewrite_issuer": rewrite} for rewrite in (True, False, True)
+    ]
+    sim = Simulation(from_dict(raw))
+    rewriting = {a.identity.public_key for a in sim.adversaries if a.spec.params["rewrite_issuer"]}
+    sim.run()
+    assert drained[crypto.RelayedChallenge]
+    copies = [m for m in posted if type(m) is crypto.RelayedChallenge]
+    assert {type(m[2]) for m in copies} == {crypto.DrawnChallenge}
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(values=st.one_of(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
+    st.lists(finite, min_size=1, max_size=12),
+))
+@settings(max_examples=200, deadline=None)
+def test_median_is_statistics_median(values):
+    expected = statistics.median(values)
+    got = median(values)
+    assert type(got) is type(expected)
+    assert got == expected
 
 
 def test_honest_clients_and_the_forwarder_read_their_inboxes():
